@@ -1,15 +1,23 @@
 # Developer entry points. `make ci` is the tier-1 gate recorded in
-# ROADMAP.md: vet, build, and the full test suite under the race
+# ROADMAP.md: gofmt, vet, build, and the full test suite under the race
 # detector must all pass before a change lands.
 
 GO ?= go
 
-.PHONY: all build vet test race bench fuzz-smoke cover run-seqavfd run-fleet-smoke ci
+.PHONY: all build fmt vet test race bench fuzz-smoke cover run-seqavfd run-fleet-smoke ci
 
 all: build
 
 build:
 	$(GO) build ./...
+
+# Fails listing every root-module file gofmt would change. Files are
+# passed per package directory: gofmt recurses into directories, which
+# would also reach the nested seqavfbench module.
+fmt:
+	@dirs=$$($(GO) list -f '{{.Dir}}' ./...) || exit 1; \
+	out=$$(for d in $$dirs; do gofmt -l "$$d"/*.go || exit 1; done) || exit 1; \
+	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -56,4 +64,4 @@ run-seqavfd: build
 run-fleet-smoke: build
 	./scripts/fleet_smoke.sh
 
-ci: vet build race cover fuzz-smoke
+ci: fmt vet build race cover fuzz-smoke

@@ -130,20 +130,11 @@ func (g *Gateway) Handler() http.Handler {
 	return mux
 }
 
-// startRequest opens the gateway's request span, adopting an incoming
-// traceparent and echoing the assigned one, exactly like the replica
-// does — so client → gateway → replica is one trace.
+// startRequest opens the gateway's request span through the same
+// traceparent adoption the replica uses (obs.Registry.StartRequest) — so
+// client → gateway → replica is one trace.
 func (g *Gateway) startRequest(w http.ResponseWriter, r *http.Request, endpoint string) (*obs.Span, context.Context) {
-	ctx := r.Context()
-	if tid, pid, ok := obs.ParseTraceparent(r.Header.Get("traceparent")); ok {
-		ctx = obs.ContextWithRemoteParent(ctx, tid, pid)
-	}
-	sp := g.reg.StartSpanContext(ctx, "gateway.request")
-	sp.SetAttr("endpoint", endpoint)
-	if tid := sp.TraceID(); !tid.IsZero() {
-		w.Header().Set("traceparent", obs.FormatTraceparent(tid, sp.SpanID()))
-	}
-	return sp, obs.ContextWithSpan(ctx, sp)
+	return g.reg.StartRequest(w, r, "gateway.request", endpoint)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

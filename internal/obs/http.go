@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 )
@@ -33,4 +34,23 @@ func (r *Registry) MetricsHandler() http.Handler {
 		// Headers are already out on error; nothing useful left to send.
 		_ = enc.Encode(snap)
 	})
+}
+
+// StartRequest opens the root span of one served HTTP request under
+// name, tagged with endpoint: it adopts an incoming W3C traceparent
+// header (so a caller's trace continues through this process), echoes
+// the assigned traceparent on the response, and returns the span plus a
+// context carrying it for downstream stages. Safe on a nil registry,
+// which yields a nil (no-op) span.
+func (r *Registry) StartRequest(w http.ResponseWriter, req *http.Request, name, endpoint string) (*Span, context.Context) {
+	ctx := req.Context()
+	if tid, pid, ok := ParseTraceparent(req.Header.Get("traceparent")); ok {
+		ctx = ContextWithRemoteParent(ctx, tid, pid)
+	}
+	sp := r.StartSpanContext(ctx, name)
+	sp.SetAttr("endpoint", endpoint)
+	if tid := sp.TraceID(); !tid.IsZero() {
+		w.Header().Set("traceparent", FormatTraceparent(tid, sp.SpanID()))
+	}
+	return sp, ContextWithSpan(ctx, sp)
 }

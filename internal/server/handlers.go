@@ -1,8 +1,8 @@
 package server
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"seqavf/internal/core"
-	"seqavf/internal/obs"
 	"seqavf/internal/pavfio"
 	"seqavf/internal/sweep"
 )
@@ -91,11 +90,16 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("GET /metrics.json", s.reg.MetricsHandler())
 	mux.Handle("GET /debug/requests", s.flight.Handler())
 	mux.HandleFunc("GET /v1/designs", s.handleListDesigns)
-	mux.HandleFunc("POST /v1/designs", s.handleUploadDesign)
-	mux.HandleFunc("POST /v1/designs/{name}/edit", s.handleEditDesign)
-	mux.HandleFunc("POST /v1/sweep", s.handleSweep)
-	mux.HandleFunc("POST /v1/sweep/intervals", s.handleSweepIntervals)
-	mux.HandleFunc("POST /v1/harden", s.handleHarden)
+	mux.HandleFunc("POST /v1/designs", s.serve("/v1/designs",
+		s.reg.Counter("server.upload_requests"), http.StatusCreated, s.decodeUpload))
+	mux.HandleFunc("POST /v1/designs/{name}/edit", s.serve("/v1/designs/{name}/edit",
+		s.reg.Counter("server.edit_requests"), http.StatusOK, s.decodeEdit))
+	mux.HandleFunc("POST /v1/sweep", s.serve("/v1/sweep",
+		s.reg.Counter("server.sweep_requests"), http.StatusOK, s.decodeSweep))
+	mux.HandleFunc("POST /v1/sweep/intervals", s.serve("/v1/sweep/intervals",
+		s.reg.Counter("sweep.interval_requests"), http.StatusOK, s.decodeIntervals))
+	mux.HandleFunc("POST /v1/harden", s.serve("/v1/harden",
+		s.reg.Counter("harden.requests"), http.StatusOK, s.decodeHarden))
 	mux.HandleFunc("GET /v1/artifacts/{fingerprint}", s.handleGetArtifact)
 	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
@@ -103,100 +107,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	return mux
-}
-
-// startRequest opens the per-request root span: it adopts an incoming
-// W3C traceparent header (so a gateway's trace continues through this
-// process), echoes the assigned traceparent on the response, and
-// returns the span plus a context carrying it for downstream stages.
-func (s *Server) startRequest(w http.ResponseWriter, r *http.Request, endpoint string) (*obs.Span, context.Context) {
-	ctx := r.Context()
-	if tid, pid, ok := obs.ParseTraceparent(r.Header.Get("traceparent")); ok {
-		ctx = obs.ContextWithRemoteParent(ctx, tid, pid)
-	}
-	sp := s.reg.StartSpanContext(ctx, "server.request")
-	sp.SetAttr("endpoint", endpoint)
-	if tid := sp.TraceID(); !tid.IsZero() {
-		w.Header().Set("traceparent", obs.FormatTraceparent(tid, sp.SpanID()))
-	}
-	return sp, obs.ContextWithSpan(ctx, sp)
-}
-
-// finishRequest closes the request span, observes the request latency,
-// derives the flight record's per-stage durations from the span's
-// children, records it, and — when the request overran the slow
-// threshold — promotes the full span tree to the structured slow log.
-func (s *Server) finishRequest(sp *obs.Span, start time.Time, rec obs.RequestRecord) {
-	sp.SetAttr("status", rec.Status)
-	sp.End()
-	elapsed := time.Since(start)
-	s.reg.FixedHistogram("server.request_seconds", obs.LatencyBuckets).Observe(elapsed.Seconds())
-	rec.Time = time.Now()
-	rec.DurationSeconds = elapsed.Seconds()
-	if tid := sp.TraceID(); !tid.IsZero() {
-		rec.TraceID = tid.String()
-	}
-	for _, c := range sp.Children() {
-		d := c.Duration().Seconds()
-		switch c.Name() {
-		case "ingest":
-			rec.IngestSeconds += d
-		case "sweep.plan":
-			rec.PlanSeconds += d
-			if src, ok := c.Attr("source").(string); ok {
-				rec.PlanSource = src
-			}
-		case "sweep.eval":
-			rec.EvalSeconds += d
-		default:
-			// Upload solves and restores count as the plan stage: they
-			// are the "how do I get evaluable closed forms" phase.
-			if c.Name() == "solve" || c.Name() == "artifact.restore" {
-				rec.PlanSeconds += d
-			}
-		}
-	}
-	if rec.PlanSource == "" {
-		if disp, ok := sp.Attr("artifact").(string); ok {
-			rec.PlanSource = disp
-		}
-	}
-	s.flight.Record(rec)
-	if s.cfg.SlowRequest > 0 && elapsed >= s.cfg.SlowRequest {
-		s.logSlowRequest(sp, rec)
-	}
-}
-
-// logSlowRequest writes one JSON line: the flight record plus the full
-// span tree of the offending request — enough to see which stage ate
-// the budget without re-running anything.
-func (s *Server) logSlowRequest(sp *obs.Span, rec obs.RequestRecord) {
-	s.reg.Counter("server.slow_requests").Inc()
-	line, err := json.Marshal(struct {
-		SlowRequest obs.RequestRecord `json:"slow_request"`
-		Spans       obs.SpanSnapshot  `json:"spans"`
-	}{rec, sp.Snapshot()})
-	if err != nil {
-		return
-	}
-	s.slowMu.Lock()
-	fmt.Fprintf(s.cfg.SlowLog, "%s\n", line)
-	s.slowMu.Unlock()
-}
-
-// writeJSON encodes v with status code.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-// writeErr emits the uniform {"error": ...} body.
-func (s *Server) writeErr(w http.ResponseWriter, status int, format string, args ...any) {
-	s.reg.Counter("server.errors").Inc()
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -215,108 +125,39 @@ func (s *Server) handleListDesigns(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	infos := make([]DesignInfo, 0, len(s.designs))
 	for _, d := range s.designs {
-		infos = append(infos, DesignInfo{Name: d.Name, Vertices: d.Vertices, SeqBits: d.SeqBits, Plan: d.Plan})
+		infos = append(infos, d.info())
 	}
 	s.mu.RUnlock()
 	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
 	writeJSON(w, http.StatusOK, infos)
 }
 
-// rejectBusy emits the backpressure response: 429 plus a Retry-After
-// hint, so saturated clients back off instead of queueing server-side.
-func (s *Server) rejectBusy(w http.ResponseWriter) {
-	s.reg.Counter("server.rejected_busy").Inc()
-	w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter + time.Second - 1) / time.Second)))
-	writeJSON(w, http.StatusTooManyRequests, map[string]string{
-		"error": "server at concurrency limit, retry later",
-	})
-}
-
-func (s *Server) handleUploadDesign(w http.ResponseWriter, r *http.Request) {
-	s.reg.Counter("server.upload_requests").Inc()
-	rsp, ctx := s.startRequest(w, r, "/v1/designs")
-	start := time.Now()
-	rec := obs.RequestRecord{Endpoint: "/v1/designs", Status: http.StatusCreated, Outcome: "ok"}
-	defer func() { s.finishRequest(rsp, start, rec) }()
-	fail := func(write func(), status int, outcome string) {
-		rec.Status, rec.Outcome = status, outcome
-		write()
-	}
-	if !s.acquire() {
-		fail(func() { s.rejectBusy(w) }, http.StatusTooManyRequests, "busy")
-		return
-	}
-	defer s.release()
-	isp := rsp.Child("ingest")
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	isp.End()
-	if err != nil {
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
+// decodeUpload reads a textual netlist; the run step solves it (or
+// warm-starts it from the artifact store) and registers it.
+func (s *Server) decodeUpload(r *http.Request, body io.Reader) (job, error) {
+	nl, err := readBody(body)
+	return job{upload: true, run: func(ctx context.Context, _ *Design) (any, *Design, error) {
+		d, err := s.LoadNetlistContext(ctx, r.URL.Query().Get("name"), bytes.NewReader(nl), core.DefaultOptions())
+		if err != nil {
+			return nil, nil, err
 		}
-		fail(func() { s.writeBodyErr(w, err) }, status, err.Error())
-		return
-	}
-	d, err := s.LoadNetlistContext(ctx, r.URL.Query().Get("name"), strings.NewReader(string(body)), core.DefaultOptions())
-	if err != nil {
-		fail(func() { s.writeErr(w, http.StatusUnprocessableEntity, "%v", err) },
-			http.StatusUnprocessableEntity, err.Error())
-		return
-	}
-	rec.Design = d.Name
-	rec.Fingerprint = fmt.Sprintf("%016x", d.Result.Analyzer.Fingerprint())
-	writeJSON(w, http.StatusCreated, DesignInfo{Name: d.Name, Vertices: d.Vertices, SeqBits: d.SeqBits, Plan: d.Plan})
+		return d.info(), d, nil
+	}}, err
 }
 
-// handleEditDesign applies an ECO to a registered design: the body is
-// the full edited netlist, the re-solve is seeded from the live design's
+// decodeEdit reads an ECO for a registered design: the body is the full
+// edited netlist, the re-solve is seeded from the live design's
 // converged per-FUB state, and the registration is swapped atomically.
 // The response reports how much of the prior solve survived the edit.
-func (s *Server) handleEditDesign(w http.ResponseWriter, r *http.Request) {
-	s.reg.Counter("server.edit_requests").Inc()
-	name := r.PathValue("name")
-	rsp, ctx := s.startRequest(w, r, "/v1/designs/{name}/edit")
-	start := time.Now()
-	rec := obs.RequestRecord{Endpoint: "/v1/designs/{name}/edit", Design: name, Status: http.StatusOK, Outcome: "ok"}
-	defer func() { s.finishRequest(rsp, start, rec) }()
-	fail := func(write func(), status int, outcome string) {
-		rec.Status, rec.Outcome = status, outcome
-		write()
-	}
-	if !s.acquire() {
-		fail(func() { s.rejectBusy(w) }, http.StatusTooManyRequests, "busy")
-		return
-	}
-	defer s.release()
-	isp := rsp.Child("ingest")
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	isp.End()
-	if err != nil {
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
+func (s *Server) decodeEdit(r *http.Request, body io.Reader) (job, error) {
+	nl, err := readBody(body)
+	return job{design: r.PathValue("name"), run: func(ctx context.Context, old *Design) (any, *Design, error) {
+		d, st, err := s.EditNetlistContext(ctx, old, bytes.NewReader(nl), core.DefaultOptions())
+		if err != nil {
+			return nil, nil, err
 		}
-		fail(func() { s.writeBodyErr(w, err) }, status, err.Error())
-		return
-	}
-	d, st, err := s.EditNetlistContext(ctx, name, strings.NewReader(string(body)), core.DefaultOptions())
-	if err != nil {
-		var unknown *UnknownDesignError
-		status := http.StatusUnprocessableEntity
-		if errors.As(err, &unknown) {
-			status = http.StatusNotFound
-		}
-		fail(func() { s.writeErr(w, status, "%v", err) }, status, err.Error())
-		return
-	}
-	rec.Fingerprint = fmt.Sprintf("%016x", d.Result.Analyzer.Fingerprint())
-	writeJSON(w, http.StatusOK, EditResponse{
-		DesignInfo:  DesignInfo{Name: d.Name, Vertices: d.Vertices, SeqBits: d.SeqBits, Plan: d.Plan},
-		Incremental: st,
-	})
+		return EditResponse{DesignInfo: d.info(), Incremental: st}, d, nil
+	}}, err
 }
 
 // handleGetArtifact serves raw .sart bytes by fingerprint — the fleet's
@@ -356,116 +197,58 @@ func (s *Server) handleGetArtifact(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(data)
 }
 
-// writeBodyErr maps body-read failures: 413 for the size cap, 400 otherwise.
-func (s *Server) writeBodyErr(w http.ResponseWriter, err error) {
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		s.writeErr(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
-		return
-	}
-	s.writeErr(w, http.StatusBadRequest, "reading body: %v", err)
-}
-
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	s.reg.Counter("server.sweep_requests").Inc()
-	rsp, rctx := s.startRequest(w, r, "/v1/sweep")
-	start := time.Now()
-	rec := obs.RequestRecord{Endpoint: "/v1/sweep", Status: http.StatusOK, Outcome: "ok"}
-	defer func() { s.finishRequest(rsp, start, rec) }()
-	fail := func(status int, format string, args ...any) {
-		rec.Status, rec.Outcome = status, fmt.Sprintf(format, args...)
-		s.writeErr(w, status, "%s", rec.Outcome)
-	}
-
-	// Ingest stage: decode the envelope and run every pAVF table through
-	// the hardened parser — the ingestion choke-point where a NaN, an
-	// out-of-range value, or a duplicate record fails the request before
-	// anything reaches the long-lived engine.
-	isp := rsp.Child("ingest")
+// decodeSweep decodes the envelope and runs every pAVF table through the
+// hardened parser — the ingestion choke-point where a NaN, an
+// out-of-range value, or a duplicate record fails the request before
+// anything reaches the long-lived engine.
+func (s *Server) decodeSweep(_ *http.Request, body io.Reader) (job, error) {
 	var req SweepRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		isp.End()
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			rec.Status, rec.Outcome = http.StatusRequestEntityTooLarge, err.Error()
-			s.writeBodyErr(w, err)
-			return
-		}
-		fail(http.StatusBadRequest, "decoding request: %v", err)
-		return
+	if err := decodeJSON(body, &req); err != nil {
+		return job{}, err
 	}
-	rec.Design = req.Design
-	rec.Workloads = len(req.Workloads)
-	d := s.Design(req.Design)
-	if d == nil {
-		isp.End()
-		fail(http.StatusNotFound, "unknown design %q (see GET /v1/designs)", req.Design)
-		return
-	}
-	rec.Fingerprint = fmt.Sprintf("%016x", d.Result.Analyzer.Fingerprint())
+	j := job{design: req.Design, workloads: len(req.Workloads)}
 	if len(req.Workloads) == 0 {
-		isp.End()
-		fail(http.StatusBadRequest, "no workloads in request")
-		return
+		return j, errorf(http.StatusBadRequest, "no workloads in request")
 	}
 	ws := make([]sweep.Workload, len(req.Workloads))
 	for i, rw := range req.Workloads {
-		name := rw.Name
-		if name == "" {
-			name = fmt.Sprintf("workload[%d]", i)
-		}
+		name := workloadName(rw.Name, i)
 		in, err := pavfio.Parse(name, strings.NewReader(rw.PAVF))
 		if err != nil {
-			isp.End()
-			fail(http.StatusUnprocessableEntity, "workload %q: %v", name, err)
-			return
+			return j, fmt.Errorf("workload %q: %v", name, err)
 		}
 		ws[i] = sweep.Workload{Name: name, Inputs: in}
 	}
-	isp.SetAttr("workloads", len(ws))
-	isp.End()
-
-	if !s.acquire() {
-		rec.Status, rec.Outcome = http.StatusTooManyRequests, "busy"
-		s.rejectBusy(w)
-		return
-	}
-	defer s.release()
-
-	ctx, cancel := s.requestCtx(rctx)
-	defer cancel()
-	batch, err := s.eng.SweepContext(ctx, d.Result, ws)
-	if err != nil {
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			fail(http.StatusServiceUnavailable, "sweep timed out after %v", s.cfg.RequestTimeout)
-		case errors.Is(err, context.Canceled):
-			// Client gone or server aborting a drain: the 503 only reaches
-			// a client that is still listening.
-			fail(http.StatusServiceUnavailable, "sweep cancelled: %v", err)
-		default:
-			fail(http.StatusUnprocessableEntity, "%v", err)
+	j.run = func(ctx context.Context, d *Design) (any, *Design, error) {
+		batch, err := s.eng.SweepContext(ctx, d.Result, ws)
+		if err != nil {
+			return nil, nil, err
 		}
-		return
-	}
-
-	resp := SweepResponse{
-		Design:    d.Name,
-		Workloads: len(batch.Results),
-		Plan:      batch.Plan.Stats(),
-		ElapsedMS: float64(batch.Elapsed.Microseconds()) / 1e3,
-		PerSec:    batch.WorkloadsPerSec(),
-		Results:   make([]WorkloadResult, len(batch.Results)),
-	}
-	for i, res := range batch.Results {
-		wr := WorkloadResult{Name: batch.Names[i], Summary: res.Summarize()}
-		if req.Nodes {
-			wr.SeqAVF = res.SeqAVFByNode()
+		resp := SweepResponse{
+			Design:    d.Name,
+			Workloads: len(batch.Results),
+			Plan:      batch.Plan.Stats(),
+			ElapsedMS: float64(batch.Elapsed.Microseconds()) / 1e3,
+			PerSec:    batch.WorkloadsPerSec(),
+			Results:   make([]WorkloadResult, len(batch.Results)),
 		}
-		resp.Results[i] = wr
+		for i, res := range batch.Results {
+			wr := WorkloadResult{Name: batch.Names[i], Summary: res.Summarize()}
+			if req.Nodes {
+				wr.SeqAVF = res.SeqAVFByNode()
+			}
+			resp.Results[i] = wr
+		}
+		s.reg.Counter("server.sweep_ok").Inc()
+		return resp, d, nil
 	}
-	s.reg.Counter("server.sweep_ok").Inc()
-	writeJSON(w, http.StatusOK, resp)
+	return j, nil
+}
+
+// workloadName is a request workload's name, or its index when unnamed.
+func workloadName(name string, i int) string {
+	if name == "" {
+		return fmt.Sprintf("workload[%d]", i)
+	}
+	return name
 }

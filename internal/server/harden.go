@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -15,187 +14,132 @@ import (
 	"seqavf/internal/sweep"
 )
 
-// handleHarden serves POST /v1/harden: the selective-hardening
+// decodeHarden serves POST /v1/harden: the selective-hardening
 // optimizer over one registered design. With workloads in the request,
 // node gains are computed on the mean AVF across them (one blocked
 // sweep); without, on the design's solved baseline result. Term
 // sensitivities (top_terms > 0) come from the artifact store's .sens
 // cache when one is configured, keyed by (fingerprint, env hash).
-func (s *Server) handleHarden(w http.ResponseWriter, r *http.Request) {
-	s.reg.Counter("harden.requests").Inc()
-	rsp, rctx := s.startRequest(w, r, "/v1/harden")
+//
+// Ingest: the strict request parser rejects NaN/Inf/negative budgets
+// and malformed cost tables with field-level errors; workload pAVF
+// tables then run through the same hardened parser /v1/sweep uses.
+func (s *Server) decodeHarden(_ *http.Request, body io.Reader) (job, error) {
 	start := time.Now()
-	rec := obs.RequestRecord{Endpoint: "/v1/harden", Status: http.StatusOK, Outcome: "ok"}
-	defer func() { s.finishRequest(rsp, start, rec) }()
-	fail := func(status int, format string, args ...any) {
-		rec.Status, rec.Outcome = status, fmt.Sprintf(format, args...)
-		s.writeErr(w, status, "%s", rec.Outcome)
-	}
-
-	// Ingest: the strict request parser rejects NaN/Inf/negative budgets
-	// and malformed cost tables with field-level errors; workload pAVF
-	// tables then run through the same hardened parser /v1/sweep uses.
-	isp := rsp.Child("ingest")
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	data, err := readBody(body)
 	if err != nil {
-		isp.End()
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			rec.Status, rec.Outcome = http.StatusRequestEntityTooLarge, err.Error()
-			s.writeBodyErr(w, err)
-			return
-		}
-		fail(http.StatusBadRequest, "reading body: %v", err)
-		return
+		return job{}, err
 	}
-	req, err := harden.ParseRequest(body)
+	req, err := harden.ParseRequest(data)
 	if err != nil {
-		isp.End()
-		fail(http.StatusBadRequest, "%v", err)
-		return
+		return job{}, errorf(http.StatusBadRequest, "%v", err)
 	}
-	rec.Design = req.Design
-	rec.Workloads = len(req.Workloads)
-	d := s.Design(req.Design)
-	if d == nil {
-		isp.End()
-		fail(http.StatusNotFound, "unknown design %q (see GET /v1/designs)", req.Design)
-		return
-	}
-	rec.Fingerprint = fmt.Sprintf("%016x", d.Result.Analyzer.Fingerprint())
+	j := job{design: req.Design, workloads: len(req.Workloads)}
 	ws := make([]sweep.Workload, len(req.Workloads))
 	names := make([]string, len(req.Workloads))
 	for i, rw := range req.Workloads {
 		in, err := pavfio.Parse(rw.Name, strings.NewReader(rw.PAVF))
 		if err != nil {
-			isp.End()
-			fail(http.StatusUnprocessableEntity, "workload %q: %v", rw.Name, err)
-			return
+			return j, fmt.Errorf("workload %q: %v", rw.Name, err)
 		}
 		ws[i] = sweep.Workload{Name: rw.Name, Inputs: in}
 		names[i] = rw.Name
 	}
-	isp.SetAttr("workloads", len(ws))
-	isp.End()
-
-	if !s.acquire() {
-		rec.Status, rec.Outcome = http.StatusTooManyRequests, "busy"
-		s.rejectBusy(w)
-		return
-	}
-	defer s.release()
-
-	ctx, cancel := s.requestCtx(rctx)
-	defer cancel()
-
-	// The optimization substrate: the design's solved result, or — with
-	// workloads — a shallow copy carrying the mean AVF vector across them
-	// (gains are linear in AVF, so the mean-AVF plan minimizes the mean
-	// residual chip AVF over the workload set).
-	agg := d.Result
-	a := d.Result.Analyzer
-	env, err := a.CheckedEnv(d.Result.Inputs)
-	if err != nil {
-		fail(http.StatusInternalServerError, "design env: %v", err)
-		return
-	}
-	if len(ws) > 0 {
-		batch, err := s.eng.SweepContext(ctx, d.Result, ws)
+	j.run = func(ctx context.Context, d *Design) (any, *Design, error) {
+		// The optimization substrate: the design's solved result, or —
+		// with workloads — a shallow copy carrying the mean AVF vector
+		// across them (gains are linear in AVF, so the mean-AVF plan
+		// minimizes the mean residual chip AVF over the workload set).
+		agg := d.Result
+		a := d.Result.Analyzer
+		env, err := a.CheckedEnv(d.Result.Inputs)
 		if err != nil {
-			switch {
-			case errors.Is(err, context.DeadlineExceeded):
-				fail(http.StatusServiceUnavailable, "harden sweep timed out after %v", s.cfg.RequestTimeout)
-			case errors.Is(err, context.Canceled):
-				fail(http.StatusServiceUnavailable, "harden sweep cancelled: %v", err)
-			default:
-				fail(http.StatusUnprocessableEntity, "%v", err)
-			}
-			return
+			return nil, nil, errorf(http.StatusInternalServerError, "design env: %v", err)
 		}
-		mean := make([]float64, len(d.Result.AVF))
-		for _, res := range batch.Results {
-			for v, x := range res.AVF {
-				mean[v] += x
-			}
-		}
-		envSum := make([]float64, len(env))
-		for _, wl := range ws {
-			wenv, err := a.CheckedEnv(wl.Inputs)
+		if len(ws) > 0 {
+			batch, err := s.eng.SweepContext(ctx, d.Result, ws)
 			if err != nil {
-				fail(http.StatusUnprocessableEntity, "workload env: %v", err)
-				return
+				return nil, nil, err
 			}
-			for t, x := range wenv {
-				envSum[t] += x
+			// Each result carries the environment the sweep built and
+			// validated for its workload; the mean env is summed from
+			// those, in workload order.
+			mean := make([]float64, len(d.Result.AVF))
+			envSum := make([]float64, len(env))
+			for _, res := range batch.Results {
+				for v, x := range res.AVF {
+					mean[v] += x
+				}
+				for t, x := range res.Env {
+					envSum[t] += x
+				}
 			}
+			n := float64(len(ws))
+			for v := range mean {
+				mean[v] /= n
+			}
+			for t := range envSum {
+				env[t] = envSum[t] / n
+			}
+			cp := *d.Result
+			cp.AVF = mean
+			agg = &cp
 		}
-		n := float64(len(ws))
-		for v := range mean {
-			mean[v] /= n
-		}
-		for t := range envSum {
-			env[t] = envSum[t] / n
-		}
-		cp := *d.Result
-		cp.AVF = mean
-		agg = &cp
-	}
 
-	model, err := harden.NewModel(agg, req.Costs)
-	if err != nil {
-		fail(http.StatusUnprocessableEntity, "%v", err)
-		return
-	}
-	osp := rsp.Child("harden.optimize")
-	plans, err := model.Sweep(req.Budgets, req.Solver)
-	osp.SetAttr("budgets", len(req.Budgets))
-	osp.End()
-	s.reg.FixedHistogram("harden.optimize_seconds", obs.LatencyBuckets).Observe(osp.Duration().Seconds())
-	if err != nil {
-		fail(http.StatusUnprocessableEntity, "%v", err)
-		return
-	}
+		model, err := harden.NewModel(agg, req.Costs)
+		if err != nil {
+			return nil, nil, err
+		}
+		osp := s.reg.StartSpanContext(ctx, "harden.optimize")
+		plans, err := model.Sweep(req.Budgets, req.Solver)
+		osp.SetAttr("budgets", len(req.Budgets))
+		osp.End()
+		s.reg.FixedHistogram("harden.optimize_seconds", obs.LatencyBuckets).Observe(osp.Duration().Seconds())
+		if err != nil {
+			return nil, nil, err
+		}
 
-	resp := harden.Response{
-		Design:      d.Name,
-		Workloads:   names,
-		SeqBits:     model.SeqBits(),
-		Candidates:  len(model.Candidates()),
-		BaseChipAVF: model.Base().WeightedSeqAVF,
-		Plans:       plans,
+		resp := harden.Response{
+			Design:      d.Name,
+			Workloads:   names,
+			SeqBits:     model.SeqBits(),
+			Candidates:  len(model.Candidates()),
+			BaseChipAVF: model.Base().WeightedSeqAVF,
+			Plans:       plans,
+		}
+		if req.TopTerms > 0 {
+			// Term sensitivities are computed at the (mean) environment
+			// via the analytical gradient, consulting the .sens cache
+			// first. The plan comes from the engine's LRU, so a warm
+			// design pays nothing.
+			plan, err := s.eng.PlanContext(ctx, d.Result)
+			if err != nil {
+				return nil, nil, fmt.Errorf("compiling plan: %w", err)
+			}
+			var st harden.SensStore
+			if s.cfg.Artifacts != nil {
+				st = s.cfg.Artifacts
+			}
+			vec, hit, err := harden.CachedTermDerivs(plan, env, st)
+			if err != nil {
+				return nil, nil, fmt.Errorf("term sensitivities: %v", err)
+			}
+			if hit {
+				s.reg.Counter("harden.sens_cache_hits").Inc()
+				resp.SensCache = "hit"
+			} else {
+				s.reg.Counter("harden.sens_cache_misses").Inc()
+				resp.SensCache = "miss"
+			}
+			ranked := harden.RankDerivs(a.Universe(), vec.Deriv)
+			if len(ranked) > req.TopTerms {
+				ranked = ranked[:req.TopTerms]
+			}
+			resp.TopTerms = ranked
+		}
+		resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1e3
+		s.reg.Counter("harden.ok").Inc()
+		return resp, d, nil
 	}
-	if req.TopTerms > 0 {
-		// Term sensitivities are computed at the (mean) environment via
-		// the analytical gradient, consulting the .sens cache first. The
-		// plan comes from the engine's LRU, so a warm design pays nothing.
-		plan, err := s.eng.PlanContext(ctx, d.Result)
-		if err != nil {
-			fail(http.StatusUnprocessableEntity, "compiling plan: %v", err)
-			return
-		}
-		var st harden.SensStore
-		if s.cfg.Artifacts != nil {
-			st = s.cfg.Artifacts
-		}
-		vec, hit, err := harden.CachedTermDerivs(plan, env, st)
-		if err != nil {
-			fail(http.StatusUnprocessableEntity, "term sensitivities: %v", err)
-			return
-		}
-		if hit {
-			s.reg.Counter("harden.sens_cache_hits").Inc()
-			resp.SensCache = "hit"
-		} else {
-			s.reg.Counter("harden.sens_cache_misses").Inc()
-			resp.SensCache = "miss"
-		}
-		ranked := harden.RankDerivs(a.Universe(), vec.Deriv)
-		if len(ranked) > req.TopTerms {
-			ranked = ranked[:req.TopTerms]
-		}
-		resp.TopTerms = ranked
-	}
-	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1e3
-	s.reg.Counter("harden.ok").Inc()
-	writeJSON(w, http.StatusOK, resp)
+	return j, nil
 }

@@ -9,14 +9,11 @@ package server
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
-	"time"
 
-	"seqavf/internal/obs"
 	"seqavf/internal/pavfio"
 	"seqavf/internal/sweep"
 )
@@ -73,71 +70,33 @@ type IntervalWorkloadResult struct {
 	SeqAVF           map[string][]float64 `json:"seqavf,omitempty"`
 }
 
-func (s *Server) handleSweepIntervals(w http.ResponseWriter, r *http.Request) {
-	s.reg.Counter("sweep.interval_requests").Inc()
-	rsp, rctx := s.startRequest(w, r, "/v1/sweep/intervals")
-	start := time.Now()
-	rec := obs.RequestRecord{Endpoint: "/v1/sweep/intervals", Status: http.StatusOK, Outcome: "ok"}
-	defer func() { s.finishRequest(rsp, start, rec) }()
-	fail := func(status int, format string, args ...any) {
-		rec.Status, rec.Outcome = status, fmt.Sprintf(format, args...)
-		s.writeErr(w, status, "%s", rec.Outcome)
-	}
-
-	// Ingest stage: decode the envelope and run every interval table
-	// through the strict multi-window parser — malformed geometry or a
-	// single out-of-range value fails the request here, before anything
-	// reaches the engine.
-	isp := rsp.Child("ingest")
+// decodeIntervals decodes the envelope and runs every interval table
+// through the strict multi-window parser — malformed geometry or a
+// single out-of-range value fails the request here, before anything
+// reaches the engine.
+func (s *Server) decodeIntervals(_ *http.Request, body io.Reader) (job, error) {
 	var req IntervalSweepRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		isp.End()
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			rec.Status, rec.Outcome = http.StatusRequestEntityTooLarge, err.Error()
-			s.writeBodyErr(w, err)
-			return
-		}
-		fail(http.StatusBadRequest, "decoding request: %v", err)
-		return
+	if err := decodeJSON(body, &req); err != nil {
+		return job{}, err
 	}
-	rec.Design = req.Design
-	rec.Workloads = len(req.Workloads)
-	d := s.Design(req.Design)
-	if d == nil {
-		isp.End()
-		fail(http.StatusNotFound, "unknown design %q (see GET /v1/designs)", req.Design)
-		return
-	}
-	rec.Fingerprint = fmt.Sprintf("%016x", d.Result.Analyzer.Fingerprint())
+	j := job{design: req.Design, workloads: len(req.Workloads)}
 	if len(req.Workloads) == 0 {
-		isp.End()
-		fail(http.StatusBadRequest, "no workloads in request")
-		return
+		return j, errorf(http.StatusBadRequest, "no workloads in request")
 	}
 	ws := make([]sweep.IntervalWorkload, len(req.Workloads))
 	for i, rw := range req.Workloads {
-		name := rw.Name
-		if name == "" {
-			name = fmt.Sprintf("workload[%d]", i)
-		}
+		name := workloadName(rw.Name, i)
 		tab, err := pavfio.ParseIntervals(name, strings.NewReader(rw.Table))
 		if err != nil {
-			isp.End()
-			fail(http.StatusUnprocessableEntity, "workload %q: %v", name, err)
-			return
+			return j, fmt.Errorf("workload %q: %v", name, err)
 		}
 		// Name consistency: a table directive must agree with the
 		// request's name for the same workload (and supplies the name
 		// when the request omits it).
 		if tab.Workload != "" {
 			if rw.Name != "" && rw.Name != tab.Workload {
-				isp.End()
-				fail(http.StatusUnprocessableEntity,
-					"workload %q: table's '# workload %s' directive disagrees with the request name", rw.Name, tab.Workload)
-				return
+				return j, fmt.Errorf("workload %q: table's '# workload %s' directive disagrees with the request name",
+					rw.Name, tab.Workload)
 			}
 			name = tab.Workload
 		}
@@ -148,69 +107,51 @@ func (s *Server) handleSweepIntervals(w http.ResponseWriter, r *http.Request) {
 		}
 		ws[i] = iw
 	}
-	isp.SetAttr("workloads", len(ws))
-	isp.End()
-
-	if !s.acquire() {
-		rec.Status, rec.Outcome = http.StatusTooManyRequests, "busy"
-		s.rejectBusy(w)
-		return
-	}
-	defer s.release()
-
-	ctx, cancel := s.requestCtx(rctx)
-	defer cancel()
-	batch, err := s.eng.SweepIntervalsContext(ctx, d.Result, ws)
-	if err != nil {
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			fail(http.StatusServiceUnavailable, "interval sweep timed out after %v", s.cfg.RequestTimeout)
-		case errors.Is(err, context.Canceled):
-			fail(http.StatusServiceUnavailable, "interval sweep cancelled: %v", err)
-		default:
-			fail(http.StatusUnprocessableEntity, "%v", err)
+	j.run = func(ctx context.Context, d *Design) (any, *Design, error) {
+		batch, err := s.eng.SweepIntervalsContext(ctx, d.Result, ws)
+		if err != nil {
+			return nil, nil, err
 		}
-		return
-	}
-
-	resp := IntervalSweepResponse{
-		Design:           d.Name,
-		Workloads:        len(batch.Workloads),
-		WindowsEvaluated: batch.WindowsEvaluated,
-		Plan:             batch.Plan.Stats(),
-		ElapsedMS:        float64(batch.Elapsed.Microseconds()) / 1e3,
-		Results:          make([]IntervalWorkloadResult, len(batch.Workloads)),
-	}
-	for i, iw := range batch.Workloads {
-		wr := IntervalWorkloadResult{
-			Name:             iw.Name,
-			Windows:          make([]IntervalWindowInfo, len(iw.Windows)),
-			ChipAVF:          iw.Summary.ChipAVF,
-			TimeWeightedMean: iw.Summary.TimeWeightedMean,
-			PeakWindow:       iw.Summary.PeakWindow,
-			PeakChipAVF:      iw.Summary.PeakChipAVF,
-			PeakToMean:       iw.Summary.PeakToMean,
+		resp := IntervalSweepResponse{
+			Design:           d.Name,
+			Workloads:        len(batch.Workloads),
+			WindowsEvaluated: batch.WindowsEvaluated,
+			Plan:             batch.Plan.Stats(),
+			ElapsedMS:        float64(batch.Elapsed.Microseconds()) / 1e3,
+			Results:          make([]IntervalWorkloadResult, len(batch.Workloads)),
 		}
-		for wi, span := range iw.Windows {
-			wr.Windows[wi] = IntervalWindowInfo{Start: span.Start, End: span.End}
-		}
-		if req.Nodes {
-			// Per-node time series: node -> one AVF per window, in
-			// window order.
-			wr.SeqAVF = make(map[string][]float64)
-			for wi, res := range iw.Results {
-				for node, avf := range res.SeqAVFByNode() {
-					series, ok := wr.SeqAVF[node]
-					if !ok {
-						series = make([]float64, len(iw.Results))
-						wr.SeqAVF[node] = series
+		for i, iw := range batch.Workloads {
+			wr := IntervalWorkloadResult{
+				Name:             iw.Name,
+				Windows:          make([]IntervalWindowInfo, len(iw.Windows)),
+				ChipAVF:          iw.Summary.ChipAVF,
+				TimeWeightedMean: iw.Summary.TimeWeightedMean,
+				PeakWindow:       iw.Summary.PeakWindow,
+				PeakChipAVF:      iw.Summary.PeakChipAVF,
+				PeakToMean:       iw.Summary.PeakToMean,
+			}
+			for wi, span := range iw.Windows {
+				wr.Windows[wi] = IntervalWindowInfo{Start: span.Start, End: span.End}
+			}
+			if req.Nodes {
+				// Per-node time series: node -> one AVF per window, in
+				// window order.
+				wr.SeqAVF = make(map[string][]float64)
+				for wi, res := range iw.Results {
+					for node, avf := range res.SeqAVFByNode() {
+						series, ok := wr.SeqAVF[node]
+						if !ok {
+							series = make([]float64, len(iw.Results))
+							wr.SeqAVF[node] = series
+						}
+						series[wi] = avf
 					}
-					series[wi] = avf
 				}
 			}
+			resp.Results[i] = wr
 		}
-		resp.Results[i] = wr
+		s.reg.Counter("server.interval_sweep_ok").Inc()
+		return resp, d, nil
 	}
-	s.reg.Counter("server.interval_sweep_ok").Inc()
-	writeJSON(w, http.StatusOK, resp)
+	return j, nil
 }

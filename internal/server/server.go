@@ -96,6 +96,16 @@ type Design struct {
 	SeqBits  int
 }
 
+// info is the design's public description.
+func (d *Design) info() DesignInfo {
+	return DesignInfo{Name: d.Name, Vertices: d.Vertices, SeqBits: d.SeqBits, Plan: d.Plan}
+}
+
+// fingerprint is the design's analyzer fingerprint as flight records show it.
+func (d *Design) fingerprint() string {
+	return fmt.Sprintf("%016x", d.Result.Analyzer.Fingerprint())
+}
+
 // Server serves workload sweeps over solved designs. Create with New,
 // register designs with AddResult or LoadNetlist, and mount Handler on an
 // http.Server.
@@ -184,6 +194,15 @@ func (e *DuplicateDesignError) Error() string {
 // replacing a live design would make concurrent requests to one name
 // answer from two different circuits.
 func (s *Server) AddResult(name string, res *core.Result) (*Design, error) {
+	return s.register(name, res, false)
+}
+
+// register compiles res's plan and installs it under name (the design's
+// own name when empty). Without replace, a taken name is a
+// DuplicateDesignError. With replace — the ECO path — any live design is
+// swapped atomically under the registry lock: requests in flight keep
+// sweeping the result they resolved, new requests see the replacement.
+func (s *Server) register(name string, res *core.Result, replace bool) (*Design, error) {
 	if name == "" {
 		name = res.Analyzer.G.Design.Name
 	}
@@ -206,7 +225,7 @@ func (s *Server) AddResult(name string, res *core.Result) (*Design, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, dup := s.designs[name]; dup {
+	if _, dup := s.designs[name]; dup && !replace {
 		return nil, &DuplicateDesignError{Name: name}
 	}
 	s.designs[name] = d
@@ -300,64 +319,17 @@ func (s *Server) analyzeNetlist(r io.Reader, opts core.Options) (*core.Analyzer,
 	return a, nil
 }
 
-// UnknownDesignError reports an edit against a name with no registered
-// design: there is nothing to re-solve incrementally from.
-type UnknownDesignError struct {
-	Name string
-}
-
-func (e *UnknownDesignError) Error() string {
-	return fmt.Sprintf("server: design %q not registered", e.Name)
-}
-
-// ReplaceResult registers a solved design under name, replacing any
-// design already live there. The swap is atomic under the registry lock:
-// requests in flight keep sweeping the result they resolved, new
-// requests see the replacement. This is the ECO path's registration —
-// uploads that must not silently displace a live design use AddResult.
-func (s *Server) ReplaceResult(name string, res *core.Result) (*Design, error) {
-	if name == "" {
-		name = res.Analyzer.G.Design.Name
-	}
-	plan, err := s.eng.Plan(res)
-	if err != nil {
-		return nil, fmt.Errorf("server: compiling plan for %q: %w", name, err)
-	}
-	seq := 0
-	for v := 0; v < res.Analyzer.G.NumVerts(); v++ {
-		if res.IsSequentialBit(graph.VertexID(v)) {
-			seq++
-		}
-	}
-	d := &Design{
-		Name:     name,
-		Result:   res,
-		Plan:     plan.Stats(),
-		Vertices: res.Analyzer.G.NumVerts(),
-		SeqBits:  seq,
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.designs[name] = d
-	s.reg.Gauge("server.designs").Set(float64(len(s.designs)))
-	return d, nil
-}
-
-// EditNetlistContext applies an ECO: it parses the edited netlist,
-// re-solves it incrementally from the registered design's converged
-// state — walking only the FUBs whose fingerprints the edit moved — and
-// atomically replaces the live design. The returned statistics report
+// EditNetlistContext applies an ECO to the registered design old: it
+// parses the edited netlist, re-solves it incrementally from old's
+// converged state — walking only the FUBs whose fingerprints the edit
+// moved — and atomically replaces the live design under old's name. The returned statistics report
 // what was reused. A re-solve failure falls back to a cold solve (nil
 // statistics) rather than failing the edit: incremental is an
 // optimization. The request span gains artifact="incremental" (or
 // "cold") so the flight recorder shows the disposition. With
 // Config.Artifacts set, the replacement is persisted through the plan
 // compile exactly like an upload.
-func (s *Server) EditNetlistContext(ctx context.Context, name string, r io.Reader, opts core.Options) (*Design, *core.Incremental, error) {
-	old := s.Design(name)
-	if old == nil {
-		return nil, nil, &UnknownDesignError{Name: name}
-	}
+func (s *Server) EditNetlistContext(ctx context.Context, old *Design, r io.Reader, opts core.Options) (*Design, *core.Incremental, error) {
 	a, err := s.analyzeNetlist(r, opts)
 	if err != nil {
 		return nil, nil, err
@@ -385,7 +357,7 @@ func (s *Server) EditNetlistContext(ctx context.Context, name string, r io.Reade
 		disp = "incremental"
 	}
 	obs.SpanFromContext(ctx).SetAttr("artifact", disp)
-	d, err := s.ReplaceResult(name, res)
+	d, err := s.register(old.Name, res, true)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -18,6 +19,7 @@ import (
 	"seqavf/internal/core"
 	"seqavf/internal/design"
 	"seqavf/internal/graph/graphtest"
+	"seqavf/internal/harden"
 	"seqavf/internal/netlist"
 	"seqavf/internal/obs"
 	"seqavf/internal/pavfio"
@@ -235,33 +237,239 @@ func TestServeSweepLoad(t *testing.T) {
 	t.Logf("load: %d sweeps, %d retries after 429, %d cache hits", completed, retried, hits)
 }
 
-// TestSaturationReturns429: with every slot occupied the service must
-// fail fast with 429 + Retry-After, and recover once a slot frees.
-func TestSaturationReturns429(t *testing.T) {
-	s, reg, results := newTestServer(t, Config{MaxConcurrent: 2})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	body := sweepBody(t, "alpha", results["alpha"], 1, 50)
+// postRoute is one POST route of the route × fault table: its URL, the
+// endpoint and request counter its requests record, its success status,
+// and a well-formed body for a design.
+type postRoute struct {
+	name     string
+	endpoint string
+	counter  string
+	status   int
+	// url is the route's path for a design (only edit names it there).
+	url func(design string) string
+	// body is a well-formed request naming design (swept with res's
+	// tables).
+	body func(t *testing.T, design string, res *core.Result) []byte
+	// named routes resolve a registered design (404 when unknown);
+	// engine routes run the sweep engine (503 on Abort).
+	named, engine bool
+}
 
-	// Occupy both slots out-of-band.
-	s.sem <- struct{}{}
-	s.sem <- struct{}{}
-	resp, b := postJSON(t, http.DefaultClient, ts.URL+"/v1/sweep", body)
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("saturated sweep returned %d: %s", resp.StatusCode, b)
+func fixedURL(path string) func(string) string { return func(string) string { return path } }
+
+// postRoutes is every POST route the request pipeline serves.
+var postRoutes = []postRoute{
+	{
+		name: "upload", endpoint: "/v1/designs", counter: "server.upload_requests", status: http.StatusCreated,
+		url: fixedURL("/v1/designs"),
+		body: func(t *testing.T, _ string, _ *core.Result) []byte {
+			nl, _ := genNetlist(t, 99)
+			return []byte(nl)
+		},
+	},
+	{
+		name: "edit", endpoint: "/v1/designs/{name}/edit", counter: "server.edit_requests", status: http.StatusOK,
+		url: func(design string) string { return "/v1/designs/" + design + "/edit" },
+		body: func(t *testing.T, _ string, _ *core.Result) []byte {
+			nl, _ := genNetlist(t, 99)
+			return []byte(nl)
+		},
+		named: true,
+	},
+	{
+		name: "sweep", endpoint: "/v1/sweep", counter: "server.sweep_requests", status: http.StatusOK,
+		url: fixedURL("/v1/sweep"),
+		body: func(t *testing.T, design string, res *core.Result) []byte {
+			return sweepBody(t, design, res, 2, 60)
+		},
+		named: true, engine: true,
+	},
+	{
+		name: "intervals", endpoint: "/v1/sweep/intervals", counter: "sweep.interval_requests", status: http.StatusOK,
+		url: fixedURL("/v1/sweep/intervals"),
+		body: func(t *testing.T, design string, res *core.Result) []byte {
+			return intervalBody(t, design, res, 1, 3, 70, false)
+		},
+		named: true, engine: true,
+	},
+	{
+		name: "harden", endpoint: "/v1/harden", counter: "harden.requests", status: http.StatusOK,
+		url: fixedURL("/v1/harden"),
+		body: func(t *testing.T, design string, res *core.Result) []byte {
+			return hardenBody(t, harden.Request{
+				Design:    design,
+				Workloads: []harden.Workload{{Name: "w0", PAVF: pavfText(t, res, 80)}, {Name: "w1", PAVF: pavfText(t, res, 81)}},
+				Budgets:   []float64{3},
+			})
+		},
+		named: true, engine: true,
+	},
+}
+
+// routeFault is one injected fault and the response every applicable
+// route must give it.
+type routeFault struct {
+	name   string
+	status int
+	// applies reports whether the fault exists for a route.
+	applies func(postRoute) bool
+	cfg     Config
+	// inject sends the faulted request (after arming any server-side
+	// fault) and returns the response.
+	inject func(t *testing.T, s *Server, ts *httptest.Server, rt postRoute, res *core.Result) (*http.Response, []byte)
+}
+
+func allRoutes(postRoute) bool { return true }
+
+// ingestFaults fail a request while its body is read and resolved.
+var ingestFaults = []routeFault{
+	{
+		name: "oversize", status: http.StatusRequestEntityTooLarge, applies: allRoutes,
+		cfg: Config{MaxBodyBytes: 2048},
+		inject: func(t *testing.T, _ *Server, ts *httptest.Server, rt postRoute, res *core.Result) (*http.Response, []byte) {
+			// A well-formed request padded far past the 2KB cap.
+			body := append(bytes.Repeat([]byte(" "), 8192), rt.body(t, "alpha", res)...)
+			return postJSON(t, http.DefaultClient, ts.URL+rt.url("alpha"), body)
+		},
+	},
+	{
+		name: "malformed", status: http.StatusBadRequest, applies: allRoutes,
+		inject: func(t *testing.T, _ *Server, ts *httptest.Server, rt postRoute, _ *core.Result) (*http.Response, []byte) {
+			// A chunked body whose first chunk header is not hex: the
+			// body stream itself is unreadable, whatever the route.
+			return postRaw(t, ts, rt.url("alpha"), "Transfer-Encoding: chunked\r\n\r\nzz\r\n")
+		},
+	},
+	{
+		name: "unknown design", status: http.StatusNotFound, applies: func(rt postRoute) bool { return rt.named },
+		inject: func(t *testing.T, _ *Server, ts *httptest.Server, rt postRoute, res *core.Result) (*http.Response, []byte) {
+			return postJSON(t, http.DefaultClient, ts.URL+rt.url("nope"), rt.body(t, "nope", res))
+		},
+	},
+}
+
+// slotFaults strike a decoded request at the concurrency slot or while
+// it runs.
+var slotFaults = []routeFault{
+	{
+		name: "saturated", status: http.StatusTooManyRequests, applies: allRoutes,
+		cfg: Config{MaxConcurrent: 2},
+		inject: func(t *testing.T, s *Server, ts *httptest.Server, rt postRoute, res *core.Result) (*http.Response, []byte) {
+			// Occupy both slots out-of-band.
+			s.sem <- struct{}{}
+			s.sem <- struct{}{}
+			defer func() { <-s.sem; <-s.sem }()
+			return postJSON(t, http.DefaultClient, ts.URL+rt.url("alpha"), rt.body(t, "alpha", res))
+		},
+	},
+	{
+		name: "abort", status: http.StatusServiceUnavailable, applies: func(rt postRoute) bool { return rt.engine },
+		inject: func(t *testing.T, s *Server, ts *httptest.Server, rt postRoute, res *core.Result) (*http.Response, []byte) {
+			s.Abort()
+			return postJSON(t, http.DefaultClient, ts.URL+rt.url("alpha"), rt.body(t, "alpha", res))
+		},
+	},
+}
+
+// postRaw sends a POST with hand-written framing headers and body bytes
+// over its own connection, for bodies net/http's client cannot produce.
+func postRaw(t *testing.T, ts *httptest.Server, path, headersAndBody string) (*http.Response, []byte) {
+	t.Helper()
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "1" {
-		t.Fatalf("Retry-After = %q, want \"1\"", ra)
+	defer conn.Close()
+	if _, err := fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n%s", path, headersAndBody); err != nil {
+		t.Fatal(err)
 	}
-	if got := reg.Counter("server.rejected_busy").Load(); got != 1 {
-		t.Fatalf("rejected_busy = %d, want 1", got)
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("reading response: %v", err)
 	}
-	<-s.sem
-	<-s.sem
-	resp, b = postJSON(t, http.DefaultClient, ts.URL+"/v1/sweep", body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sweep after release returned %d: %s", resp.StatusCode, b)
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("reading response body: %v", err)
 	}
+	return resp, b
+}
+
+// runRouteFaults injects every applicable fault into every POST route on
+// a fresh server and checks the whole report: the status, the
+// {"error": ...} body, the counters, and the flight record.
+func runRouteFaults(t *testing.T, faults []routeFault) {
+	for _, rt := range postRoutes {
+		for _, f := range faults {
+			if !f.applies(rt) {
+				continue
+			}
+			t.Run(rt.name+"/"+f.name, func(t *testing.T) {
+				s, reg, results := newTestServer(t, f.cfg)
+				ts := httptest.NewServer(s.Handler())
+				defer ts.Close()
+				resp, b := f.inject(t, s, ts, rt, results["alpha"])
+				if resp.StatusCode != f.status {
+					t.Fatalf("status %d, want %d: %s", resp.StatusCode, f.status, b)
+				}
+				var e map[string]string
+				if err := json.Unmarshal(b, &e); err != nil || e["error"] == "" || len(e) != 1 {
+					t.Fatalf("body is not {\"error\": ...}: %s", b)
+				}
+				if got := reg.Counter(rt.counter).Load(); got != 1 {
+					t.Errorf("%s = %d, want 1", rt.counter, got)
+				}
+				outcome, errs, busy := e["error"], int64(1), int64(0)
+				if f.status == http.StatusTooManyRequests {
+					outcome, errs, busy = "busy", 0, 1
+					if ra := resp.Header.Get("Retry-After"); ra != "1" {
+						t.Errorf("Retry-After = %q, want \"1\"", ra)
+					}
+				}
+				if got := reg.Counter("server.errors").Load(); got != errs {
+					t.Errorf("server.errors = %d, want %d", got, errs)
+				}
+				if got := reg.Counter("server.rejected_busy").Load(); got != busy {
+					t.Errorf("server.rejected_busy = %d, want %d", got, busy)
+				}
+				if f.status == http.StatusServiceUnavailable {
+					if got := reg.Counter("sweep.cancelled").Load(); got != 1 {
+						t.Errorf("sweep.cancelled = %d, want 1", got)
+					}
+				}
+				fresp, err := http.Get(ts.URL + "/debug/requests")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer fresp.Body.Close()
+				var recs []obs.RequestRecord
+				if err := json.NewDecoder(fresp.Body).Decode(&recs); err != nil {
+					t.Fatalf("/debug/requests: %v", err)
+				}
+				if len(recs) != 1 {
+					t.Fatalf("flight records = %d, want 1", len(recs))
+				}
+				if r := recs[0]; r.Endpoint != rt.endpoint || r.Status != f.status || r.Outcome != outcome {
+					t.Fatalf("record endpoint/status/outcome = %q %d %q, want %q %d %q",
+						r.Endpoint, r.Status, r.Outcome, rt.endpoint, f.status, outcome)
+				}
+				if f.status == http.StatusTooManyRequests {
+					// The slots are free again: the same request succeeds.
+					resp, b := postJSON(t, http.DefaultClient, ts.URL+rt.url("alpha"), rt.body(t, "alpha", results["alpha"]))
+					if resp.StatusCode != rt.status {
+						t.Fatalf("request after release returned %d: %s", resp.StatusCode, b)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestSaturationReturns429: with every slot occupied each POST route
+// must fail fast with 429 + Retry-After, and recover once a slot frees;
+// Abort fails every route that runs the sweep engine with 503.
+func TestSaturationReturns429(t *testing.T) {
+	runRouteFaults(t, slotFaults)
 }
 
 // TestShutdownDrains: http.Server.Shutdown must let an in-flight sweep
@@ -374,10 +582,13 @@ func TestRequestTimeout(t *testing.T) {
 	}
 }
 
-// TestBodyLimitAndBadInputs: oversized bodies are 413; malformed pAVF
-// tables (the hardened parser), unknown designs, and empty requests are
-// client errors with JSON bodies.
+// TestBodyLimitAndBadInputs: on every POST route, oversized bodies are
+// 413, unreadable bodies 400 and unknown designs 404; on /v1/sweep,
+// malformed pAVF tables (the hardened parser), unknown designs, and
+// empty requests are client errors with JSON bodies.
 func TestBodyLimitAndBadInputs(t *testing.T) {
+	runRouteFaults(t, ingestFaults)
+
 	s, _, results := newTestServer(t, Config{MaxBodyBytes: 2048})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
