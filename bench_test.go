@@ -517,24 +517,10 @@ func BenchmarkIntervalSweep(b *testing.B) {
 	})
 }
 
-// BenchmarkBlockedSweep contrasts the scalar per-workload plan walk
-// (Plan.Eval, the BenchmarkBatchSweep32 path) against the blocked SoA
-// kernel (Plan.EvalBlock) on the XeonLike design: 64 workloads, one
-// evaluation worker, so the ratio isolates the kernel rather than
-// parallelism. Results are bit-identical between the two paths; only the
-// traversal order differs — scalar streams the CSR plan indices once per
-// workload, blocked streams them once per 16-lane block.
-//
-// Each iteration starts from a collected heap (StopTimer + runtime.GC),
-// the same quiesced-GC protocol as BenchmarkWarmStartVsSolve, so GC
-// assist debt from prior iterations does not leak into either side.
-func BenchmarkBlockedSweep(b *testing.B) {
-	e := env(b)
-	res, err := e.Analyzer.Solve(e.AvgInputs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const n = 64
+// xeonWorkloads synthesizes n XeonLike workloads as seeded ±10%
+// perturbations of the averaged measured inputs — the batch the blocked,
+// traced and summary sweep benchmarks share.
+func xeonWorkloads(e *experiments.Env, n int) []sweep.Workload {
 	ws := make([]sweep.Workload, n)
 	for i := range ws {
 		rng := stats.New(uint64(7000 + i))
@@ -560,6 +546,28 @@ func BenchmarkBlockedSweep(b *testing.B) {
 		ports(in.WritePorts, e.AvgInputs.WritePorts)
 		ws[i] = sweep.Workload{Name: fmt.Sprintf("w%02d", i), Inputs: in}
 	}
+	return ws
+}
+
+// BenchmarkBlockedSweep contrasts the scalar per-workload plan walk
+// (Plan.Eval, the BenchmarkBatchSweep32 path) against the blocked SoA
+// kernel (Plan.EvalBlock) on the XeonLike design: 64 workloads, one
+// evaluation worker, so the ratio isolates the kernel rather than
+// parallelism. Results are bit-identical between the two paths; only the
+// traversal order differs — scalar streams the CSR plan indices once per
+// workload, blocked streams them once per 16-lane block.
+//
+// Each iteration starts from a collected heap (StopTimer + runtime.GC),
+// the same quiesced-GC protocol as BenchmarkWarmStartVsSolve, so GC
+// assist debt from prior iterations does not leak into either side.
+func BenchmarkBlockedSweep(b *testing.B) {
+	e := env(b)
+	res, err := e.Analyzer.Solve(e.AvgInputs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const n = 64
+	ws := xeonWorkloads(e, n)
 	quiesce := func(b *testing.B) {
 		b.StopTimer()
 		runtime.GC()
@@ -597,6 +605,63 @@ func BenchmarkBlockedSweep(b *testing.B) {
 	}
 }
 
+// BenchmarkSummarySweep contrasts the two ways to score a batch on the
+// XeonLike design — 64 workloads, one worker, blocked kernel — when only
+// the design summaries are wanted (the default /v1/sweep request):
+// Materialize sweeps full Results and calls Summarize on each (the
+// pre-summary-first path), Reduce runs the summary sink, which reduces
+// the kernel's per-pair values straight into summaries. The summaries
+// are bit-identical; run with -benchmem to see the per-vertex vectors
+// the reduce path no longer allocates. The GC protocol matches
+// BenchmarkBlockedSweep.
+func BenchmarkSummarySweep(b *testing.B) {
+	e := env(b)
+	res, err := e.Analyzer.Solve(e.AvgInputs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const n = 64
+	ws := xeonWorkloads(e, n)
+	for _, bc := range []struct {
+		name string
+		run  func(eng *sweep.Engine) error
+	}{
+		{"Materialize", func(eng *sweep.Engine) error {
+			batch, err := eng.Sweep(res, ws)
+			if err != nil {
+				return err
+			}
+			for _, r := range batch.Results {
+				_ = r.Summarize()
+			}
+			return nil
+		}},
+		{"Reduce", func(eng *sweep.Engine) error {
+			_, err := eng.SweepSummariesContext(context.Background(), res, ws, false)
+			return err
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			eng := sweep.New(sweep.Options{Workers: 1})
+			if _, err := eng.Plan(res); err != nil {
+				b.Fatal(err)
+			}
+			gcPct := debug.SetGCPercent(-1)
+			defer debug.SetGCPercent(gcPct)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				runtime.GC()
+				b.StartTimer()
+				if err := bc.run(eng); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(n*b.N)/b.Elapsed().Seconds(), "workloads/sec")
+		})
+	}
+}
+
 // BenchmarkTracedSweep measures the cost of request-scoped tracing on
 // the blocked kernel: the same 64-workload XeonLike sweep as
 // BenchmarkBlockedSweep/Blocked16, untraced (no registry) vs traced (a
@@ -612,31 +677,7 @@ func BenchmarkTracedSweep(b *testing.B) {
 		b.Fatal(err)
 	}
 	const n = 64
-	ws := make([]sweep.Workload, n)
-	for i := range ws {
-		rng := stats.New(uint64(7000 + i))
-		in := core.NewInputs()
-		jitter := func(v float64) float64 {
-			v += (rng.Float64() - 0.5) * 0.2
-			return math.Min(1, math.Max(0, v))
-		}
-		ports := func(dst, src map[core.StructPort]float64) {
-			keys := make([]core.StructPort, 0, len(src))
-			for sp := range src {
-				keys = append(keys, sp)
-			}
-			sort.Slice(keys, func(a, b int) bool {
-				return keys[a].Struct < keys[b].Struct ||
-					(keys[a].Struct == keys[b].Struct && keys[a].Port < keys[b].Port)
-			})
-			for _, sp := range keys {
-				dst[sp] = jitter(src[sp])
-			}
-		}
-		ports(in.ReadPorts, e.AvgInputs.ReadPorts)
-		ports(in.WritePorts, e.AvgInputs.WritePorts)
-		ws[i] = sweep.Workload{Name: fmt.Sprintf("w%02d", i), Inputs: in}
-	}
+	ws := xeonWorkloads(e, n)
 	quiesce := func(b *testing.B) {
 		b.StopTimer()
 		runtime.GC()

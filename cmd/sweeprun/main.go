@@ -245,7 +245,7 @@ func run(reg *obs.Registry, arts *cliutil.Artifacts, nlPath, dir, glob string, w
 		Results:   make([]workloadReport, len(batch.Results)),
 	}
 	for i, r := range batch.Results {
-		wr := workloadReport{Name: batch.Names[i], Summary: r.Summarize()}
+		wr := workloadReport{Name: batch.Names[i], Summary: batch.Summaries[i]}
 		if nodes {
 			wr.SeqAVF = r.SeqAVFByNode()
 		}

@@ -266,6 +266,10 @@ type Analyzer struct {
 
 	visitedOnce sync.Once
 	visitedBits []bool
+
+	// The statistics reduction layout (SummaryLayout), also structural.
+	layoutOnce sync.Once
+	layout     *SummaryLayout
 }
 
 // portBind is one structure port's term slot in the flattened form the

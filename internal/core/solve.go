@@ -348,20 +348,7 @@ func (r *Result) Equation(v graph.VertexID) string {
 // VisitedFraction returns the share of analyzable vertices reached by a
 // walk (debug-stripped vertices are excluded from the denominator).
 func (r *Result) VisitedFraction() float64 {
-	total, vis := 0, 0
-	for v := range r.Visited {
-		if r.Analyzer.roles[v] == RoleDebug {
-			continue
-		}
-		total++
-		if r.Visited[v] {
-			vis++
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(vis) / float64(total)
+	return r.Analyzer.VisitedFraction(r.Visited)
 }
 
 // IsSequentialBit reports whether vertex v is a sequential (flop/latch)
@@ -388,45 +375,12 @@ type FubStat struct {
 	CtrlBits int
 }
 
-// FubStats aggregates per-FUB statistics in FUB declaration order.
+// FubStats aggregates per-FUB statistics in FUB declaration order: node
+// stats cover combinational and sequential bits alike (structure ports
+// are wires, counted as nodes), debug and constant bits excluded. Each
+// mean sums its bits in vertex order (see SummaryLayout).
 func (r *Result) FubStats() []FubStat {
-	a := r.Analyzer
-	out := make([]FubStat, len(a.G.FubNames))
-	for i, name := range a.G.FubNames {
-		out[i].Fub = name
-	}
-	for v := 0; v < a.G.NumVerts(); v++ {
-		role := a.roles[v]
-		if role == RoleDebug || role == RoleConst {
-			continue
-		}
-		vx := &a.G.Verts[v]
-		st := &out[vx.Fub]
-		avf := r.AVF[v]
-		// Node stats cover combinational and sequential bits alike
-		// (structure ports are wires, counted as nodes).
-		st.NodeBits++
-		st.AvgNodeAVF += avf
-		if vx.Node.Kind == netlist.KindSeq {
-			st.SeqBits++
-			st.AvgSeqAVF += avf
-			if role == RoleLoop {
-				st.LoopSeqBits++
-			}
-			if role == RoleControl {
-				st.CtrlBits++
-			}
-		}
-	}
-	for i := range out {
-		if out[i].SeqBits > 0 {
-			out[i].AvgSeqAVF /= float64(out[i].SeqBits)
-		}
-		if out[i].NodeBits > 0 {
-			out[i].AvgNodeAVF /= float64(out[i].NodeBits)
-		}
-	}
-	return out
+	return r.Analyzer.SummaryLayout().fubStats(r.AVF)
 }
 
 // Summary aggregates design-wide statistics.
@@ -444,52 +398,24 @@ type Summary struct {
 }
 
 // Summarize computes the design-wide weighted averages the paper reports
-// (weighted "to account for the actual number of sequentials in each FUB").
+// (weighted "to account for the actual number of sequentials in each FUB"):
+// the FubStats means recombined in FUB order, through the same
+// SummaryLayout reduction the sweep engine's summary path uses.
 func (r *Result) Summarize() Summary {
-	var s Summary
-	var seqSum, nodeSum float64
-	for _, fs := range r.FubStats() {
-		s.SeqBits += fs.SeqBits
-		s.NodeBits += fs.NodeBits
-		s.LoopSeqBits += fs.LoopSeqBits
-		s.CtrlBits += fs.CtrlBits
-		seqSum += fs.AvgSeqAVF * float64(fs.SeqBits)
-		nodeSum += fs.AvgNodeAVF * float64(fs.NodeBits)
-	}
-	if s.SeqBits > 0 {
-		s.WeightedSeqAVF = seqSum / float64(s.SeqBits)
-	}
-	if s.NodeBits > 0 {
-		s.WeightedNodeAVF = nodeSum / float64(s.NodeBits)
-	}
-	if s.SeqBits > 0 {
-		s.LoopSeqFraction = float64(s.LoopSeqBits) / float64(s.SeqBits)
-	}
-	s.VisitedFraction = r.VisitedFraction()
-	s.Iterations = r.Iterations
-	s.Converged = r.Converged
-	return s
+	var s [1]Summary
+	r.Analyzer.SummaryLayout().Summaries(r.AVF, s[:])
+	s[0].VisitedFraction = r.VisitedFraction()
+	s[0].Iterations = r.Iterations
+	s[0].Converged = r.Converged
+	return s[0]
 }
 
 // SeqAVFByNode returns the average AVF per sequential node (averaging the
-// node's bits), keyed by "fub/node".
+// node's bits in vertex order), keyed by "fub/node".
 func (r *Result) SeqAVFByNode() map[string]float64 {
-	a := r.Analyzer
-	sums := make(map[string]float64)
-	counts := make(map[string]int)
-	for v := 0; v < a.G.NumVerts(); v++ {
-		if !r.IsSequentialBit(graph.VertexID(v)) {
-			continue
-		}
-		vx := &a.G.Verts[v]
-		key := a.G.FubNames[vx.Fub] + "/" + vx.Node.Name
-		sums[key] += r.AVF[v]
-		counts[key]++
-	}
-	for k := range sums {
-		sums[k] /= float64(counts[k])
-	}
-	return sums
+	var m [1]map[string]float64
+	r.Analyzer.SummaryLayout().NodeAVFs(r.AVF, m[:])
+	return m[0]
 }
 
 // MaxAbsDiff returns the largest absolute per-vertex AVF difference

@@ -66,7 +66,7 @@ func (t *IntervalTable) Cycles() uint64 {
 func ParseIntervals(name string, r io.Reader) (*IntervalTable, error) {
 	t := &IntervalTable{}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), MaxLineBytes)
+	sc.Buffer(make([]byte, initLineBytes), MaxLineBytes)
 	var (
 		cur       *IntervalWindow
 		curRecs   int

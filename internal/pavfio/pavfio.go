@@ -27,6 +27,11 @@ import (
 // hierarchical port names; anything past this limit is not a pAVF table.
 const MaxLineBytes = 4 << 20
 
+// initLineBytes is the scanner's starting buffer. Table lines are short,
+// so most tables never outgrow it; the scanner doubles it on demand up
+// to MaxLineBytes for the rare long line.
+const initLineBytes = 4 << 10
+
 // Parse parses the line-oriented pAVF table consumed by sartool and
 // produced by acerun/designgen:
 //
@@ -46,7 +51,7 @@ const MaxLineBytes = 4 << 20
 func Parse(name string, r io.Reader) (*core.Inputs, error) {
 	in := core.NewInputs()
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), MaxLineBytes)
+	sc.Buffer(make([]byte, initLineBytes), MaxLineBytes)
 	firstLine := make(map[string]int) // "R IQ.rd" -> line of first record
 	lineNo := 0
 	for sc.Scan() {

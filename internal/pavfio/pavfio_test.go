@@ -66,6 +66,28 @@ func TestParseLineTooLong(t *testing.T) {
 	}
 }
 
+// TestParseLongLineGrowsBuffer: a record line far past the scanner's
+// starting buffer (but under MaxLineBytes) still parses, for both the
+// single-window and the interval parser.
+func TestParseLongLineGrowsBuffer(t *testing.T) {
+	port := strings.Repeat("p", 100<<10)
+	line := "R A." + port + " 0.25\n"
+	in, err := Parse("t", strings.NewReader("# long\n"+line))
+	if err != nil {
+		t.Fatalf("Parse: %v", err)
+	}
+	if got := in.ReadPorts[core.StructPort{Struct: "A", Port: port}]; got != 0.25 {
+		t.Fatalf("Parse: long-named port = %v, want 0.25", got)
+	}
+	tab, err := ParseIntervals("t", strings.NewReader("# window 0 0 10\n"+line))
+	if err != nil {
+		t.Fatalf("ParseIntervals: %v", err)
+	}
+	if got := tab.Windows[0].Inputs.ReadPorts[core.StructPort{Struct: "A", Port: port}]; got != 0.25 {
+		t.Fatalf("ParseIntervals: long-named port = %v, want 0.25", got)
+	}
+}
+
 func TestWriteRoundTrip(t *testing.T) {
 	in, err := Parse("sample", strings.NewReader(sampleTable))
 	if err != nil {

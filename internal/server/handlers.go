@@ -220,22 +220,24 @@ func (s *Server) decodeSweep(_ *http.Request, body io.Reader) (job, error) {
 		ws[i] = sweep.Workload{Name: name, Inputs: in}
 	}
 	j.run = func(ctx context.Context, d *Design) (any, *Design, error) {
-		batch, err := s.eng.SweepContext(ctx, d.Result, ws)
+		// Summary-first: the engine reduces each workload straight to
+		// its summary (and node map); no per-vertex AVF vector is built.
+		batch, err := s.eng.SweepSummariesContext(ctx, d.Result, ws, req.Nodes)
 		if err != nil {
 			return nil, nil, err
 		}
 		resp := SweepResponse{
 			Design:    d.Name,
-			Workloads: len(batch.Results),
+			Workloads: len(batch.Names),
 			Plan:      batch.Plan.Stats(),
 			ElapsedMS: float64(batch.Elapsed.Microseconds()) / 1e3,
 			PerSec:    batch.WorkloadsPerSec(),
-			Results:   make([]WorkloadResult, len(batch.Results)),
+			Results:   make([]WorkloadResult, len(batch.Names)),
 		}
-		for i, res := range batch.Results {
-			wr := WorkloadResult{Name: batch.Names[i], Summary: res.Summarize()}
+		for i, name := range batch.Names {
+			wr := WorkloadResult{Name: name, Summary: batch.Summaries[i]}
 			if req.Nodes {
-				wr.SeqAVF = res.SeqAVFByNode()
+				wr.SeqAVF = batch.Nodes[i]
 			}
 			resp.Results[i] = wr
 		}

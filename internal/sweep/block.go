@@ -17,6 +17,14 @@
 // lane is excluded from further adds just as Set.Eval's break stops its
 // scalar sum — so EvalBlock results are bit-identical to per-workload
 // Eval for every lane, every block width, and every ragged tail.
+//
+// The kernel ends in per-(fwd, bwd)-pair values and feeds two sinks.
+// The materializing sink (EvalBlock, EvalBlockInto) broadcasts them out
+// to per-vertex AVF vectors. The summary sink (behind
+// Engine.SweepSummariesContext) reduces them straight into core.Summary
+// values and node maps through the plan's remapped core.SummaryLayout,
+// so no vector is ever built. The reductions equal Result.Summarize and
+// SeqAVFByNode on the broadcast vector, bit for bit.
 
 package sweep
 
@@ -129,19 +137,19 @@ func (m *EnvMatrix) adopt(envs []pavf.Env) {
 	}
 }
 
-// ScratchLen returns the scratch length EvalBlock needs for a given lane
-// count: an SoA running-sum row per subterm set, plus one value per
-// unique (fwd, bwd) slot pair for the lane currently being broadcast.
+// ScratchLen returns the scratch length the blocked kernel needs for a
+// given lane count: an SoA running-sum row per subterm set, plus an SoA
+// value row per unique (fwd, bwd) slot pair.
 func (p *Plan) ScratchLen(lanes int) int {
-	return p.NumSets()*lanes + len(p.pairFwd)
+	return (p.NumSets() + len(p.pairFwd)) * lanes
 }
 
 // EvalBlock resolves every vertex AVF for every lane of m in one plan
 // traversal, writing lane w's per-vertex AVFs into out[w]. scratch needs
 // ScratchLen(Lanes()) entries (per-set running sums followed by the
-// vertex-major AVF staging rows, both SoA like the matrix). Shape
-// mismatches are errors, not panics. Results are bit-identical to
-// evaluating each lane's environment through Eval.
+// per-pair value rows, both SoA like the matrix). Shape mismatches are
+// errors, not panics. Results are bit-identical to evaluating each
+// lane's environment through Eval.
 func (p *Plan) EvalBlock(m *EnvMatrix, scratch []float64, out [][]float64) error {
 	if m.lanes == 0 {
 		return nil
@@ -162,22 +170,25 @@ func (p *Plan) EvalBlock(m *EnvMatrix, scratch []float64, out [][]float64) error
 	if need := p.ScratchLen(m.lanes); len(scratch) < need {
 		return fmt.Errorf("sweep: scratch has %d entries, block kernel needs %d", len(scratch), need)
 	}
-	p.evalEnvBlock(m, scratch, out)
+	p.broadcast(p.pairValues(m, scratch), out)
 	return nil
 }
 
-// evalEnvBlock is the blocked kernel proper. Pass 1 streams the CSR set
-// table once, accumulating all lanes of each set before moving on; the
-// per-lane saturation `min(1, sum+term)` is bit-identical to Set.Eval's
-// capped break — sums of validated in-[0,1] terms are monotone, and a
-// lane pinned at exactly 1.0 stays there for every later add. Pass 2
-// exploits MIN sharing: vertices with the same (fwd, bwd) slot pair
-// resolve identically, so each lane computes one MIN per unique pair
-// (an unknown side is a conservative 1.0, and set sums never exceed 1,
-// so the MIN collapses to the known side) and then broadcasts through
-// pairIdx with one sequential write per vertex. Both passes replay
-// evalEnv's arithmetic exactly.
-func (p *Plan) evalEnvBlock(m *EnvMatrix, scratch []float64, out [][]float64) {
+// pairValues is the blocked kernel proper; it returns the per-pair
+// values, SoA (pair pi's value in lane w at [pi*lanes+w]), in scratch.
+// Pass 1 streams the CSR set table once, accumulating all lanes of each
+// set before moving on; the per-lane saturation `min(1, sum+term)` is
+// bit-identical to Set.Eval's capped break — sums of validated in-[0,1]
+// terms are monotone, and a lane pinned at exactly 1.0 stays there for
+// every later add. Pass 2 exploits MIN sharing: vertices with the same
+// (fwd, bwd) slot pair resolve identically, so each lane computes one
+// MIN per unique pair (an unknown side is a conservative 1.0, and set
+// sums never exceed 1, so the MIN collapses to the known side). Both
+// passes replay evalEnv's arithmetic exactly. The sinks then either
+// broadcast the pair values out to vertices (broadcast) or reduce them
+// through the plan's summary layout without touching a per-vertex
+// vector (summaries, and SummaryLayout.NodeAVFs).
+func (p *Plan) pairValues(m *EnvMatrix, scratch []float64) []float64 {
 	lanes := m.lanes
 	vals := m.vals
 	nSets := len(p.setOff) - 1
@@ -195,32 +206,56 @@ func (p *Plan) evalEnvBlock(m *EnvMatrix, scratch []float64, out [][]float64) {
 			}
 		}
 	}
-	nPairs := len(p.pairFwd)
-	pv := scratch[nSets*lanes : nSets*lanes+nPairs]
-	pairFwd, pairBwd := p.pairFwd, p.pairBwd
-	runPair, runOff := p.runPair, p.runOff
-	for w := 0; w < lanes; w++ {
-		for pi := 0; pi < nPairs; pi++ {
-			fi, bi := pairFwd[pi], pairBwd[pi]
-			switch {
-			case fi >= 0 && bi >= 0:
-				pv[pi] = min(sums[int(fi)*lanes+w], sums[int(bi)*lanes+w])
-			case fi >= 0:
-				pv[pi] = sums[int(fi)*lanes+w]
-			case bi >= 0:
-				pv[pi] = sums[int(bi)*lanes+w]
-			default:
-				pv[pi] = 1
+	pv := scratch[nSets*lanes : (nSets+len(p.pairFwd))*lanes]
+	for pi, fi := range p.pairFwd {
+		bi := p.pairBwd[pi]
+		row := pv[pi*lanes : pi*lanes+lanes]
+		switch {
+		case fi >= 0 && bi >= 0:
+			f := sums[int(fi)*lanes : int(fi)*lanes+lanes]
+			b := sums[int(bi)*lanes : int(bi)*lanes+lanes]
+			f, b = f[:len(row)], b[:len(row)]
+			for w := range row {
+				row[w] = min(f[w], b[w])
+			}
+		case fi >= 0:
+			copy(row, sums[int(fi)*lanes:int(fi)*lanes+lanes])
+		case bi >= 0:
+			copy(row, sums[int(bi)*lanes:int(bi)*lanes+lanes])
+		default:
+			for w := range row {
+				row[w] = 1
 			}
 		}
-		o := out[w]
-		for r, pi := range runPair {
-			c := pv[pi]
-			seg := o[runOff[r]:runOff[r+1]]
+	}
+	return pv
+}
+
+// broadcast writes each lane's pair values out to its vertices through
+// the run-length-encoded vertex->pair map: one constant fill per run.
+func (p *Plan) broadcast(pv []float64, out [][]float64) {
+	lanes := len(out)
+	for w, o := range out {
+		for r, pi := range p.runPair {
+			c := pv[int(pi)*lanes+w]
+			seg := o[p.runOff[r]:p.runOff[r+1]]
 			for i := range seg {
 				seg[i] = c
 			}
 		}
+	}
+}
+
+// summaries reduces the pair values of len(out) lanes to their design
+// summaries through the plan's remapped summary layout: the same sums,
+// in the same order, that Result.Summarize performs over the broadcast
+// vector, so the two agree bit for bit.
+func (p *Plan) summaries(pv []float64, out []core.Summary) {
+	p.layout.Summaries(pv, out)
+	for w := range out {
+		out[w].VisitedFraction = p.visitedFrac
+		out[w].Iterations = 1
+		out[w].Converged = true
 	}
 }
 
@@ -236,6 +271,13 @@ func (p *Plan) EvalBlockInto(ws []Workload, m *EnvMatrix, scratch []float64, dst
 	if len(dst) != len(ws) {
 		return fmt.Errorf("sweep: %d result slots for %d workloads", len(dst), len(ws))
 	}
+	return p.evalBlock(ws, m, scratch, dst, nil, nil)
+}
+
+// evalBlock is the engine's per-block step: reset m for ws, run the
+// kernel once, and feed every non-nil sink — materialized Results,
+// reduced summaries, per-node maps — from the same pair values.
+func (p *Plan) evalBlock(ws []Workload, m *EnvMatrix, scratch []float64, dst []*core.Result, sums []core.Summary, nodes []map[string]float64) error {
 	if m == nil {
 		m = new(EnvMatrix)
 	}
@@ -249,26 +291,33 @@ func (p *Plan) EvalBlockInto(ws []Workload, m *EnvMatrix, scratch []float64, dst
 	if need := p.ScratchLen(lanes); len(scratch) < need {
 		scratch = make([]float64, need)
 	}
-	nv := p.NumVerts()
-	buf := make([]float64, lanes*nv)
-	out := make([][]float64, lanes)
-	for w := range out {
-		out[w] = buf[w*nv : (w+1)*nv : (w+1)*nv]
-	}
-	if err := p.EvalBlock(m, scratch, out); err != nil {
-		return err
-	}
-	for w := range ws {
-		dst[w] = &core.Result{
-			Analyzer:   p.Analyzer,
-			Inputs:     ws[w].Inputs,
-			Env:        m.envs[w],
-			Exprs:      p.exprs,
-			AVF:        out[w],
-			Visited:    p.visited,
-			Iterations: 1,
-			Converged:  true,
+	pv := p.pairValues(m, scratch)
+	if dst != nil {
+		nv := p.NumVerts()
+		buf := make([]float64, lanes*nv)
+		out := make([][]float64, lanes)
+		for w := range out {
+			out[w] = buf[w*nv : (w+1)*nv : (w+1)*nv]
 		}
+		p.broadcast(pv, out)
+		for w := range ws {
+			dst[w] = &core.Result{
+				Analyzer:   p.Analyzer,
+				Inputs:     ws[w].Inputs,
+				Env:        m.envs[w],
+				Exprs:      p.exprs,
+				AVF:        out[w],
+				Visited:    p.visited,
+				Iterations: 1,
+				Converged:  true,
+			}
+		}
+	}
+	if sums != nil {
+		p.summaries(pv, sums)
+	}
+	if nodes != nil {
+		p.layout.NodeAVFs(pv, nodes)
 	}
 	return nil
 }

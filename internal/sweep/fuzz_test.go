@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"maps"
 	"math"
 	"sort"
 	"testing"
@@ -12,8 +13,10 @@ import (
 
 // FuzzCompilePlan drives the generator -> solver -> plan compiler -> plan
 // evaluator chain from fuzzed seeds and shape knobs: no input may panic,
-// every generated design must compile into a plan, and plan evaluation
-// must stay bit-identical to Result.Reevaluate.
+// every generated design must compile into a plan, plan evaluation
+// must stay bit-identical to Result.Reevaluate, and the summary sink's
+// reduction must equal Summarize and SeqAVFByNode of the evaluated
+// results bit for bit.
 func FuzzCompilePlan(f *testing.F) {
 	f.Add(uint64(0), uint64(1), uint8(2), uint8(2), uint8(2))
 	f.Add(uint64(42), uint64(7), uint8(1), uint8(1), uint8(1))
@@ -57,6 +60,24 @@ func FuzzCompilePlan(f *testing.F) {
 			}
 			if !(got.AVF[v] >= 0 && got.AVF[v] <= 1) {
 				t.Fatalf("vertex %d: AVF %v out of [0,1]", v, got.AVF[v])
+			}
+		}
+		ref, err := p.Eval(in, nil)
+		if err != nil {
+			t.Fatalf("Eval: %v", err)
+		}
+		ws := []Workload{{Name: "in2", Inputs: in2}, {Name: "in", Inputs: in}}
+		sums := make([]core.Summary, len(ws))
+		nodes := make([]map[string]float64, len(ws))
+		if err := p.evalBlock(ws, nil, nil, nil, sums, nodes); err != nil {
+			t.Fatalf("summary sink: %v", err)
+		}
+		for i, r := range []*core.Result{got, ref} {
+			if want := r.Summarize(); sums[i] != want {
+				t.Fatalf("lane %d: reduced summary %+v != Summarize %+v", i, sums[i], want)
+			}
+			if want := r.SeqAVFByNode(); !maps.Equal(nodes[i], want) {
+				t.Fatalf("lane %d: reduced node map != SeqAVFByNode", i)
 			}
 		}
 	})

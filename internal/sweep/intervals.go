@@ -139,27 +139,27 @@ func (e *Engine) SweepIntervalsContext(ctx context.Context, res *core.Result, wo
 	lane := 0
 	for i := range workloads {
 		w := &workloads[i]
-		results := batch.Results[lane : lane+len(w.Windows)]
-		lane += len(w.Windows)
+		end := lane + len(w.Windows)
 		out.Workloads[i] = IntervalResult{
 			Name:    w.Name,
 			Windows: w.Windows,
-			Results: results,
-			Summary: summarizeIntervals(w.Windows, results),
+			Results: batch.Results[lane:end],
+			Summary: summarizeIntervals(w.Windows, batch.Summaries[lane:end]),
 		}
+		lane = end
 	}
 	e.opts.Obs.Counter("sweep.windows_evaluated").Add(int64(total))
 	e.opts.Obs.Counter("sweep.interval_batches").Inc()
 	return out, nil
 }
 
-// summarizeIntervals reduces a window-major result series to its chip
-// AVF time series and peak statistics.
-func summarizeIntervals(spans []WindowSpan, results []*core.Result) IntervalSummary {
-	s := IntervalSummary{ChipAVF: make([]float64, len(results))}
+// summarizeIntervals reduces a window-major series of the batch's
+// reduced summaries to its chip AVF time series and peak statistics.
+func summarizeIntervals(spans []WindowSpan, sums []core.Summary) IntervalSummary {
+	s := IntervalSummary{ChipAVF: make([]float64, len(sums))}
 	var weighted, cycles float64
-	for w, r := range results {
-		avf := r.Summarize().WeightedSeqAVF
+	for w, sum := range sums {
+		avf := sum.WeightedSeqAVF
 		s.ChipAVF[w] = avf
 		span := float64(spans[w].Span())
 		weighted += avf * span

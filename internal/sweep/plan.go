@@ -63,6 +63,13 @@ type Plan struct {
 	pairBwd []int32
 	runOff  []int32
 	runPair []int32
+
+	// layout is the analyzer's summary layout remapped from vertices to
+	// pair indices, so the summary sink reduces pair values in exactly
+	// the order Result.Summarize and SeqAVFByNode sum vertex AVFs.
+	// visitedFrac is the plan's (workload-independent) visited fraction.
+	layout      *core.SummaryLayout
+	visitedFrac float64
 }
 
 // Stats describes a compiled plan's shape.
@@ -130,13 +137,14 @@ func Compile(res *core.Result) (*Plan, error) {
 	return p, nil
 }
 
-// buildPairs fills the unique (fwd, bwd) slot-pair table and its
-// run-length-encoded vertex map. Derived entirely from fwdIdx/bwdIdx, so
-// both Compile and Restore produce identical tables for the same CSR
-// plan.
+// buildPairs fills the unique (fwd, bwd) slot-pair table, its
+// run-length-encoded vertex map, and the pair-indexed summary layout.
+// Derived entirely from fwdIdx/bwdIdx and the visited bitmap, so both
+// Compile and Restore produce identical tables for the same CSR plan.
 func (p *Plan) buildPairs() {
 	n := len(p.fwdIdx)
 	seen := make(map[uint64]int32, 64)
+	pairOf := make([]int32, n)
 	prev := int32(-1)
 	for v := 0; v < n; v++ {
 		fi, bi := p.fwdIdx[v], p.bwdIdx[v]
@@ -148,6 +156,7 @@ func (p *Plan) buildPairs() {
 			p.pairFwd = append(p.pairFwd, fi)
 			p.pairBwd = append(p.pairBwd, bi)
 		}
+		pairOf[v] = pi
 		if pi != prev {
 			p.runOff = append(p.runOff, int32(v))
 			p.runPair = append(p.runPair, pi)
@@ -155,6 +164,8 @@ func (p *Plan) buildPairs() {
 		}
 	}
 	p.runOff = append(p.runOff, int32(n))
+	p.layout = p.Analyzer.SummaryLayout().Remap(pairOf)
+	p.visitedFrac = p.Analyzer.VisitedFraction(p.visited)
 }
 
 // Raw is the plan's CSR subterm table in serializable form. Slices alias

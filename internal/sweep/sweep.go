@@ -28,7 +28,8 @@ type Options struct {
 	// BlockSize is the blocked-kernel lane width: workloads evaluated
 	// together per plan traversal (Plan.EvalBlock). 0 uses
 	// DefaultBlockSize (16); 1 (or any negative value) forces the scalar
-	// per-workload path. Results are bit-identical either way — the knob
+	// per-workload path on materializing sweeps (summary sweeps run the
+	// kernel one lane wide). Results are bit-identical either way — the knob
 	// trades scratch-matrix footprint against index-traffic amortization.
 	BlockSize int
 	// CacheSize bounds the compiled-plan LRU (by design fingerprint).
@@ -79,13 +80,21 @@ type Workload struct {
 	Inputs *core.Inputs
 }
 
-// Batch is the outcome of one sweep: per-workload results (index-aligned
+// Batch is the outcome of one sweep: per-workload outputs (index-aligned
 // with the submitted workloads) plus the plan and timing.
 type Batch struct {
 	Plan *Plan
-	// Names and Results are index-aligned with the submitted workloads.
-	Names   []string
+	// Names and Summaries are index-aligned with the submitted
+	// workloads. Summaries[i] == Results[i].Summarize() bit for bit
+	// whether or not Results were materialized.
+	Names     []string
+	Summaries []core.Summary
+	// Results holds the materialized per-workload results (SweepContext
+	// only; nil on a summary sweep).
 	Results []*core.Result
+	// Nodes holds per-workload SeqAVFByNode maps (summary sweeps that
+	// ask for them only; nil otherwise).
+	Nodes []map[string]float64
 	// Elapsed covers evaluation only (compile time is cached and reported
 	// on the compile span / counters instead).
 	Elapsed time.Duration
@@ -96,7 +105,7 @@ func (b *Batch) WorkloadsPerSec() float64 {
 	if b.Elapsed <= 0 {
 		return 0
 	}
-	return float64(len(b.Results)) / b.Elapsed.Seconds()
+	return float64(len(b.Names)) / b.Elapsed.Seconds()
 }
 
 // Plan returns the compiled plan for res's design: from the in-memory
@@ -180,7 +189,28 @@ func (e *Engine) Sweep(res *core.Result, workloads []Workload) (*Batch, error) {
 // its next chunk claim instead of burning CPU through the rest of the
 // batch, and the batch fails with the context's cause. Workloads already
 // evaluated are discarded — a cancelled sweep returns no partial batch.
+// The batch carries materialized Results and their Summaries.
 func (e *Engine) SweepContext(ctx context.Context, res *core.Result, workloads []Workload) (*Batch, error) {
+	return e.sweep(ctx, res, workloads, true, false)
+}
+
+// SweepSummariesContext is the summary-first sweep: the same pool,
+// plan, kernel and cancellation as SweepContext, but each block's pair
+// values are reduced straight into Batch.Summaries (and, with nodes,
+// Batch.Nodes) through the plan's summary layout; no per-vertex AVF
+// vector is allocated and Batch.Results stays nil. Every summary and
+// node map is bit-identical to Summarize / SeqAVFByNode of the Result
+// SweepContext would have produced.
+func (e *Engine) SweepSummariesContext(ctx context.Context, res *core.Result, workloads []Workload, nodes bool) (*Batch, error) {
+	return e.sweep(ctx, res, workloads, false, nodes)
+}
+
+// sweep runs one batch through the worker pool. vectors selects the
+// materializing sink (Results plus Summaries); otherwise blocks feed
+// the summary sink (Summaries, plus Nodes when nodes is set), which
+// always runs the blocked kernel — at width 1 when BlockSize forces the
+// scalar path.
+func (e *Engine) sweep(ctx context.Context, res *core.Result, workloads []Workload, vectors, nodes bool) (*Batch, error) {
 	plan, err := e.PlanContext(ctx, res)
 	if err != nil {
 		return nil, err
@@ -203,6 +233,7 @@ func (e *Engine) SweepContext(ctx context.Context, res *core.Result, workloads [
 	case block < 1:
 		block = 1
 	}
+	blocked := block > 1 || !vectors
 	chunk := e.opts.ChunkSize
 	if chunk <= 0 {
 		chunk = (n + workers*4 - 1) / (workers * 4)
@@ -217,24 +248,35 @@ func (e *Engine) SweepContext(ctx context.Context, res *core.Result, workloads [
 		chunk = (chunk + block - 1) / block * block
 	}
 
+	output := "summary"
+	if vectors {
+		output = "vectors"
+	}
 	sp := e.opts.Obs.StartSpanContext(ctx, "sweep.eval")
 	sp.SetAttr("workloads", n)
 	sp.SetAttr("workers", workers)
 	sp.SetAttr("chunk", chunk)
 	sp.SetAttr("block", block)
+	sp.SetAttr("output", output)
 	// Resolved once per batch (one registry-map lookup), observed once
 	// per kernel invocation — the per-block cost inside the worker loop
 	// is two clock reads and one histogram mutex.
 	var blockHist *obs.Histogram
-	if block > 1 {
+	if blocked {
 		blockHist = e.opts.Obs.FixedHistogram("sweep.block_eval_seconds", obs.LatencyBuckets)
 	}
 	start := time.Now()
 
 	batch := &Batch{
-		Plan:    plan,
-		Names:   make([]string, n),
-		Results: make([]*core.Result, n),
+		Plan:      plan,
+		Names:     make([]string, n),
+		Summaries: make([]core.Summary, n),
+	}
+	if vectors {
+		batch.Results = make([]*core.Result, n)
+	}
+	if nodes {
+		batch.Nodes = make([]map[string]float64, n)
 	}
 	for i, w := range workloads {
 		batch.Names[i] = w.Name
@@ -247,15 +289,11 @@ func (e *Engine) SweepContext(ctx context.Context, res *core.Result, workloads [
 	run := func() {
 		// Per-worker scratch, pooled across every claim the worker makes:
 		// the scalar path needs one subterm row, the blocked path a
-		// NumSets x block matrix plus the worker's own EnvMatrix (its SoA
-		// buffer is reused across blocks; the per-lane environments are
-		// fresh because Results adopt them).
+		// (NumSets + pairs) x block matrix plus the worker's own
+		// EnvMatrix (its SoA buffer is reused across blocks; the per-lane
+		// environments are fresh because Results adopt them).
 		var m EnvMatrix
-		scratchLanes := 1
-		if block > 1 {
-			scratchLanes = block
-		}
-		scratch := make([]float64, plan.ScratchLen(scratchLanes))
+		scratch := make([]float64, plan.ScratchLen(block))
 		for {
 			select {
 			case <-done:
@@ -271,14 +309,16 @@ func (e *Engine) SweepContext(ctx context.Context, res *core.Result, workloads [
 			if hi > n {
 				hi = n
 			}
-			if block > 1 {
+			if blocked {
 				for b := lo; b < hi; b += block {
 					be := b + block
 					if be > hi {
 						be = hi
 					}
 					bstart := time.Now()
-					if err := plan.EvalBlockInto(workloads[b:be], &m, scratch, batch.Results[b:be]); err != nil {
+					// A nil output slice turns that sink off.
+					if err := plan.evalBlock(workloads[b:be], &m, scratch,
+						sliceOut(batch.Results, b, be), batch.Summaries[b:be], sliceOut(batch.Nodes, b, be)); err != nil {
 						firstErr.CompareAndSwap(nil, err)
 						return
 					}
@@ -294,6 +334,7 @@ func (e *Engine) SweepContext(ctx context.Context, res *core.Result, workloads [
 					return
 				}
 				batch.Results[i] = r
+				batch.Summaries[i] = r.Summarize()
 			}
 		}
 	}
@@ -322,7 +363,7 @@ func (e *Engine) SweepContext(ctx context.Context, res *core.Result, workloads [
 	e.opts.Obs.Counter("sweep.workloads").Add(int64(n))
 	e.opts.Obs.Counter("sweep.batches").Inc()
 	e.opts.Obs.Gauge("sweep.workloads_per_sec").Set(batch.WorkloadsPerSec())
-	if block > 1 {
+	if blocked {
 		// Kernel telemetry: which evaluation path served the batch, how
 		// many kernel invocations it took, and the blocked throughput.
 		e.opts.Obs.Counter("sweep.workloads_blocked").Add(int64(n))
@@ -331,5 +372,18 @@ func (e *Engine) SweepContext(ctx context.Context, res *core.Result, workloads [
 	} else {
 		e.opts.Obs.Counter("sweep.workloads_scalar").Add(int64(n))
 	}
+	if !vectors {
+		// Workloads served by the summary sink (no per-vertex vectors).
+		e.opts.Obs.Counter("sweep.workloads_reduced").Add(int64(n))
+	}
 	return batch, nil
+}
+
+// sliceOut returns s[lo:hi], or nil when s is nil (an output the batch does
+// not produce).
+func sliceOut[T any](s []T, lo, hi int) []T {
+	if s == nil {
+		return nil
+	}
+	return s[lo:hi]
 }
