@@ -38,6 +38,7 @@ bench:
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzParsePavfTable -fuzztime=10s ./cmd/internal/cliutil/
 	$(GO) test -run=^$$ -fuzz=FuzzParseIntervalTable -fuzztime=10s ./internal/pavfio/
+	$(GO) test -run=^$$ -fuzz=FuzzParseMatchesOracle -fuzztime=10s ./internal/pavfio/
 	$(GO) test -run=^$$ -fuzz=FuzzCompilePlan -fuzztime=10s ./internal/sweep/
 	$(GO) test -run=^$$ -fuzz=FuzzEnvMatrix -fuzztime=10s ./internal/sweep/
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeArtifact -fuzztime=10s ./internal/artifact/

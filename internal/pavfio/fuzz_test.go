@@ -72,3 +72,48 @@ func FuzzParseIntervalTable(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseMatchesOracle holds Parse and ParseIntervals to the reference
+// parsers in oracle_test.go. For any input, each parser and its oracle
+// must both reject it with the identical error string, or both accept
+// it: Parse with Equal inputs, ParseIntervals with the same workload
+// name and, window by window, the same index, span and Equal inputs.
+func FuzzParseMatchesOracle(f *testing.F) {
+	f.Add(sampleTable)
+	f.Add(sampleIntervals)
+	for _, tc := range contractCases() {
+		if len(tc.table) <= 1<<10 {
+			f.Add(tc.table)
+		}
+	}
+	f.Fuzz(func(t *testing.T, table string) {
+		in, err := Parse("fuzz", strings.NewReader(table))
+		want, wantErr := oracleParse("fuzz", strings.NewReader(table))
+		if errString(err) != errString(wantErr) {
+			t.Fatalf("Parse error %q, oracle %q\ntable: %q", errString(err), errString(wantErr), table)
+		}
+		if err == nil && !in.Equal(want) {
+			t.Fatalf("Parse inputs differ from the oracle's\ntable: %q", table)
+		}
+
+		tab, err := ParseIntervals("fuzz", strings.NewReader(table))
+		wantTab, wantErr := oracleParseIntervals("fuzz", strings.NewReader(table))
+		if errString(err) != errString(wantErr) {
+			t.Fatalf("ParseIntervals error %q, oracle %q\ntable: %q", errString(err), errString(wantErr), table)
+		}
+		if err != nil {
+			return
+		}
+		if tab.Workload != wantTab.Workload || len(tab.Windows) != len(wantTab.Windows) {
+			t.Fatalf("ParseIntervals: workload %q with %d windows, oracle %q with %d\ntable: %q",
+				tab.Workload, len(tab.Windows), wantTab.Workload, len(wantTab.Windows), table)
+		}
+		for i, w := range tab.Windows {
+			o := wantTab.Windows[i]
+			if w.Index != o.Index || w.Start != o.Start || w.End != o.End || !w.Inputs.Equal(o.Inputs) {
+				t.Fatalf("ParseIntervals window %d = {%d [%d,%d)}, oracle {%d [%d,%d)}, inputs equal %v\ntable: %q",
+					i, w.Index, w.Start, w.End, o.Index, o.Start, o.End, w.Inputs.Equal(o.Inputs), table)
+			}
+		}
+	})
+}
