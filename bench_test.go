@@ -14,6 +14,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -26,6 +27,7 @@ import (
 	"seqavf/internal/netlist"
 	"seqavf/internal/obs"
 	"seqavf/internal/pavf"
+	"seqavf/internal/pavfio"
 	"seqavf/internal/ser"
 	"seqavf/internal/sfi"
 	"seqavf/internal/stats"
@@ -719,6 +721,50 @@ func BenchmarkTracedSweep(b *testing.B) {
 				sp.End()
 			}
 			b.ReportMetric(float64(n*b.N)/b.Elapsed().Seconds(), "workloads/sec")
+		})
+	}
+}
+
+// BenchmarkParse measures pAVF ingest, the parse stage of a 64-table
+// /v1/sweep: 64 XeonLike tables (the seeded workloads of
+// BenchmarkBlockedSweep plus the measured structure AVFs, rendered by
+// pavfio.Write) parsed through the io.Reader entry point the CLIs use
+// and the text entry point seqavfd uses. Run with -benchmem: the text
+// path allocates per table, not per record, and the Reader path adds
+// one copy of each table.
+func BenchmarkParse(b *testing.B) {
+	e := env(b)
+	ws := xeonWorkloads(e, 64)
+	tables := make([]string, len(ws))
+	for i, w := range ws {
+		for st, v := range e.AvgInputs.StructAVF {
+			w.Inputs.StructAVF[st] = v
+		}
+		var sb strings.Builder
+		if _, err := pavfio.Write(&sb, w.Inputs); err != nil {
+			b.Fatal(err)
+		}
+		tables[i] = sb.String()
+	}
+	for _, bc := range []struct {
+		name  string
+		parse func(name, text string) (*core.Inputs, error)
+	}{
+		{"Reader", func(name, text string) (*core.Inputs, error) {
+			return pavfio.Parse(name, strings.NewReader(text))
+		}},
+		{"Text", pavfio.ParseText},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for j, text := range tables {
+					if _, err := bc.parse(ws[j].Name, text); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(len(tables)*b.N)/b.Elapsed().Seconds(), "tables/sec")
 		})
 	}
 }

@@ -20,7 +20,6 @@ package pavfio
 // with no records. Duplicate records are rejected per window.
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"os"
@@ -59,42 +58,61 @@ func (t *IntervalTable) Cycles() uint64 {
 	return t.Windows[len(t.Windows)-1].End - t.Windows[0].Start
 }
 
-// ParseIntervals parses a multi-window pAVF table (see the package
-// comment above for the format). name labels the source in errors.
-// Every record value passes the same finite-[0,1] validation as Parse;
-// window geometry is validated strictly with file:line errors.
+// ParseIntervals reads r to the end and parses it as a multi-window
+// pAVF table; see ParseIntervalsText. Read errors are reported as
+// "name: err".
 func ParseIntervals(name string, r io.Reader) (*IntervalTable, error) {
+	text, err := readText(name, r)
+	if err != nil {
+		return nil, err
+	}
+	return ParseIntervalsText(name, text)
+}
+
+// ParseIntervalsText parses a multi-window pAVF table (see the package
+// comment above for the format). name labels the source in errors.
+// Every record value passes the same finite-[0,1] validation as
+// ParseText; window geometry is validated strictly with file:line
+// errors. As with ParseText, the tables' map keys and Workload are
+// substrings of text.
+func ParseIntervalsText(name, text string) (*IntervalTable, error) {
 	t := &IntervalTable{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, initLineBytes), MaxLineBytes)
+	s := scanner{name: name, text: text}
 	var (
-		cur       *IntervalWindow
-		curRecs   int
-		firstLine map[string]int
-		lineNo    int
-		wlLine    int
+		cur     *IntervalWindow
+		curRecs int
+		// The current window's duplicate scope starts after its
+		// directive: line scopeLine, ending at byte scopeOff.
+		scopeOff, scopeLine int
+		wlLine              int
 	)
 	closeWindow := func() error {
 		if cur != nil && curRecs == 0 {
-			return fmt.Errorf("%s:%d: window %d has no records", name, lineNo, cur.Index)
+			return fmt.Errorf("%s:%d: window %d has no records", name, s.lineNo, cur.Index)
 		}
 		return nil
 	}
-	for sc.Scan() {
-		lineNo++
-		fields := strings.Fields(sc.Text())
-		if len(fields) == 0 {
+	for {
+		ok, err := s.scan()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			break
+		}
+		if s.nf == 0 {
 			continue
 		}
-		if strings.HasPrefix(fields[0], "#") {
+		fields, lineNo := s.f[:min(s.nf, maxFields)], s.lineNo
+		if fields[0][0] == '#' {
 			// Directives are "# window ..." / "# workload ..." with the
 			// keyword as its own field; anything else is a comment.
-			if fields[0] != "#" || len(fields) < 2 {
+			if fields[0] != "#" || s.nf < 2 {
 				continue
 			}
 			switch fields[1] {
 			case "window":
-				if len(fields) != 5 {
+				if s.nf != 5 {
 					return nil, fmt.Errorf("%s:%d: want '# window <idx> <start> <end>'", name, lineNo)
 				}
 				idx, err := strconv.Atoi(fields[2])
@@ -124,13 +142,13 @@ func ParseIntervals(name string, r io.Reader) (*IntervalTable, error) {
 					return nil, err
 				}
 				t.Windows = append(t.Windows, IntervalWindow{
-					Index: idx, Start: start, End: end, Inputs: core.NewInputs(),
+					Index: idx, Start: start, End: end, Inputs: s.newInputs(true),
 				})
 				cur = &t.Windows[len(t.Windows)-1]
 				curRecs = 0
-				firstLine = make(map[string]int)
+				scopeOff, scopeLine = s.off, lineNo
 			case "workload":
-				if len(fields) != 3 {
+				if s.nf != 3 {
 					return nil, fmt.Errorf("%s:%d: want '# workload <name>'", name, lineNo)
 				}
 				if t.Workload != "" && t.Workload != fields[2] {
@@ -145,16 +163,10 @@ func ParseIntervals(name string, r io.Reader) (*IntervalTable, error) {
 		if cur == nil {
 			return nil, fmt.Errorf("%s:%d: record before first '# window' directive", name, lineNo)
 		}
-		if err := applyRecord(name, lineNo, fields, cur.Inputs, firstLine); err != nil {
+		if err := s.record(cur.Inputs, scopeOff, scopeLine); err != nil {
 			return nil, err
 		}
 		curRecs++
-	}
-	if err := sc.Err(); err != nil {
-		if err == bufio.ErrTooLong {
-			return nil, fmt.Errorf("%s:%d: line exceeds %d bytes (not a pAVF table?)", name, lineNo+1, MaxLineBytes)
-		}
-		return nil, fmt.Errorf("%s: %w", name, err)
 	}
 	if err := closeWindow(); err != nil {
 		return nil, err

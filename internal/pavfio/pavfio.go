@@ -6,33 +6,41 @@
 // solver's capped term-set sums — min(1, Σ pAVF) — can never be
 // poisoned by a NaN, an infinity, or an out-of-range measurement, and a
 // long-lived server cannot be corrupted by one malformed upload.
+//
+// Tables are parsed from text held in memory (ParseText,
+// ParseIntervalsText; Parse and ParseIntervals read a Reader to the end
+// first). The parsed map keys and workload names are substrings of that
+// text, so parsed Inputs keep the whole table text alive.
 package pavfio
 
 import (
-	"bufio"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 
 	"seqavf/internal/core"
 )
 
-// MaxLineBytes bounds one pAVF table line. The default bufio.Scanner
-// buffer (64KB) is too small for machine-generated tables with deeply
-// hierarchical port names; anything past this limit is not a pAVF table.
+// MaxLineBytes bounds one pAVF table line: a line of MaxLineBytes bytes
+// or more, not counting its newline, is rejected. Machine-generated
+// tables with deeply hierarchical port names can run long; anything past
+// this limit is not a pAVF table.
 const MaxLineBytes = 4 << 20
 
-// initLineBytes is the scanner's starting buffer. Table lines are short,
-// so most tables never outgrow it; the scanner doubles it on demand up
-// to MaxLineBytes for the rare long line.
-const initLineBytes = 4 << 10
+// Parse reads r to the end and parses it as a pAVF table; see ParseText
+// for the format. Read errors are reported as "name: err".
+func Parse(name string, r io.Reader) (*core.Inputs, error) {
+	text, err := readText(name, r)
+	if err != nil {
+		return nil, err
+	}
+	return ParseText(name, text)
+}
 
-// Parse parses the line-oriented pAVF table consumed by sartool and
+// ParseText parses the line-oriented pAVF table consumed by sartool and
 // produced by acerun/designgen:
 //
 //	R <Struct>.<port> <pAVF_R>
@@ -48,71 +56,27 @@ const initLineBytes = 4 << 10
 // would poison the capped term-set sums of every downstream node.
 // Duplicate records for the same port or structure are also errors —
 // silent last-wins hides measurement-merge mistakes.
-func Parse(name string, r io.Reader) (*core.Inputs, error) {
-	in := core.NewInputs()
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, initLineBytes), MaxLineBytes)
-	firstLine := make(map[string]int) // "R IQ.rd" -> line of first record
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		fields := strings.Fields(sc.Text())
-		if len(fields) == 0 || strings.HasPrefix(fields[0], "#") {
+//
+// The returned map keys are substrings of text, so the Inputs keep text
+// alive for as long as they live.
+func ParseText(name, text string) (*core.Inputs, error) {
+	s := scanner{name: name, text: text}
+	in := s.newInputs(false)
+	for {
+		ok, err := s.scan()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return in, nil
+		}
+		if s.nf == 0 || s.f[0][0] == '#' {
 			continue
 		}
-		if err := applyRecord(name, lineNo, fields, in, firstLine); err != nil {
+		if err := s.record(in, 0, 0); err != nil {
 			return nil, err
 		}
 	}
-	if err := sc.Err(); err != nil {
-		if err == bufio.ErrTooLong {
-			return nil, fmt.Errorf("%s:%d: line exceeds %d bytes (not a pAVF table?)", name, lineNo+1, MaxLineBytes)
-		}
-		return nil, fmt.Errorf("%s: %w", name, err)
-	}
-	return in, nil
-}
-
-// applyRecord validates one R/W/S record line and applies it to in. It
-// is the shared validation core of Parse and ParseIntervals: every value
-// is checked finite and in [0,1], and duplicates (tracked per table —
-// or per window, for interval tables — in firstLine) are rejected.
-func applyRecord(name string, lineNo int, fields []string, in *core.Inputs, firstLine map[string]int) error {
-	if len(fields) != 3 {
-		return fmt.Errorf("%s:%d: want '<R|W|S> <name> <value>'", name, lineNo)
-	}
-	v, err := strconv.ParseFloat(fields[2], 64)
-	if err != nil {
-		return fmt.Errorf("%s:%d: bad value %q", name, lineNo, fields[2])
-	}
-	if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 || v > 1 {
-		return fmt.Errorf("%s:%d: %s value %v out of [0,1] (AVFs are probabilities)",
-			name, lineNo, fields[0], fields[2])
-	}
-	key := fields[0] + " " + fields[1]
-	if prev, dup := firstLine[key]; dup {
-		return fmt.Errorf("%s:%d: duplicate %q record (first at line %d)",
-			name, lineNo, key, prev)
-	}
-	firstLine[key] = lineNo
-	switch fields[0] {
-	case "R", "W":
-		st, port, ok := strings.Cut(fields[1], ".")
-		if !ok {
-			return fmt.Errorf("%s:%d: port %q not Struct.port", name, lineNo, fields[1])
-		}
-		sp := core.StructPort{Struct: st, Port: port}
-		if fields[0] == "R" {
-			in.ReadPorts[sp] = v
-		} else {
-			in.WritePorts[sp] = v
-		}
-	case "S":
-		in.StructAVF[fields[1]] = v
-	default:
-		return fmt.Errorf("%s:%d: unknown record %q", name, lineNo, fields[0])
-	}
-	return nil
 }
 
 // ReadFile parses the pAVF table at path. See Parse for the format.

@@ -210,14 +210,11 @@ func (s *Server) decodeSweep(_ *http.Request, body io.Reader) (job, error) {
 	if len(req.Workloads) == 0 {
 		return j, errorf(http.StatusBadRequest, "no workloads in request")
 	}
-	ws := make([]sweep.Workload, len(req.Workloads))
-	for i, rw := range req.Workloads {
-		name := workloadName(rw.Name, i)
-		in, err := pavfio.Parse(name, strings.NewReader(rw.PAVF))
-		if err != nil {
-			return j, fmt.Errorf("workload %q: %v", name, err)
-		}
-		ws[i] = sweep.Workload{Name: name, Inputs: in}
+	ws, err := parseTables(len(req.Workloads), func(i int) (string, string) {
+		return req.Workloads[i].Name, req.Workloads[i].PAVF
+	})
+	if err != nil {
+		return j, err
 	}
 	j.run = func(ctx context.Context, d *Design) (any, *Design, error) {
 		// Summary-first: the engine reduces each workload straight to
@@ -245,6 +242,23 @@ func (s *Server) decodeSweep(_ *http.Request, body io.Reader) (job, error) {
 		return resp, d, nil
 	}
 	return j, nil
+}
+
+// parseTables runs each of a request's n workload tables through the
+// hardened pAVF parser. table returns workload i's name and table text;
+// an unnamed workload is named by its index.
+func parseTables(n int, table func(i int) (name, text string)) ([]sweep.Workload, error) {
+	ws := make([]sweep.Workload, n)
+	for i := range ws {
+		name, text := table(i)
+		name = workloadName(name, i)
+		in, err := pavfio.ParseText(name, text)
+		if err != nil {
+			return nil, fmt.Errorf("workload %q: %v", name, err)
+		}
+		ws[i] = sweep.Workload{Name: name, Inputs: in}
+	}
+	return ws, nil
 }
 
 // workloadName is a request workload's name, or its index when unnamed.

@@ -5,13 +5,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"time"
 
 	"seqavf/internal/harden"
 	"seqavf/internal/obs"
-	"seqavf/internal/pavfio"
-	"seqavf/internal/sweep"
 )
 
 // decodeHarden serves POST /v1/harden: the selective-hardening
@@ -35,15 +32,15 @@ func (s *Server) decodeHarden(_ *http.Request, body io.Reader) (job, error) {
 		return job{}, errorf(http.StatusBadRequest, "%v", err)
 	}
 	j := job{design: req.Design, workloads: len(req.Workloads)}
-	ws := make([]sweep.Workload, len(req.Workloads))
-	names := make([]string, len(req.Workloads))
-	for i, rw := range req.Workloads {
-		in, err := pavfio.Parse(rw.Name, strings.NewReader(rw.PAVF))
-		if err != nil {
-			return j, fmt.Errorf("workload %q: %v", rw.Name, err)
-		}
-		ws[i] = sweep.Workload{Name: rw.Name, Inputs: in}
-		names[i] = rw.Name
+	ws, err := parseTables(len(req.Workloads), func(i int) (string, string) {
+		return req.Workloads[i].Name, req.Workloads[i].PAVF
+	})
+	if err != nil {
+		return j, err
+	}
+	names := make([]string, len(ws))
+	for i, w := range ws {
+		names[i] = w.Name
 	}
 	j.run = func(ctx context.Context, d *Design) (any, *Design, error) {
 		// The optimization substrate: the design's solved result, or —

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 
 	"seqavf/internal/pavfio"
 	"seqavf/internal/sweep"
@@ -86,7 +85,7 @@ func (s *Server) decodeIntervals(_ *http.Request, body io.Reader) (job, error) {
 	ws := make([]sweep.IntervalWorkload, len(req.Workloads))
 	for i, rw := range req.Workloads {
 		name := workloadName(rw.Name, i)
-		tab, err := pavfio.ParseIntervals(name, strings.NewReader(rw.Table))
+		tab, err := pavfio.ParseIntervalsText(name, rw.Table)
 		if err != nil {
 			return j, fmt.Errorf("workload %q: %v", name, err)
 		}
