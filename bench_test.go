@@ -480,7 +480,7 @@ func BenchmarkBatchSweep32(b *testing.B) {
 // same 32 windows swept independently, each through a fresh engine that
 // must compile the plan itself. The arithmetic is identical — the
 // interval property test pins the per-window results bit-for-bit
-// against single-window sweeps — so the gap is pure plan-compile
+// against Result.Reevaluate of each window — so the gap is pure plan-compile
 // amortization, expected to approach T× as the window count T grows
 // (EXPERIMENTS.md records the measured ratio).
 func BenchmarkIntervalSweep(b *testing.B) {
@@ -551,62 +551,6 @@ func xeonWorkloads(e *experiments.Env, n int) []sweep.Workload {
 	return ws
 }
 
-// BenchmarkBlockedSweep contrasts the scalar per-workload plan walk
-// (Plan.Eval, the BenchmarkBatchSweep32 path) against the blocked SoA
-// kernel (Plan.EvalBlock) on the XeonLike design: 64 workloads, one
-// evaluation worker, so the ratio isolates the kernel rather than
-// parallelism. Results are bit-identical between the two paths; only the
-// traversal order differs — scalar streams the CSR plan indices once per
-// workload, blocked streams them once per 16-lane block.
-//
-// Each iteration starts from a collected heap (StopTimer + runtime.GC),
-// the same quiesced-GC protocol as BenchmarkWarmStartVsSolve, so GC
-// assist debt from prior iterations does not leak into either side.
-func BenchmarkBlockedSweep(b *testing.B) {
-	e := env(b)
-	res, err := e.Analyzer.Solve(e.AvgInputs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const n = 64
-	ws := xeonWorkloads(e, n)
-	quiesce := func(b *testing.B) {
-		b.StopTimer()
-		runtime.GC()
-		b.StartTimer()
-	}
-	for _, bc := range []struct {
-		name  string
-		block int
-	}{
-		{"Scalar", 1},
-		{"Blocked16", 16},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			eng := sweep.New(sweep.Options{Workers: 1, BlockSize: bc.block})
-			if _, err := eng.Plan(res); err != nil {
-				b.Fatal(err)
-			}
-			// Each 64-workload sweep allocates ~6 MB of Result vectors
-			// against a smaller live heap, so with the collector enabled
-			// every iteration crosses the GC trigger mid-measurement and
-			// both sides mostly time concurrent-mark assists. Disable the
-			// collector for the timed regions and collect in the stopped
-			// windows instead — the forced GC above stays per-iteration.
-			gcPct := debug.SetGCPercent(-1)
-			defer debug.SetGCPercent(gcPct)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				quiesce(b)
-				if _, err := eng.Sweep(res, ws); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(n*b.N)/b.Elapsed().Seconds(), "workloads/sec")
-		})
-	}
-}
-
 // BenchmarkSummarySweep contrasts the two ways to score a batch on the
 // XeonLike design — 64 workloads, one worker, blocked kernel — when only
 // the design summaries are wanted (the default /v1/sweep request):
@@ -615,7 +559,7 @@ func BenchmarkBlockedSweep(b *testing.B) {
 // the kernel's per-pair values straight into summaries. The summaries
 // are bit-identical; run with -benchmem to see the per-vertex vectors
 // the reduce path no longer allocates. The GC protocol matches
-// BenchmarkBlockedSweep.
+// BenchmarkTracedSweep.
 func BenchmarkSummarySweep(b *testing.B) {
 	e := env(b)
 	res, err := e.Analyzer.Solve(e.AvgInputs)
@@ -665,13 +609,19 @@ func BenchmarkSummarySweep(b *testing.B) {
 }
 
 // BenchmarkTracedSweep measures the cost of request-scoped tracing on
-// the blocked kernel: the same 64-workload XeonLike sweep as
-// BenchmarkBlockedSweep/Blocked16, untraced (no registry) vs traced (a
-// live registry, a per-iteration request span the sweep nests under, and
-// a JSONL sink draining to io.Discard — the full seqavfd wiring). The
-// instrumentation budget is <3% (EXPERIMENTS.md records the measured
-// overhead); tracing that costs more than that would have to be sampled
-// instead of always-on. The GC protocol matches BenchmarkBlockedSweep.
+// the blocked kernel: a 64-workload XeonLike sweep on one worker,
+// untraced (no registry) vs traced (a live registry, a per-iteration
+// request span the sweep nests under, and a JSONL sink draining to
+// io.Discard — the full seqavfd wiring). The instrumentation budget is
+// <3% (EXPERIMENTS.md records the measured overhead); tracing that
+// costs more than that would have to be sampled instead of always-on.
+//
+// Each iteration starts from a collected heap (StopTimer + runtime.GC),
+// the same quiesced-GC protocol as BenchmarkWarmStartVsSolve, and the
+// collector is off inside the timed regions: each 64-workload sweep
+// allocates ~6 MB of Result vectors against a smaller live heap, so
+// with the collector enabled every iteration would cross the GC trigger
+// mid-measurement and mostly time concurrent-mark assists.
 func BenchmarkTracedSweep(b *testing.B) {
 	e := env(b)
 	res, err := e.Analyzer.Solve(e.AvgInputs)
@@ -693,7 +643,7 @@ func BenchmarkTracedSweep(b *testing.B) {
 		{"Traced", true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			opts := sweep.Options{Workers: 1, BlockSize: 16}
+			opts := sweep.Options{Workers: 1}
 			var reg *obs.Registry
 			if bc.traced {
 				reg = obs.New()
@@ -727,7 +677,7 @@ func BenchmarkTracedSweep(b *testing.B) {
 
 // BenchmarkParse measures pAVF ingest, the parse stage of a 64-table
 // /v1/sweep: 64 XeonLike tables (the seeded workloads of
-// BenchmarkBlockedSweep plus the measured structure AVFs, rendered by
+// BenchmarkTracedSweep plus the measured structure AVFs, rendered by
 // pavfio.Write) parsed through the io.Reader entry point the CLIs use
 // and the text entry point seqavfd uses. Run with -benchmem: the text
 // path allocates per table, not per record, and the Reader path adds

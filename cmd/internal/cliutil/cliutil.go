@@ -11,7 +11,6 @@ import (
 	"os"
 
 	"seqavf/internal/obs"
-	"seqavf/internal/sweep"
 )
 
 // Exit prints "tool: err" to stderr and exits 1 when err is non-nil, and
@@ -22,15 +21,6 @@ func Exit(tool string, err error) {
 	}
 	fmt.Fprintf(os.Stderr, "%s: %v\n", tool, err)
 	os.Exit(1)
-}
-
-// BlockFlag registers -block, the blocked-kernel lane width shared by
-// the sweep-serving CLIs (sweeprun, seqavfd): workloads evaluated
-// together per plan traversal. 0 picks sweep.DefaultBlockSize; 1 forces
-// the scalar per-workload path. Results are bit-identical either way.
-func BlockFlag() *int {
-	return flag.Int("block", 0,
-		fmt.Sprintf("workloads per blocked kernel evaluation (0 = %d, 1 = scalar path)", sweep.DefaultBlockSize))
 }
 
 // Obs carries the shared observability flags. Register with ObsFlags

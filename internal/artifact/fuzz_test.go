@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"seqavf/internal/core"
+	"seqavf/internal/sweep"
 )
 
 // fuzzTarget lazily builds one fixed analyzer (and a valid artifact for
@@ -72,7 +73,7 @@ func FuzzDecodeArtifact(f *testing.F) {
 		if plan.NumVerts() != n {
 			t.Fatalf("accepted plan covers %d of %d vertices", plan.NumVerts(), n)
 		}
-		if _, err := plan.Eval(res.Inputs, nil); err != nil {
+		if err := plan.EvalBlockInto([]sweep.Workload{{Name: "own", Inputs: res.Inputs}}, nil, nil, make([]*core.Result, 1)); err != nil {
 			t.Fatalf("accepted plan failed to evaluate its own inputs: %v", err)
 		}
 	})

@@ -118,15 +118,12 @@ func TestPropertyRoundTripBitIdentical(t *testing.T) {
 	}
 }
 
-// planSweep evaluates workloads directly through a decoded plan.
+// planSweep evaluates workloads directly through a decoded plan, as one
+// block.
 func planSweep(p *sweep.Plan, ws []sweep.Workload) ([]*core.Result, error) {
 	out := make([]*core.Result, len(ws))
-	for i, w := range ws {
-		r, err := p.Eval(w.Inputs, nil)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = r
+	if err := p.EvalBlockInto(ws, nil, nil, out); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -100,7 +100,7 @@ func TestPropertySensitivityMatchesFD(t *testing.T) {
 		for id := range env {
 			ids = append(ids, pavf.TermID(id))
 		}
-		fd, err := FDTermDerivs(p, env, ids, h, 0)
+		fd, err := FDTermDerivs(p, env, ids, h)
 		if err != nil {
 			t.Fatalf("seed %d: FDTermDerivs: %v", seed, err)
 		}

@@ -76,7 +76,7 @@ func chipAVF(avf []float64, seq []graph.VertexID) float64 {
 // env. At a kink (a set sum at exactly 1.0, or the two MIN sides exactly
 // tied) the reported value is the kernel's right-continuation: a capped
 // set contributes slope 0, a tie resolves to the forward side, matching
-// how Plan.Eval breaks those ties.
+// how pavf.Expr.Eval breaks those ties.
 func TermDerivs(p *sweep.Plan, env pavf.Env) ([]float64, error) {
 	a := p.Analyzer
 	if want := a.Universe().Len(); len(env) != want {
@@ -196,10 +196,10 @@ func evalEnvOnce(p *sweep.Plan, env pavf.Env) ([]float64, error) {
 // FDTermDerivs estimates ∂chipAVF/∂env[t] for the given terms by central
 // finite differences batched through the blocked kernel: each probed
 // term contributes two lanes (env[t]+h and env[t]-h) to an EnvMatrix,
-// evaluated blockSize lanes at a time (0 = sweep.DefaultBlockSize).
+// evaluated sweep.DefaultBlockSize lanes at a time.
 // Terms whose base value leaves no room for a symmetric step (env[t]
 // outside [h, 1-h]) — including Top, which is pinned at 1 — report NaN.
-func FDTermDerivs(p *sweep.Plan, env pavf.Env, ids []pavf.TermID, h float64, blockSize int) ([]float64, error) {
+func FDTermDerivs(p *sweep.Plan, env pavf.Env, ids []pavf.TermID, h float64) ([]float64, error) {
 	a := p.Analyzer
 	if want := a.Universe().Len(); len(env) != want {
 		return nil, fmt.Errorf("harden: env has %d terms but design %q has a universe of %d",
@@ -211,13 +211,7 @@ func FDTermDerivs(p *sweep.Plan, env pavf.Env, ids []pavf.TermID, h float64, blo
 	if !(h > 0) || h >= 0.5 {
 		return nil, fmt.Errorf("harden: fd step %v must be in (0, 0.5)", h)
 	}
-	if blockSize <= 0 {
-		blockSize = sweep.DefaultBlockSize
-	}
-	pairsPerBlock := blockSize / 2
-	if pairsPerBlock < 1 {
-		pairsPerBlock = 1
-	}
+	const pairsPerBlock = sweep.DefaultBlockSize / 2
 	seq := seqVerts(a)
 	out := make([]float64, len(ids))
 

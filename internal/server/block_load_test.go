@@ -18,30 +18,29 @@ import (
 )
 
 // TestServeSweepBlockedLoad drives two designs concurrently through one
-// shared engine on the BLOCKED evaluation path: BlockSize 4 over
-// 6-workload requests means every request is exactly one full block plus
-// one ragged 2-lane block. Under load with backpressure retries, every
-// request must complete (zero drops), every served value must be
-// bit-identical to a direct engine sweep of the same table, and /metrics
-// must show the block kernel — not the scalar path — served the traffic,
-// with exact block and workload counts.
+// shared engine: the 16-lane kernel over 18-workload requests means
+// every request is exactly one full block plus one ragged 2-lane block.
+// Under load with backpressure retries, every request must complete
+// (zero drops), every served value must be bit-identical to a direct
+// engine sweep of the same table, and /metrics must count every block
+// and workload the traffic took.
 func TestServeSweepBlockedLoad(t *testing.T) {
 	s, reg, results := newTestServer(t, Config{
 		MaxConcurrent: 4,
-		Sweep:         sweep.Options{BlockSize: 4, Workers: 2},
+		Sweep:         sweep.Options{Workers: 2},
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	const clients = 16
 	const perClient = 2
-	const workloads = 6 // BlockSize 4 -> blocks of 4 and 2 per request
+	const workloads = sweep.DefaultBlockSize + 2 // blocks of 16 and 2 lanes per request
 	names := []string{"alpha", "beta"}
 	bodies := make(map[string][]byte)
 	refs := make(map[string]map[string]map[string]float64) // design -> workload -> node -> seqAVF
 	for _, n := range names {
 		bodies[n] = sweepBody(t, n, results[n], workloads, 500)
-		// Reference values from a direct blocked engine sweep of the same
+		// Reference values from a direct engine sweep of the same
 		// parsed tables — the served numbers must match these bit for bit.
 		var req SweepRequest
 		if err := json.Unmarshal(bodies[n], &req); err != nil {
@@ -55,7 +54,7 @@ func TestServeSweepBlockedLoad(t *testing.T) {
 			}
 			ws[i] = sweep.Workload{Name: w.Name, Inputs: in}
 		}
-		eng := sweep.New(sweep.Options{BlockSize: 4, Workers: 1})
+		eng := sweep.New(sweep.Options{Workers: 1})
 		batch, err := eng.Sweep(results[n], ws)
 		if err != nil {
 			t.Fatalf("reference sweep: %v", err)
@@ -132,7 +131,7 @@ func TestServeSweepBlockedLoad(t *testing.T) {
 					}
 					for node, v := range want {
 						if wr.SeqAVF[node] != v {
-							errs <- fmt.Errorf("client %d: %s/%s served %v, blocked engine %v",
+							errs <- fmt.Errorf("client %d: %s/%s served %v, direct engine %v",
 								c, wr.Name, node, wr.SeqAVF[node], v)
 							return
 						}
@@ -153,9 +152,8 @@ func TestServeSweepBlockedLoad(t *testing.T) {
 		t.Fatalf("completed %d sweeps, want %d (zero dropped requests)", completed, clients*perClient)
 	}
 
-	// The kernel telemetry must attribute ALL served traffic to the
-	// blocked path: 2 blocks per request (4+2 lanes), 6 workloads per
-	// request, and nothing on the scalar counter.
+	// The kernel telemetry must count all served traffic: 2 blocks per
+	// request (16+2 lanes) and 18 workloads per request.
 	resp, err := http.Get(ts.URL + "/metrics.json")
 	if err != nil {
 		t.Fatal(err)
@@ -168,14 +166,11 @@ func TestServeSweepBlockedLoad(t *testing.T) {
 	}
 	requests := int64(clients * perClient)
 	if got := snap.Counters["sweep.block_evals"]; got != 2*requests {
-		t.Errorf("sweep.block_evals = %d, want %d (2 blocks per %d-workload request at width 4)",
-			got, 2*requests, workloads)
+		t.Errorf("sweep.block_evals = %d, want %d (2 blocks per %d-workload request at width %d)",
+			got, 2*requests, workloads, sweep.DefaultBlockSize)
 	}
-	if got := snap.Counters["sweep.workloads_blocked"]; got != int64(workloads)*requests {
-		t.Errorf("sweep.workloads_blocked = %d, want %d", got, int64(workloads)*requests)
-	}
-	if got := snap.Counters["sweep.workloads_scalar"]; got != 0 {
-		t.Errorf("sweep.workloads_scalar = %d, want 0 (blocked engine must not fall back)", got)
+	if got := snap.Counters["sweep.workloads"]; got != int64(workloads)*requests {
+		t.Errorf("sweep.workloads = %d, want %d", got, int64(workloads)*requests)
 	}
 	if got := reg.Gauge("server.in_flight").Load(); got != 0 {
 		t.Errorf("in_flight gauge = %v after drain, want 0", got)

@@ -341,6 +341,16 @@ var ingestFaults = []routeFault{
 		},
 	},
 	{
+		name: "truncated", status: http.StatusBadRequest, applies: allRoutes,
+		inject: func(t *testing.T, _ *Server, ts *httptest.Server, rt postRoute, res *core.Result) (*http.Response, []byte) {
+			// A well-formed body announced at its full length but cut
+			// at half: the stream ends early (io.ErrUnexpectedEOF).
+			body := rt.body(t, "alpha", res)
+			return postRaw(t, ts, rt.url("alpha"),
+				fmt.Sprintf("Content-Length: %d\r\n\r\n%s", len(body), body[:len(body)/2]))
+		},
+	},
+	{
 		name: "unknown design", status: http.StatusNotFound, applies: func(rt postRoute) bool { return rt.named },
 		inject: func(t *testing.T, _ *Server, ts *httptest.Server, rt postRoute, res *core.Result) (*http.Response, []byte) {
 			return postJSON(t, http.DefaultClient, ts.URL+rt.url("nope"), rt.body(t, "nope", res))
@@ -372,7 +382,9 @@ var slotFaults = []routeFault{
 }
 
 // postRaw sends a POST with hand-written framing headers and body bytes
-// over its own connection, for bodies net/http's client cannot produce.
+// over its own connection, for bodies net/http's client cannot produce,
+// then half-closes the connection so the server reads EOF right where
+// the bytes end.
 func postRaw(t *testing.T, ts *httptest.Server, path, headersAndBody string) (*http.Response, []byte) {
 	t.Helper()
 	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
@@ -381,6 +393,9 @@ func postRaw(t *testing.T, ts *httptest.Server, path, headersAndBody string) (*h
 	}
 	defer conn.Close()
 	if _, err := fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n%s", path, headersAndBody); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
@@ -583,9 +598,9 @@ func TestRequestTimeout(t *testing.T) {
 }
 
 // TestBodyLimitAndBadInputs: on every POST route, oversized bodies are
-// 413, unreadable bodies 400 and unknown designs 404; on /v1/sweep,
-// malformed pAVF tables (the hardened parser), unknown designs, and
-// empty requests are client errors with JSON bodies.
+// 413, unreadable or truncated bodies 400 and unknown designs 404; on
+// /v1/sweep, malformed pAVF tables (the hardened parser), unknown
+// designs, and empty requests are client errors with JSON bodies.
 func TestBodyLimitAndBadInputs(t *testing.T) {
 	runRouteFaults(t, ingestFaults)
 

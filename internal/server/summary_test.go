@@ -79,8 +79,8 @@ func TestSweepSummaryTelemetry(t *testing.T) {
 	if got := scalars["sweep_workloads_reduced"]; got != workloads {
 		t.Fatalf("sweep_workloads_reduced = %v, want %d", got, workloads)
 	}
-	if got := scalars["sweep_workloads_blocked"]; got != workloads+3 {
-		t.Fatalf("sweep_workloads_blocked = %v, want %d", got, workloads+3)
+	if got := scalars["sweep_workloads"]; got != workloads+3 {
+		t.Fatalf("sweep_workloads = %v, want %d", got, workloads+3)
 	}
 
 	for _, rec := range s.flight.Snapshot() {

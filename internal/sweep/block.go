@@ -1,13 +1,14 @@
-// Blocked multi-workload evaluation: the SoA kernel behind batch sweeps.
+// Blocked multi-workload evaluation: the one kernel that evaluates a
+// compiled plan.
 //
-// Plan.Eval walks the full CSR index arrays (setOff/setIDs/fwdIdx/bwdIdx)
-// once per workload, so a 1000-workload sweep streams the same plan
-// indices 1000 times. The blocked kernel instead lays W workloads'
+// Walking the CSR index arrays (setOff/setIDs/fwdIdx/bwdIdx) once per
+// workload would stream the same plan indices 1000 times for a
+// 1000-workload sweep. The kernel instead lays W workloads'
 // environments out as an EnvMatrix in structure-of-arrays order —
 // term-major, workload-lane-minor, so all W values of one term sit in one
 // contiguous row — and traverses the plan ONCE per block: every subterm
 // set is summed across all lanes before the next set's indices are
-// touched, and the per-vertex MIN pass reads fwdIdx/bwdIdx once for all W
+// touched, and the per-pair MIN pass reads the slot pairs once for all W
 // workloads. Per-workload cost drops to the arithmetic itself; the index
 // traffic is amortized W ways (the positional-popcount blocking idea,
 // applied to saturating sums).
@@ -15,8 +16,9 @@
 // The kernel replays pavf's arithmetic exactly — per-lane sums add terms
 // in ascending TermID order and saturate at exactly 1.0, after which the
 // lane is excluded from further adds just as Set.Eval's break stops its
-// scalar sum — so EvalBlock results are bit-identical to per-workload
-// Eval for every lane, every block width, and every ragged tail.
+// sum — so every lane's AVFs are bit-identical to Result.Reevaluate
+// (pavf.Expr.Eval per vertex) for every block width and every ragged
+// tail.
 //
 // The kernel ends in per-(fwd, bwd)-pair values and feeds two sinks.
 // The materializing sink (EvalBlock, EvalBlockInto) broadcasts them out
@@ -35,8 +37,7 @@ import (
 	"seqavf/internal/pavf"
 )
 
-// DefaultBlockSize is the lane width used when Options.BlockSize is 0:
-// 16 lanes make every term row two cache lines of float64, wide enough to
+// DefaultBlockSize is the engine's lane width: 16 lanes make every term row two cache lines of float64, wide enough to
 // amortize the plan traversal and small enough that the scratch matrix
 // (NumSets x 16) stays cache-resident for typical plans.
 const DefaultBlockSize = 16
@@ -72,8 +73,8 @@ func (m *EnvMatrix) At(id pavf.TermID, w int) float64 {
 }
 
 // Reset rebuilds the matrix for one block of workloads against a: each
-// lane goes through the same fused CheckInputs+BuildEnv the scalar path
-// uses (core.Analyzer.CheckedEnv), then pavf.Env.Validate gates the
+// lane goes through the fused CheckInputs+BuildEnv
+// (core.Analyzer.CheckedEnv), then pavf.Env.Validate gates the
 // result — a NaN, Inf, or out-of-range pAVF is rejected here, at build
 // time, and never reaches the kernel. Errors name the offending
 // workload. The SoA buffer is reused; the per-lane environments are
@@ -149,7 +150,7 @@ func (p *Plan) ScratchLen(lanes int) int {
 // ScratchLen(Lanes()) entries (per-set running sums followed by the
 // per-pair value rows, both SoA like the matrix). Shape mismatches are
 // errors, not panics. Results are bit-identical to evaluating each
-// lane's environment through Eval.
+// lane's environment through the closed forms (pavf.Expr.Eval).
 func (p *Plan) EvalBlock(m *EnvMatrix, scratch []float64, out [][]float64) error {
 	if m.lanes == 0 {
 		return nil
@@ -184,7 +185,7 @@ func (p *Plan) EvalBlock(m *EnvMatrix, scratch []float64, out [][]float64) error
 // (fwd, bwd) slot pair resolve identically, so each lane computes one
 // MIN per unique pair (an unknown side is a conservative 1.0, and set
 // sums never exceed 1, so the MIN collapses to the known side). Both
-// passes replay evalEnv's arithmetic exactly. The sinks then either
+// passes replay Set.Eval and Expr.Eval exactly. The sinks then either
 // broadcast the pair values out to vertices (broadcast) or reduce them
 // through the plan's summary layout without touching a per-vertex
 // vector (summaries, and SummaryLayout.NodeAVFs).
@@ -265,8 +266,8 @@ func (p *Plan) summaries(pv []float64, out []core.Summary) {
 // per worker serves a whole sweep; a nil m uses a throwaway. scratch must
 // hold ScratchLen(len(ws)) entries (nil allocates). Each Result's AVF
 // vector is a view into one fresh per-block backing array, and its Env is
-// the lane's freshly built environment; Results are bit-identical to
-// per-workload Eval, field for field.
+// the lane's freshly built environment; AVF vectors are bit-identical to
+// Result.Reevaluate under the same inputs.
 func (p *Plan) EvalBlockInto(ws []Workload, m *EnvMatrix, scratch []float64, dst []*core.Result) error {
 	if len(dst) != len(ws) {
 		return fmt.Errorf("sweep: %d result slots for %d workloads", len(dst), len(ws))

@@ -11,12 +11,12 @@ import (
 	"seqavf/internal/pavf"
 )
 
-// FuzzCompilePlan drives the generator -> solver -> plan compiler -> plan
-// evaluator chain from fuzzed seeds and shape knobs: no input may panic,
-// every generated design must compile into a plan, plan evaluation
-// must stay bit-identical to Result.Reevaluate, and the summary sink's
-// reduction must equal Summarize and SeqAVFByNode of the evaluated
-// results bit for bit.
+// FuzzCompilePlan drives the generator -> solver -> plan compiler ->
+// blocked kernel chain from fuzzed seeds and shape knobs: no input may
+// panic, every generated design must compile into a plan, one- and
+// two-lane evaluation must stay bit-identical to Result.Reevaluate, and
+// the summary sink's reduction must equal Summarize and SeqAVFByNode of
+// the re-evaluated results bit for bit.
 func FuzzCompilePlan(f *testing.F) {
 	f.Add(uint64(0), uint64(1), uint8(2), uint8(2), uint8(2))
 	f.Add(uint64(42), uint64(7), uint8(1), uint8(1), uint8(1))
@@ -47,32 +47,31 @@ func FuzzCompilePlan(f *testing.F) {
 			t.Fatalf("plan covers %d of %d vertices", p.NumVerts(), a.G.NumVerts())
 		}
 		in2 := randomInputs(a, inputSeed^0x5bf03635)
-		got, err := p.Eval(in2, nil)
-		if err != nil {
-			t.Fatalf("Eval: %v", err)
-		}
-		if err := res.Reevaluate(in2); err != nil {
-			t.Fatalf("Reevaluate: %v", err)
-		}
-		for v := range got.AVF {
-			if got.AVF[v] != res.AVF[v] {
-				t.Fatalf("vertex %d: plan %v != reevaluate %v", v, got.AVF[v], res.AVF[v])
-			}
-			if !(got.AVF[v] >= 0 && got.AVF[v] <= 1) {
-				t.Fatalf("vertex %d: AVF %v out of [0,1]", v, got.AVF[v])
-			}
-		}
-		ref, err := p.Eval(in, nil)
-		if err != nil {
-			t.Fatalf("Eval: %v", err)
-		}
 		ws := []Workload{{Name: "in2", Inputs: in2}, {Name: "in", Inputs: in}}
+		refs := []*core.Result{reevaluated(t, res, in2), reevaluated(t, res, in)}
+		// One lane on its own, then both lanes in one block.
+		for _, lanes := range []int{1, 2} {
+			got := make([]*core.Result, lanes)
+			if err := p.EvalBlockInto(ws[:lanes], nil, nil, got); err != nil {
+				t.Fatalf("%d-lane EvalBlockInto: %v", lanes, err)
+			}
+			for i, r := range got {
+				for v, avf := range r.AVF {
+					if math.Float64bits(avf) != math.Float64bits(refs[i].AVF[v]) {
+						t.Fatalf("%d lanes, lane %d vertex %d: plan %v != reevaluate %v", lanes, i, v, avf, refs[i].AVF[v])
+					}
+					if !(avf >= 0 && avf <= 1) {
+						t.Fatalf("%d lanes, lane %d vertex %d: AVF %v out of [0,1]", lanes, i, v, avf)
+					}
+				}
+			}
+		}
 		sums := make([]core.Summary, len(ws))
 		nodes := make([]map[string]float64, len(ws))
 		if err := p.evalBlock(ws, nil, nil, nil, sums, nodes); err != nil {
 			t.Fatalf("summary sink: %v", err)
 		}
-		for i, r := range []*core.Result{got, ref} {
+		for i, r := range refs {
 			if want := r.Summarize(); sums[i] != want {
 				t.Fatalf("lane %d: reduced summary %+v != Summarize %+v", i, sums[i], want)
 			}

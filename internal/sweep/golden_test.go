@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -27,7 +26,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden fixtures from curr
 func TestTinycoreGoldenBlockMatrix(t *testing.T) {
 	_, res, ws := tinycoreBatch(t, 6)
 	// Block width 4 over 6 workloads: one full block and one ragged.
-	eng := New(Options{Workers: 1, BlockSize: 4})
+	eng := newWidth(Options{Workers: 1}, 4)
 	batch, err := eng.Sweep(res, ws)
 	if err != nil {
 		t.Fatalf("Sweep: %v", err)
@@ -77,20 +76,12 @@ func TestTinycoreGoldenBlockMatrix(t *testing.T) {
 		}
 	}
 
-	// The golden values must also be what the scalar path produces: the
-	// fixture pins one arithmetic, shared bit for bit by both kernels.
-	scalar := New(Options{Workers: 1, BlockSize: 1})
-	sb, err := scalar.Sweep(res, ws)
-	if err != nil {
-		t.Fatalf("scalar Sweep: %v", err)
-	}
-	for i := range sb.Results {
-		for v := range sb.Results[i].AVF {
-			if math.Float64bits(sb.Results[i].AVF[v]) != math.Float64bits(batch.Results[i].AVF[v]) {
-				t.Fatalf("workload %s vertex %d: scalar %v, blocked %v",
-					sb.Names[i], v, sb.Results[i].AVF[v], batch.Results[i].AVF[v])
-			}
-		}
+	// The golden values must also be what the closed forms produce: the
+	// fixture pins one arithmetic, shared bit for bit by the kernel and
+	// Result.Reevaluate.
+	for i, w := range ws {
+		ref := reevaluated(t, res, w.Inputs)
+		bitIdentical(t, "workload "+w.Name, batch.Results[i].AVF, ref.AVF)
 	}
 }
 

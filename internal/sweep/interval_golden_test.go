@@ -3,7 +3,6 @@ package sweep
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"path/filepath"
 	"strconv"
 	"testing"
@@ -87,7 +86,7 @@ func TestTinycoreGoldenIntervals(t *testing.T) {
 		iw.Inputs = append(iw.Inputs, win.Inputs)
 	}
 	// Block width 4 over 6 window lanes: one full block and one ragged.
-	eng := New(Options{Workers: 1, BlockSize: 4})
+	eng := newWidth(Options{Workers: 1}, 4)
 	b, err := eng.SweepIntervals(res, []IntervalWorkload{iw})
 	if err != nil {
 		t.Fatalf("SweepIntervals: %v", err)
@@ -145,20 +144,11 @@ func TestTinycoreGoldenIntervals(t *testing.T) {
 		}
 	}
 
-	// The packed lanes must match six independent single-window sweeps
-	// bit for bit — the windows-as-lanes contract on the real design.
-	solo := New(Options{Workers: 1, BlockSize: 1})
-	for wi := range iw.Windows {
-		sb, err := solo.Sweep(res, []Workload{{Name: "solo", Inputs: iw.Inputs[wi]}})
-		if err != nil {
-			t.Fatalf("solo sweep window %d: %v", wi, err)
-		}
-		for v := range sb.Results[0].AVF {
-			if math.Float64bits(sb.Results[0].AVF[v]) != math.Float64bits(out.Results[wi].AVF[v]) {
-				t.Fatalf("window %d vertex %d: solo %v != packed %v", wi, v,
-					sb.Results[0].AVF[v], out.Results[wi].AVF[v])
-			}
-		}
+	// The packed lanes must match each window's inputs re-evaluated
+	// through the closed forms bit for bit — the windows-as-lanes
+	// contract on the real design.
+	for wi, in := range iw.Inputs {
+		bitIdentical(t, fmt.Sprintf("window %d", wi), out.Results[wi].AVF, reevaluated(t, res, in).AVF)
 	}
 }
 

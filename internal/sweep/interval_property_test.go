@@ -28,11 +28,11 @@ func ulpClose(a, b, k float64) bool {
 // property test: on 200 seeded random designs, a T-window interval
 // sweep must
 //
-//  1. produce each window's result bit-identical to an independent
-//     single-window sweep of the same inputs — at every block width,
-//     including scalar (1), ragged (2, 3), wider than the lane count
-//     (16 > T), exactly T, and T+7 — because windows are just lanes and
-//     the kernel contract is EvalBlock == Eval bit for bit; and
+//  1. produce each window's result bit-identical to Result.Reevaluate
+//     of that window's inputs alone — at every block width, including
+//     one lane (1), ragged (2, 3), wider than the lane count (16 > T),
+//     exactly T, and T+7 — because windows are just lanes and every
+//     lane equals the closed forms bit for bit; and
 //  2. satisfy the integration identity: the time-weighted mean of the
 //     per-window chip AVFs equals the chip AVF of the time-weighted
 //     mean AVF vector (WholeRunAVF), since Summarize is linear in the
@@ -45,11 +45,10 @@ func TestPropertyIntervalDifferential(t *testing.T) {
 		if e, ok := engines[width]; ok {
 			return e
 		}
-		e := New(Options{Workers: 2, BlockSize: width, CacheSize: 2})
+		e := newWidth(Options{Workers: 2, CacheSize: 2}, width)
 		engines[width] = e
 		return e
 	}
-	scalarRef := New(Options{Workers: 1, BlockSize: -1, CacheSize: 2})
 
 	for seed := uint64(0); seed < seeds; seed++ {
 		a, res, _ := solved(t, graphtest.Small(seed), seed^0x1eaf)
@@ -68,15 +67,11 @@ func TestPropertyIntervalDifferential(t *testing.T) {
 			cursor += span
 		}
 
-		// Reference: each window swept independently through the scalar
-		// kernel, one single-workload batch at a time.
+		// Reference: each window's inputs re-evaluated independently
+		// through the closed forms.
 		ref := make([]*core.Result, nT)
 		for wi := 0; wi < nT; wi++ {
-			b, err := scalarRef.Sweep(res, []Workload{{Name: "solo", Inputs: w.Inputs[wi]}})
-			if err != nil {
-				t.Fatalf("seed %d: reference sweep window %d: %v", seed, wi, err)
-			}
-			ref[wi] = b.Results[0]
+			ref[wi] = reevaluated(t, res, w.Inputs[wi])
 		}
 
 		var summary IntervalSummary
@@ -93,7 +88,7 @@ func TestPropertyIntervalDifferential(t *testing.T) {
 				got, want := iw.Results[wi].AVF, ref[wi].AVF
 				for v := range got {
 					if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
-						t.Fatalf("seed %d width %d window %d vertex %d: packed lane %v != independent sweep %v (must be bit-identical)",
+						t.Fatalf("seed %d width %d window %d vertex %d: packed lane %v != reevaluate %v (must be bit-identical)",
 							seed, width, wi, v, got[v], want[v])
 					}
 				}

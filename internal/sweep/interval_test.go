@@ -56,7 +56,7 @@ func TestSweepIntervalsValidation(t *testing.T) {
 func TestSweepIntervalsShapeAndCounters(t *testing.T) {
 	reg := obs.New()
 	res, w := intervalFixture(t, 2, 5, 200)
-	eng := New(Options{Workers: 2, BlockSize: 2, Obs: reg})
+	eng := newWidth(Options{Workers: 2, Obs: reg}, 2)
 	b, err := eng.SweepIntervals(res, []IntervalWorkload{w, w})
 	if err != nil {
 		t.Fatal(err)

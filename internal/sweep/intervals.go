@@ -6,7 +6,7 @@ package sweep
 // window's inputs are one more lane in the EnvMatrix — so a T-window
 // sweep costs one plan compile plus T lane evaluations, and every
 // window's result is bit-identical to a standalone single-window sweep
-// (the kernel contract EvalBlock == Eval, lane by lane).
+// (lanes are independent: each equals Result.Reevaluate of its inputs).
 
 import (
 	"context"

@@ -33,15 +33,15 @@ func checkReduced(t *testing.T, ctxt string, sum core.Summary, nodes map[string]
 // TestPropertySummarySinkEquality is the summary sink's bit contract on
 // 200 seeded random designs: for every lane width, ragged tails
 // included, the summaries and node maps reduced straight from the
-// kernel's pair values must equal Summarize and SeqAVFByNode of the
-// scalar per-workload result — through the engine (a Compiled plan)
+// kernel's pair values must equal Summarize and SeqAVFByNode of
+// Result.Reevaluate's per-workload result — through the engine (a Compiled plan)
 // and block by block through a plan Restored from its CSR table. The
 // materializing sweep's Batch.Summaries must agree too.
 func TestPropertySummarySinkEquality(t *testing.T) {
 	const seeds = 200
 	engines := make(map[int]*Engine, len(summaryWidths))
 	for _, w := range summaryWidths {
-		engines[w] = New(Options{Workers: 2, BlockSize: w, ChunkSize: 5, CacheSize: 4})
+		engines[w] = newWidth(Options{Workers: 2, CacheSize: 4}, w)
 	}
 	for seed := uint64(0); seed < seeds; seed++ {
 		_, res, _ := solved(t, graphtest.Small(seed), seed^0x5a5a)
@@ -58,9 +58,7 @@ func TestPropertySummarySinkEquality(t *testing.T) {
 		refs := make([]*core.Result, n)
 		for i := range ws {
 			ws[i] = Workload{Name: fmt.Sprintf("w%02d", i), Inputs: randomInputs(res.Analyzer, seed*131+uint64(i))}
-			if refs[i], err = p.Eval(ws[i].Inputs, nil); err != nil {
-				t.Fatalf("seed %d: Eval: %v", seed, err)
-			}
+			refs[i] = reevaluated(t, res, ws[i].Inputs)
 		}
 		for _, width := range summaryWidths {
 			batch, err := engines[width].SweepSummariesContext(context.Background(), res, ws, true)

@@ -18,20 +18,6 @@ type Options struct {
 	// Workers bounds the evaluation goroutines. 0 uses GOMAXPROCS; 1 runs
 	// serially. Results are identical either way.
 	Workers int
-	// ChunkSize is the number of workloads one worker claims at a time
-	// (the shard granularity). 0 picks a size that gives each worker ~4
-	// claims per batch, amortizing the claim overhead while keeping the
-	// tail balanced. When the blocked kernel is active the chunk is
-	// rounded up to a multiple of BlockSize so claims shard by whole
-	// blocks and only the batch tail runs ragged.
-	ChunkSize int
-	// BlockSize is the blocked-kernel lane width: workloads evaluated
-	// together per plan traversal (Plan.EvalBlock). 0 uses
-	// DefaultBlockSize (16); 1 (or any negative value) forces the scalar
-	// per-workload path on materializing sweeps (summary sweeps run the
-	// kernel one lane wide). Results are bit-identical either way — the knob
-	// trades scratch-matrix footprint against index-traffic amortization.
-	BlockSize int
 	// CacheSize bounds the compiled-plan LRU (by design fingerprint).
 	// 0 means 8.
 	CacheSize int
@@ -64,6 +50,9 @@ type PlanStore interface {
 type Engine struct {
 	opts  Options
 	cache *planCache
+	// block is the kernel's lane width, DefaultBlockSize outside the
+	// package's own tests (which sweep other widths through it).
+	block int
 }
 
 // New returns an Engine with the given options.
@@ -71,7 +60,7 @@ func New(opts Options) *Engine {
 	if opts.CacheSize <= 0 {
 		opts.CacheSize = 8
 	}
-	return &Engine{opts: opts, cache: newPlanCache(opts.CacheSize)}
+	return &Engine{opts: opts, cache: newPlanCache(opts.CacheSize), block: DefaultBlockSize}
 }
 
 // Workload pairs a name with its measured pAVF tables.
@@ -178,8 +167,8 @@ func (e *Engine) CachedPlans() int { return e.cache.len() }
 
 // Sweep evaluates every workload through res's compiled plan. Workloads
 // are sharded into chunks claimed by a bounded worker pool; each worker
-// reuses one subterm scratch buffer across its chunk. The first workload
-// error aborts the batch.
+// runs its chunk through the blocked kernel, reusing one scratch matrix
+// across its claims. The first workload error aborts the batch.
 func (e *Engine) Sweep(res *core.Result, workloads []Workload) (*Batch, error) {
 	return e.SweepContext(context.Background(), res, workloads)
 }
@@ -207,9 +196,7 @@ func (e *Engine) SweepSummariesContext(ctx context.Context, res *core.Result, wo
 
 // sweep runs one batch through the worker pool. vectors selects the
 // materializing sink (Results plus Summaries); otherwise blocks feed
-// the summary sink (Summaries, plus Nodes when nodes is set), which
-// always runs the blocked kernel — at width 1 when BlockSize forces the
-// scalar path.
+// the summary sink (Summaries, plus Nodes when nodes is set).
 func (e *Engine) sweep(ctx context.Context, res *core.Result, workloads []Workload, vectors, nodes bool) (*Batch, error) {
 	plan, err := e.PlanContext(ctx, res)
 	if err != nil {
@@ -226,27 +213,13 @@ func (e *Engine) sweep(ctx context.Context, res *core.Result, workloads []Worklo
 	if workers < 1 {
 		workers = 1
 	}
-	block := e.opts.BlockSize
-	switch {
-	case block == 0:
-		block = DefaultBlockSize
-	case block < 1:
-		block = 1
-	}
-	blocked := block > 1 || !vectors
-	chunk := e.opts.ChunkSize
-	if chunk <= 0 {
-		chunk = (n + workers*4 - 1) / (workers * 4)
-		if chunk < 1 {
-			chunk = 1
-		}
-	}
-	if block > 1 {
-		// Shard by whole blocks: every claim except the batch tail is a
-		// multiple of the lane width, so ragged blocks appear at most
-		// once per sweep instead of once per claim.
-		chunk = (chunk + block - 1) / block * block
-	}
+	// About four claims per worker, amortizing the claim overhead while
+	// keeping the tail balanced, rounded up to whole blocks: every claim
+	// except the batch tail is a multiple of the lane width, so ragged
+	// blocks appear at most once per sweep instead of once per claim.
+	block := e.block
+	chunk := max((n+workers*4-1)/(workers*4), 1)
+	chunk = (chunk + block - 1) / block * block
 
 	output := "summary"
 	if vectors {
@@ -261,10 +234,7 @@ func (e *Engine) sweep(ctx context.Context, res *core.Result, workloads []Worklo
 	// Resolved once per batch (one registry-map lookup), observed once
 	// per kernel invocation — the per-block cost inside the worker loop
 	// is two clock reads and one histogram mutex.
-	var blockHist *obs.Histogram
-	if blocked {
-		blockHist = e.opts.Obs.FixedHistogram("sweep.block_eval_seconds", obs.LatencyBuckets)
-	}
+	blockHist := e.opts.Obs.FixedHistogram("sweep.block_eval_seconds", obs.LatencyBuckets)
 	start := time.Now()
 
 	batch := &Batch{
@@ -288,8 +258,7 @@ func (e *Engine) sweep(ctx context.Context, res *core.Result, workloads []Worklo
 	var firstErr atomic.Value // error
 	run := func() {
 		// Per-worker scratch, pooled across every claim the worker makes:
-		// the scalar path needs one subterm row, the blocked path a
-		// (NumSets + pairs) x block matrix plus the worker's own
+		// a (NumSets + pairs) x block matrix plus the worker's own
 		// EnvMatrix (its SoA buffer is reused across blocks; the per-lane
 		// environments are fresh because Results adopt them).
 		var m EnvMatrix
@@ -305,36 +274,18 @@ func (e *Engine) sweep(ctx context.Context, res *core.Result, workloads []Worklo
 			if lo >= n || firstErr.Load() != nil {
 				return
 			}
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			if blocked {
-				for b := lo; b < hi; b += block {
-					be := b + block
-					if be > hi {
-						be = hi
-					}
-					bstart := time.Now()
-					// A nil output slice turns that sink off.
-					if err := plan.evalBlock(workloads[b:be], &m, scratch,
-						sliceOut(batch.Results, b, be), batch.Summaries[b:be], sliceOut(batch.Nodes, b, be)); err != nil {
-						firstErr.CompareAndSwap(nil, err)
-						return
-					}
-					blockHist.Observe(time.Since(bstart).Seconds())
-					blocks.Add(1)
-				}
-				continue
-			}
-			for i := lo; i < hi; i++ {
-				r, err := plan.Eval(workloads[i].Inputs, scratch)
-				if err != nil {
-					firstErr.CompareAndSwap(nil, fmt.Errorf("sweep: workload %q: %w", workloads[i].Name, err))
+			hi := min(lo+chunk, n)
+			for b := lo; b < hi; b += block {
+				be := min(b+block, hi)
+				bstart := time.Now()
+				// A nil output slice turns that sink off.
+				if err := plan.evalBlock(workloads[b:be], &m, scratch,
+					sliceOut(batch.Results, b, be), batch.Summaries[b:be], sliceOut(batch.Nodes, b, be)); err != nil {
+					firstErr.CompareAndSwap(nil, err)
 					return
 				}
-				batch.Results[i] = r
-				batch.Summaries[i] = r.Summarize()
+				blockHist.Observe(time.Since(bstart).Seconds())
+				blocks.Add(1)
 			}
 		}
 	}
@@ -363,15 +314,7 @@ func (e *Engine) sweep(ctx context.Context, res *core.Result, workloads []Worklo
 	e.opts.Obs.Counter("sweep.workloads").Add(int64(n))
 	e.opts.Obs.Counter("sweep.batches").Inc()
 	e.opts.Obs.Gauge("sweep.workloads_per_sec").Set(batch.WorkloadsPerSec())
-	if blocked {
-		// Kernel telemetry: which evaluation path served the batch, how
-		// many kernel invocations it took, and the blocked throughput.
-		e.opts.Obs.Counter("sweep.workloads_blocked").Add(int64(n))
-		e.opts.Obs.Counter("sweep.block_evals").Add(blocks.Load())
-		e.opts.Obs.Gauge("sweep.kernel_workloads_per_sec").Set(batch.WorkloadsPerSec())
-	} else {
-		e.opts.Obs.Counter("sweep.workloads_scalar").Add(int64(n))
-	}
+	e.opts.Obs.Counter("sweep.block_evals").Add(blocks.Load())
 	if !vectors {
 		// Workloads served by the summary sink (no per-vertex vectors).
 		e.opts.Obs.Counter("sweep.workloads_reduced").Add(int64(n))

@@ -97,35 +97,38 @@ func TestPlanDedup(t *testing.T) {
 }
 
 // TestPlanEvalMatchesReevaluate: plan evaluation must be bit-identical to
-// Result.Reevaluate under fresh inputs.
+// Result.Reevaluate under fresh inputs, one lane per block and all lanes
+// in one block.
 func TestPlanEvalMatchesReevaluate(t *testing.T) {
 	a, res, _ := solved(t, graphtest.Default(3), 1)
 	p, err := Compile(res)
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
+	var ws []Workload
 	for seed := uint64(2); seed < 6; seed++ {
-		in := randomInputs(a, seed)
-		got, err := p.Eval(in, nil)
-		if err != nil {
-			t.Fatalf("Eval: %v", err)
+		ws = append(ws, Workload{Name: string(rune('a' + seed)), Inputs: randomInputs(a, seed)})
+	}
+	all := make([]*core.Result, len(ws))
+	if err := p.EvalBlockInto(ws, nil, nil, all); err != nil {
+		t.Fatalf("EvalBlockInto: %v", err)
+	}
+	for i, w := range ws {
+		one := make([]*core.Result, 1)
+		if err := p.EvalBlockInto(ws[i:i+1], nil, nil, one); err != nil {
+			t.Fatalf("EvalBlockInto(%s): %v", w.Name, err)
 		}
-		if err := res.Reevaluate(in); err != nil {
-			t.Fatalf("Reevaluate: %v", err)
-		}
-		for v := range got.AVF {
-			if got.AVF[v] != res.AVF[v] {
-				t.Fatalf("seed %d vertex %d: plan %v != reevaluate %v (must be bit-identical)",
-					seed, v, got.AVF[v], res.AVF[v])
-			}
-		}
+		ref := reevaluated(t, res, w.Inputs)
+		bitIdentical(t, "one lane "+w.Name, one[0].AVF, ref.AVF)
+		bitIdentical(t, "block lane "+w.Name, all[i].AVF, ref.AVF)
 	}
 }
 
 // TestPlanEvalRejectsForeignInputs: inputs naming ports the design lacks
-// must be refused, not silently defaulted.
+// must be refused, not silently defaulted, with an error naming both
+// the stray port and the workload.
 func TestPlanEvalRejectsForeignInputs(t *testing.T) {
-	_, res, in := solved(t, graphtest.Small(5), 1)
+	a, res, in := solved(t, graphtest.Small(5), 1)
 	p, err := Compile(res)
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
@@ -138,15 +141,21 @@ func TestPlanEvalRejectsForeignInputs(t *testing.T) {
 		bad.WritePorts[sp] = v
 	}
 	bad.ReadPorts[core.StructPort{Struct: "NoSuchStruct", Port: "rd"}] = 0.5
-	if _, err := p.Eval(bad, nil); err == nil {
-		t.Fatal("Eval accepted inputs for a port the design does not have")
-	} else if !strings.Contains(err.Error(), "NoSuchStruct") {
-		t.Fatalf("error does not name the stray port: %v", err)
+	ws := []Workload{{Name: "good", Inputs: randomInputs(a, 2)}, {Name: "stray", Inputs: bad}}
+	err = p.EvalBlockInto(ws, nil, nil, make([]*core.Result, len(ws)))
+	if err == nil {
+		t.Fatal("EvalBlockInto accepted inputs for a port the design does not have")
+	}
+	for _, want := range []string{"NoSuchStruct", `"stray"`} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error does not name %s: %v", want, err)
+		}
 	}
 }
 
-// TestEngineSweep: batch results must match per-workload plan evaluation,
-// align with submitted order, and survive both serial and parallel modes.
+// TestEngineSweep: batch results must match Result.Reevaluate per
+// workload, align with submitted order, and survive both serial and
+// parallel modes.
 func TestEngineSweep(t *testing.T) {
 	a, res, _ := solved(t, graphtest.Default(17), 1)
 	var ws []Workload
@@ -157,19 +166,11 @@ func TestEngineSweep(t *testing.T) {
 		})
 	}
 	ref := make([][]float64, len(ws))
-	p, err := Compile(res)
-	if err != nil {
-		t.Fatalf("Compile: %v", err)
-	}
 	for i, w := range ws {
-		r, err := p.Eval(w.Inputs, nil)
-		if err != nil {
-			t.Fatalf("Eval: %v", err)
-		}
-		ref[i] = r.AVF
+		ref[i] = reevaluated(t, res, w.Inputs).AVF
 	}
 	for _, workers := range []int{1, 4} {
-		eng := New(Options{Workers: workers, ChunkSize: 2})
+		eng := New(Options{Workers: workers})
 		batch, err := eng.Sweep(res, ws)
 		if err != nil {
 			t.Fatalf("Sweep(workers=%d): %v", workers, err)
@@ -220,7 +221,7 @@ func TestSweepContextCancel(t *testing.T) {
 		})
 	}
 	reg := obs.New()
-	eng := New(Options{Workers: 4, ChunkSize: 1, Obs: reg})
+	eng := New(Options{Workers: 4, Obs: reg})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already cancelled: every worker must bail at its first claim
 	if _, err := eng.SweepContext(ctx, res, ws); err == nil {
