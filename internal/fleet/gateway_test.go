@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,15 +15,48 @@ import (
 	"seqavf/internal/obs"
 )
 
-// stubReplica is a minimal seqavfd stand-in: it records which paths it
-// served, answers /v1/sweep with its own identity, and can be told to
-// fail with a given status.
+// stubReplica is a minimal seqavfd stand-in: it records every proxied
+// request it served, answers each with its own identity, and can be told
+// to fail /v1/sweep with a given status.
 type stubReplica struct {
 	ts       *httptest.Server
 	id       string
 	hits     atomic.Int64
 	failWith atomic.Int64 // 0 = healthy, else HTTP status to return
 	lastTP   atomic.Value // last traceparent header seen (string)
+
+	mu   sync.Mutex
+	seen []seenRequest
+}
+
+// seenRequest is what a stub replica observed of one proxied request.
+type seenRequest struct {
+	Method, URI, ContentType, Traceparent, Body string
+}
+
+// record notes a proxied request and answers it with the stub's
+// identity under status.
+func (sr *stubReplica) record(w http.ResponseWriter, r *http.Request, status int) {
+	body, _ := io.ReadAll(r.Body)
+	sr.mu.Lock()
+	sr.seen = append(sr.seen, seenRequest{
+		Method:      r.Method,
+		URI:         r.RequestURI,
+		ContentType: r.Header.Get("Content-Type"),
+		Traceparent: r.Header.Get("traceparent"),
+		Body:        string(body),
+	})
+	sr.mu.Unlock()
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	fmt.Fprintf(w, `{"served_by":%q,"echo_len":%d}`, sr.id, len(body))
+}
+
+// requests returns the proxied requests the stub has served so far.
+func (sr *stubReplica) requests() []seenRequest {
+	sr.mu.Lock()
+	defer sr.mu.Unlock()
+	return append([]seenRequest(nil), sr.seen...)
 }
 
 func newStubReplica(t *testing.T, id string) *stubReplica {
@@ -35,7 +69,7 @@ func newStubReplica(t *testing.T, id string) *stubReplica {
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "# TYPE server_sweep_ok counter\nserver_sweep_ok %d\n", sr.hits.Load())
 	})
-	mux.HandleFunc("/v1/designs", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/designs", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, `[{"name":%q,"vertices":1,"seq_bits":1}]`, "design-of-"+sr.id)
 	})
 	mux.HandleFunc("/v1/sweep", func(w http.ResponseWriter, r *http.Request) {
@@ -46,10 +80,17 @@ func newStubReplica(t *testing.T, id string) *stubReplica {
 		}
 		sr.lastTP.Store(r.Header.Get("traceparent"))
 		sr.hits.Add(1)
-		body, _ := io.ReadAll(r.Body)
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, `{"served_by":%q,"echo_len":%d}`, sr.id, len(body))
+		sr.record(w, r, http.StatusOK)
 	})
+	for pattern, status := range map[string]int{
+		"POST /v1/sweep/intervals":        http.StatusOK,
+		"POST /v1/harden":                 http.StatusOK,
+		"POST /v1/designs":                http.StatusCreated,
+		"POST /v1/designs/{name}/edit":    http.StatusOK,
+		"GET /v1/artifacts/{fingerprint}": http.StatusOK,
+	} {
+		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) { sr.record(w, r, status) })
+	}
 	sr.ts = httptest.NewServer(mux)
 	t.Cleanup(sr.ts.Close)
 	return sr
