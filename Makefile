@@ -56,8 +56,8 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzParseHardenRequest -fuzztime=10s ./internal/harden/
 
 # Coverage floors on the numerical core (solver, sweep engine, pAVF
-# closed forms); see scripts/cover.sh for the gated packages and
-# thresholds.
+# closed forms) and the fleet gateway; see scripts/cover.sh for the
+# gated packages and thresholds.
 cover:
 	GO=$(GO) ./scripts/cover.sh
 

@@ -21,9 +21,13 @@
 //	POST /v1/designs     routed to the owner, replicated to the runner-up
 //	POST /v1/designs/{name}/edit  routed to the owner, replicated likewise
 //	POST /v1/sweep       routed to the design's owner
-//	POST /v1/harden      routed to the owner; multi-budget sweeps split
-//	                     across the top-2 candidates and merge
+//	POST /v1/sweep/intervals  routed to the design's owner
+//	POST /v1/harden      routed to the design's owner
 //	GET  /v1/artifacts/{fingerprint}  routed by artifact fingerprint
+//
+// Every routed endpoint takes the same path: the request goes whole to
+// its key's owner (with failover) and the owner's response streams back
+// unchanged.
 //
 // Every proxied request carries a W3C traceparent header, so a client's
 // trace continues through the gateway into the replica's span tree.

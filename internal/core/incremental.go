@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"seqavf/internal/graph"
+	"seqavf/internal/obs"
 	"seqavf/internal/pavf"
 )
 
@@ -302,7 +303,7 @@ func (a *Analyzer) ResolveIncrementalContext(ctx context.Context, in *Inputs, pr
 	finishUp := func(r *Result) {
 		reg.Counter("solve.fubs_dirty").Add(int64(st.FubsDirty))
 		reg.Counter("solve.fubs_reused").Add(int64(st.FubsReused))
-		reg.Histogram("solve.incremental_seconds").Observe(time.Since(start).Seconds())
+		reg.FixedHistogram("solve.incremental_seconds", obs.LatencyBuckets).Observe(time.Since(start).Seconds())
 		reg.Counter("core.solves").Inc()
 		sp.SetAttr("fubs_dirty", st.FubsDirty)
 		sp.SetAttr("fubs_reused", st.FubsReused)
@@ -461,7 +462,7 @@ func (a *Analyzer) ResolveIncrementalContext(ctx context.Context, in *Inputs, pr
 		}
 		isp.SetAttr("max_delta", maxDelta)
 		isp.End()
-		reg.Histogram("core.iter_delta").Observe(maxDelta)
+		reg.FixedHistogram("core.iter_delta", iterDeltaBuckets).Observe(maxDelta)
 		if maxDelta <= a.Opts.Epsilon && !grew {
 			converged = true
 			break

@@ -10,6 +10,14 @@ import (
 	"seqavf/internal/pavf"
 )
 
+// iterDeltaBuckets is the fixed layout of the core.iter_delta histogram
+// (the largest per-vertex pAVF change of one relaxation iteration): one
+// bucket per decade from 1e-12, below the default Epsilon of 1e-9, up
+// to 1, the largest change a pAVF in [0, 1] can make.
+var iterDeltaBuckets = []float64{
+	1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1,
+}
+
 // SolvePartitioned runs the paper's operational tool flow (§5.2): the
 // design is processed one FUB at a time, each iteration performing one
 // down-walk and one up-walk per FUB against the FUBIO boundary values
@@ -136,7 +144,7 @@ func (a *Analyzer) SolvePartitioned(in *Inputs) (*Result, error) {
 		isp.SetAttr("max_delta", maxDelta)
 		isp.SetAttr("fub_avg_pavf", avg)
 		isp.End()
-		reg.Histogram("core.iter_delta").Observe(maxDelta)
+		reg.FixedHistogram("core.iter_delta", iterDeltaBuckets).Observe(maxDelta)
 		reg.Gauge("core.max_delta").Set(maxDelta)
 		if maxDelta <= a.Opts.Epsilon {
 			r.Converged = true

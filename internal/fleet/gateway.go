@@ -44,11 +44,11 @@ type Config struct {
 }
 
 // Gateway fronts a fleet of seqavfd replicas: it consistent-hash routes
-// design traffic (sweeps, uploads, edits, artifact fetches) to the
-// owning replica, fails over with backoff when the owner is dead,
-// propagates W3C trace context so a request's span tree continues
-// inside the replica, and aggregates the fleet's Prometheus
-// expositions on its own /metrics.
+// design traffic (sweeps, interval sweeps, hardening, uploads, edits,
+// artifact fetches) to the owning replica, fails over with backoff when
+// the owner is dead, propagates W3C trace context so a request's span
+// tree continues inside the replica, and aggregates the fleet's
+// Prometheus expositions on its own /metrics.
 type Gateway struct {
 	cfg    Config
 	reg    *obs.Registry
@@ -109,24 +109,29 @@ func (g *Gateway) Replicas() []string { return append([]string(nil), g.cfg.Repli
 //	GET  /metrics        — fleet-wide Prometheus exposition (merged)
 //	GET  /metrics.json   — the gateway's own obs registry snapshot
 //	GET  /v1/designs     — union of every replica's registered designs
-//	POST /v1/designs     — routed to the design's owner (netlist name),
-//	                       then replicated to the runner-up candidate
-//	POST /v1/designs/{name}/edit — routed to the owner, then replicated
-//	POST /v1/sweep       — routed to the design's owner
-//	POST /v1/harden      — routed to the owner; multi-budget sweeps are
-//	                       split across the top-2 candidates and merged
+//	POST /v1/designs     — routed by the design's name (?name= or the
+//	                       netlist's), then replicated to the runner-up
+//	POST /v1/designs/{name}/edit — routed by name, then replicated
+//	POST /v1/sweep       — routed by the envelope's design field
+//	POST /v1/sweep/intervals — routed by the envelope's design field
+//	POST /v1/harden      — routed by the envelope's design field
 //	GET  /v1/artifacts/{fingerprint} — routed by artifact fingerprint
+//
+// Every routed request goes to its key's rendezvous owner through one
+// path (proxy → forward), and the owner's response streams back
+// unchanged.
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", g.handleHealthz)
 	mux.HandleFunc("GET /metrics", g.handleMetrics)
 	mux.Handle("GET /metrics.json", g.reg.MetricsHandler())
 	mux.HandleFunc("GET /v1/designs", g.handleListDesigns)
-	mux.HandleFunc("POST /v1/designs", g.handleUpload)
-	mux.HandleFunc("POST /v1/designs/{name}/edit", g.handleEdit)
-	mux.HandleFunc("POST /v1/sweep", g.handleSweep)
-	mux.HandleFunc("POST /v1/harden", g.handleHarden)
-	mux.HandleFunc("GET /v1/artifacts/{fingerprint}", g.handleArtifact)
+	g.proxy(mux, "POST /v1/designs", "upload", "design", uploadKey, true)
+	g.proxy(mux, "POST /v1/designs/{name}/edit", "edit", "design", pathKey("name"), true)
+	g.proxy(mux, "POST /v1/sweep", "sweep", "design", designKey, false)
+	g.proxy(mux, "POST /v1/sweep/intervals", "intervals", "design", designKey, false)
+	g.proxy(mux, "POST /v1/harden", "harden", "design", designKey, false)
+	g.proxy(mux, "GET /v1/artifacts/{fingerprint}", "artifact", "fingerprint", pathKey("fingerprint"), false)
 	return mux
 }
 
@@ -212,8 +217,8 @@ func retryableStatus(code int) bool {
 // order (owner first), transport failures and retryable statuses
 // quarantine the replica and fail over to the next choice after the
 // backoff, and the first conclusive response streams back to the
-// client. key is the routing key; pathAndQuery is the upstream path;
-// body may be nil for GETs. Returns the replica that served the
+// client. key is the routing key; pathAndQuery is the upstream path and
+// query; body may be nil for GETs. Returns the replica that served the
 // conclusive response and its status code ("" and 502 when no replica
 // answered) so callers can replicate writes to the runner-up.
 func (g *Gateway) forward(ctx context.Context, w http.ResponseWriter, key, method, pathAndQuery, contentType string, body []byte) (string, int) {
@@ -236,20 +241,10 @@ func (g *Gateway) forward(ctx context.Context, w http.ResponseWriter, key, metho
 				return "", http.StatusBadGateway
 			}
 		}
-		var rd io.Reader
-		if body != nil {
-			rd = bytes.NewReader(body)
-		}
-		req, err := http.NewRequestWithContext(ctx, method, replica+pathAndQuery, rd)
+		req, err := newUpstream(ctx, method, replica+pathAndQuery, contentType, body)
 		if err != nil {
 			lastErr = err
 			continue
-		}
-		if contentType != "" {
-			req.Header.Set("Content-Type", contentType)
-		}
-		if sp != nil && !sp.TraceID().IsZero() {
-			req.Header.Set("traceparent", obs.FormatTraceparent(sp.TraceID(), sp.SpanID()))
 		}
 		resp, err := g.client.Do(req)
 		if err != nil {
@@ -287,92 +282,84 @@ func (g *Gateway) forward(ctx context.Context, w http.ResponseWriter, key, metho
 	return "", http.StatusBadGateway
 }
 
-// readBody buffers a routed request's body under the configured cap.
-func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			g.writeErr(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
-		} else {
-			g.writeErr(w, http.StatusBadRequest, "reading body: %v", err)
-		}
-		return nil, false
-	}
-	return body, true
-}
+// keyFunc derives a proxied request's routing key from the request and
+// its buffered body. A failure names the status the gateway answers.
+type keyFunc func(r *http.Request, body []byte) (key string, status int, err error)
 
-func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
-	g.reg.Counter("gateway.sweep_requests").Inc()
-	sp, ctx := g.startRequest(w, r, "/v1/sweep")
-	defer sp.End()
-	body, ok := g.readBody(w, r)
-	if !ok {
-		return
-	}
-	// Only the routing key is needed here; the owning replica re-decodes
-	// and fully validates the envelope.
+// designKey routes by the JSON envelope's design field. Only the key is
+// needed here; the owning replica re-decodes and fully validates the
+// envelope.
+func designKey(_ *http.Request, body []byte) (string, int, error) {
 	var env struct {
 		Design string `json:"design"`
 	}
 	if err := json.Unmarshal(body, &env); err != nil {
-		g.writeErr(w, http.StatusBadRequest, "decoding request: %v", err)
-		return
+		return "", http.StatusBadRequest, fmt.Errorf("decoding request: %v", err)
 	}
 	if env.Design == "" {
-		g.writeErr(w, http.StatusBadRequest, "request names no design to route by")
-		return
+		return "", http.StatusBadRequest, errors.New("request names no design to route by")
 	}
-	sp.SetAttr("design", env.Design)
-	g.forward(ctx, w, env.Design, http.MethodPost, "/v1/sweep", "application/json", body)
+	return env.Design, 0, nil
 }
 
-func (g *Gateway) handleUpload(w http.ResponseWriter, r *http.Request) {
-	g.reg.Counter("gateway.upload_requests").Inc()
-	sp, ctx := g.startRequest(w, r, "/v1/designs")
-	defer sp.End()
-	body, ok := g.readBody(w, r)
-	if !ok {
-		return
+// uploadKey routes an upload by the name the design will register
+// under: the ?name= override when present, else the netlist's own
+// design name.
+func uploadKey(r *http.Request, body []byte) (string, int, error) {
+	if name := r.URL.Query().Get("name"); name != "" {
+		return name, 0, nil
 	}
-	// The routing key is the name the design will register under: the
-	// ?name= override when present, else the netlist's own design name.
-	name := r.URL.Query().Get("name")
-	if name == "" {
-		d, err := netlist.Parse(bytes.NewReader(body))
-		if err != nil {
-			g.writeErr(w, http.StatusUnprocessableEntity, "parsing netlist to route upload: %v", err)
+	d, err := netlist.Parse(bytes.NewReader(body))
+	if err != nil {
+		return "", http.StatusUnprocessableEntity, fmt.Errorf("parsing netlist to route upload: %v", err)
+	}
+	return d.Name, 0, nil
+}
+
+// pathKey routes by a path wildcard: a design name or an artifact
+// fingerprint.
+func pathKey(wildcard string) keyFunc {
+	return func(r *http.Request, _ []byte) (string, int, error) {
+		return r.PathValue(wildcard), 0, nil
+	}
+}
+
+// proxy registers one routed endpoint on mux. Every proxied request
+// runs the same steps: count gateway.<name>_requests, open the request
+// span, buffer the body under MaxBodyBytes, derive the routing key
+// (recorded as the span attribute attr), and forward the client's
+// method, path and query to the key's rendezvous owner. With replicate
+// set, a design write the fleet accepted (2xx) is also copied to the
+// runner-up (replicateDesign).
+func (g *Gateway) proxy(mux *http.ServeMux, pattern, name, attr string, key keyFunc, replicate bool) {
+	_, endpoint, _ := strings.Cut(pattern, " ")
+	requests := g.reg.Counter("gateway." + name + "_requests")
+	mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+		requests.Inc()
+		sp, ctx := g.startRequest(w, r, endpoint)
+		defer sp.End()
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
+		var tooLarge *http.MaxBytesError
+		switch {
+		case errors.As(err, &tooLarge):
+			g.writeErr(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
+			return
+		case err != nil:
+			g.writeErr(w, http.StatusBadRequest, "reading body: %v", err)
 			return
 		}
-		name = d.Name
-	}
-	sp.SetAttr("design", name)
-	path := "/v1/designs"
-	if q := r.URL.RawQuery; q != "" {
-		path += "?" + q
-	}
-	replica, status := g.forward(ctx, w, name, http.MethodPost, path, r.Header.Get("Content-Type"), body)
-	if status >= 200 && status < 300 {
-		g.replicateDesign(ctx, replica, name, r.Header.Get("Content-Type"), body)
-	}
-}
-
-func (g *Gateway) handleEdit(w http.ResponseWriter, r *http.Request) {
-	g.reg.Counter("gateway.edit_requests").Inc()
-	name := r.PathValue("name")
-	sp, ctx := g.startRequest(w, r, "/v1/designs/{name}/edit")
-	defer sp.End()
-	sp.SetAttr("design", name)
-	body, ok := g.readBody(w, r)
-	if !ok {
-		return
-	}
-	replica, status := g.forward(ctx, w, name, http.MethodPost,
-		"/v1/designs/"+strings.ReplaceAll(name, "/", "%2F")+"/edit",
-		r.Header.Get("Content-Type"), body)
-	if status >= 200 && status < 300 {
-		g.replicateDesign(ctx, replica, name, r.Header.Get("Content-Type"), body)
-	}
+		k, status, err := key(r, body)
+		if err != nil {
+			g.writeErr(w, status, "%v", err)
+			return
+		}
+		sp.SetAttr(attr, k)
+		contentType := r.Header.Get("Content-Type")
+		replica, status := g.forward(ctx, w, k, r.Method, r.URL.RequestURI(), contentType, body)
+		if replicate && status >= 200 && status < 300 {
+			g.replicateDesign(ctx, replica, k, contentType, body)
+		}
+	})
 }
 
 // replicateDesign best-effort copies a design write that just succeeded
@@ -411,18 +398,29 @@ func (g *Gateway) replicateDesign(ctx context.Context, served, name, contentType
 	g.reg.Counter("gateway.design_fanout_total").Inc()
 }
 
-// post issues an internal POST (replication traffic) and returns the
-// status code; the response body is drained and discarded.
-func (g *Gateway) post(ctx context.Context, url, contentType string, body []byte) (int, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
+// newUpstream builds every request the gateway sends a replica. It
+// carries the client's Content-Type and the gateway span's traceparent,
+// so client → gateway → replica is one trace.
+func newUpstream(ctx context.Context, method, url, contentType string, body []byte) (*http.Request, error) {
+	req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
 	}
 	if sp := obs.SpanFromContext(ctx); sp != nil && !sp.TraceID().IsZero() {
 		req.Header.Set("traceparent", obs.FormatTraceparent(sp.TraceID(), sp.SpanID()))
+	}
+	return req, nil
+}
+
+// post issues an internal POST (replication traffic) and returns the
+// status code; the response body is drained and discarded.
+func (g *Gateway) post(ctx context.Context, url, contentType string, body []byte) (int, error) {
+	req, err := newUpstream(ctx, http.MethodPost, url, contentType, body)
+	if err != nil {
+		return 0, err
 	}
 	resp, err := g.client.Do(req)
 	if err != nil {
@@ -431,15 +429,6 @@ func (g *Gateway) post(ctx context.Context, url, contentType string, body []byte
 	defer resp.Body.Close()
 	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
 	return resp.StatusCode, nil
-}
-
-func (g *Gateway) handleArtifact(w http.ResponseWriter, r *http.Request) {
-	g.reg.Counter("gateway.artifact_requests").Inc()
-	fp := r.PathValue("fingerprint")
-	sp, ctx := g.startRequest(w, r, "/v1/artifacts/{fingerprint}")
-	defer sp.End()
-	sp.SetAttr("fingerprint", fp)
-	g.forward(ctx, w, fp, http.MethodGet, "/v1/artifacts/"+fp, "", nil)
 }
 
 // handleListDesigns unions GET /v1/designs across the fleet: with
@@ -584,7 +573,7 @@ func fanout[T any](g *Gateway, fn func(replica string) T) []T {
 
 // get fetches a URL through the gateway's client.
 func (g *Gateway) get(ctx context.Context, url string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	req, err := newUpstream(ctx, http.MethodGet, url, "", nil)
 	if err != nil {
 		return nil, err
 	}

@@ -12,12 +12,8 @@ import (
 // gateway scrapes every replica's /metrics, parses each page, and sums
 // series point-wise to serve one fleet-wide exposition: counters and
 // gauges add, and histogram _bucket/_sum/_count series add per le=
-// label — sound because every replica registers the latency histograms
-// with the identical fixed bucket layout (obs.LatencyBuckets). Exponent
-// histograms merge by bucket-bound union, which stays cumulative-
-// monotone but is only as aligned as the populated buckets; fleet
-// dashboards should read the FixedHistogram families, as documented in
-// internal/obs/prom.go.
+// label — exact because every histogram a replica exposes has a fixed
+// bucket layout (obs.FixedHistogram) that is identical on every replica.
 
 // Exposition is a parsed metrics page: typed families in input order,
 // each holding its samples in input order.

@@ -14,7 +14,7 @@ import (
 
 const (
 	// MaxBudgets bounds one request's budget sweep; a bigger sweep
-	// belongs in multiple requests (and the gateway fans even these out).
+	// belongs in multiple requests.
 	MaxBudgets = 64
 	// MaxTopTerms bounds the term-sensitivity report length.
 	MaxTopTerms = 10000

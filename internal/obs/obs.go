@@ -24,7 +24,6 @@ import (
 	"math"
 	"os"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -76,30 +75,26 @@ func (g *Gauge) Load() float64 {
 // LatencyBuckets is the shared fixed-bucket layout for latency
 // histograms observed in seconds (server.request_seconds,
 // sweep.plan_compile_seconds, sweep.block_eval_seconds,
-// artifact.restore_seconds): 500µs to 10s, roughly geometric — the
+// artifact.restore_seconds, solve.incremental_seconds): 500µs to 10s, roughly geometric — the
 // range a sweep stage can plausibly occupy. Fixed, identical bounds are
 // what let a fleet gateway sum per-replica Prometheus buckets.
 var LatencyBuckets = []float64{
 	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
-// Histogram accumulates a distribution plus count/sum/min/max. Two
-// bucket modes exist: the default power-of-two exponent buckets (no
-// configuration, unbounded range), and fixed upper-bound buckets
-// (FixedHistogram) whose stable layout is required for Prometheus
-// exposition that aggregates across processes. Observe takes a mutex:
-// use it for per-iteration or per-phase observations, not per-vertex
-// ones.
+// Histogram accumulates a distribution over fixed upper-bound buckets
+// plus count/sum/min/max. The bucket layout is fixed at registration
+// (FixedHistogram), so every process exposes identical le= series and a
+// fleet gateway can sum them exactly. Observe takes a mutex: use it for
+// per-iteration or per-phase observations, not per-vertex ones.
 type Histogram struct {
-	mu      sync.Mutex
-	count   uint64
-	sum     float64
-	min     float64
-	max     float64
-	nonpos  uint64
-	buckets map[int]uint64 // key: binary exponent e, bucket covers (2^(e-1), 2^e]
-	bounds  []float64      // fixed mode: sorted upper bounds (le); nil = exponent mode
-	fixed   []uint64       // fixed mode: non-cumulative counts per bound
+	mu     sync.Mutex
+	count  uint64
+	sum    float64
+	min    float64
+	max    float64
+	bounds []float64 // sorted upper bounds (le)
+	fixed  []uint64  // non-cumulative counts per bound
 }
 
 // Observe records one sample. Safe on nil.
@@ -117,27 +112,12 @@ func (h *Histogram) Observe(v float64) {
 	}
 	h.count++
 	h.sum += v
-	if h.bounds != nil {
-		// sort.SearchFloat64s returns len(bounds) for NaN and for samples
-		// beyond the last bound; both then count only toward the implicit
-		// +Inf bucket (count itself).
-		if i := sort.SearchFloat64s(h.bounds, v); i < len(h.fixed) {
-			h.fixed[i]++
-		}
-		return
+	// sort.SearchFloat64s returns len(bounds) for NaN and for samples
+	// beyond the last bound; both then count only toward the implicit
+	// +Inf bucket (count itself).
+	if i := sort.SearchFloat64s(h.bounds, v); i < len(h.fixed) {
+		h.fixed[i]++
 	}
-	if v <= 0 || math.IsNaN(v) {
-		h.nonpos++
-		return
-	}
-	if h.buckets == nil {
-		h.buckets = make(map[int]uint64)
-	}
-	frac, exp := math.Frexp(v) // v = frac * 2^exp, frac in [0.5, 1)
-	if frac == 0.5 {
-		exp-- // exact powers of two land in their own bucket's upper edge
-	}
-	h.buckets[exp]++
 }
 
 // Count returns the number of observations (0 on nil).
@@ -157,17 +137,9 @@ type HistogramSnapshot struct {
 	Min   float64 `json:"min"`
 	Max   float64 `json:"max"`
 	Mean  float64 `json:"mean"`
-	// Buckets maps the binary exponent e (bucket upper bound 2^e) to the
-	// number of positive samples in (2^(e-1), 2^e]. Non-positive samples
-	// appear only in Count/Sum/Min (and Nonpos). Exponent mode only.
-	Buckets map[string]uint64 `json:"buckets,omitempty"`
-	// Nonpos counts the samples excluded from exponent buckets (<= 0 or
-	// NaN); Prometheus exposition folds them into every cumulative
-	// bucket, since a non-positive sample is <= any positive bound.
-	Nonpos uint64 `json:"nonpos,omitempty"`
-	// Bounds/Counts are the fixed-bucket view (FixedHistogram): sorted
-	// upper bounds and the non-cumulative sample count per bound.
-	// Samples beyond the last bound appear only in Count.
+	// Bounds/Counts are the sorted upper bounds and the non-cumulative
+	// sample count per bound. Samples beyond the last bound appear only
+	// in Count.
 	Bounds []float64 `json:"bounds,omitempty"`
 	Counts []uint64  `json:"bucket_counts,omitempty"`
 }
@@ -175,19 +147,16 @@ type HistogramSnapshot struct {
 func (h *Histogram) snapshot() HistogramSnapshot {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	s := HistogramSnapshot{Count: h.count, Sum: h.sum, Min: h.min, Max: h.max, Nonpos: h.nonpos}
+	s := HistogramSnapshot{
+		Count:  h.count,
+		Sum:    h.sum,
+		Min:    h.min,
+		Max:    h.max,
+		Bounds: append([]float64(nil), h.bounds...),
+		Counts: append([]uint64(nil), h.fixed...),
+	}
 	if h.count > 0 {
 		s.Mean = h.sum / float64(h.count)
-	}
-	if len(h.buckets) > 0 {
-		s.Buckets = make(map[string]uint64, len(h.buckets))
-		for e, n := range h.buckets {
-			s.Buckets[strconv.Itoa(e)] = n
-		}
-	}
-	if h.bounds != nil {
-		s.Bounds = append([]float64(nil), h.bounds...)
-		s.Counts = append([]uint64(nil), h.fixed...)
 	}
 	return s
 }
@@ -247,27 +216,10 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the named histogram, creating it on first use.
-func (r *Registry) Histogram(name string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = &Histogram{}
-		r.hists[name] = h
-	}
-	return h
-}
-
-// FixedHistogram returns the named histogram configured with fixed
-// upper-bound buckets (typically LatencyBuckets), creating it on first
-// use. Bounds must be sorted ascending. If the name already exists as
-// an exponent-mode histogram with no observations yet, it is converted;
-// an already-observed histogram keeps its existing layout (first
-// registration wins — a stable layout is the point of fixed buckets).
+// FixedHistogram returns the named histogram with fixed upper-bound
+// buckets (typically LatencyBuckets), creating it on first use. Bounds
+// must be sorted ascending. The first registration's layout wins: a
+// stable layout is what lets expositions merge across processes.
 func (r *Registry) FixedHistogram(name string, bounds []float64) *Histogram {
 	if r == nil {
 		return nil
@@ -276,15 +228,9 @@ func (r *Registry) FixedHistogram(name string, bounds []float64) *Histogram {
 	defer r.mu.Unlock()
 	h, ok := r.hists[name]
 	if !ok {
-		h = &Histogram{}
+		h = &Histogram{bounds: append([]float64(nil), bounds...), fixed: make([]uint64, len(bounds))}
 		r.hists[name] = h
 	}
-	h.mu.Lock()
-	if h.bounds == nil && h.count == 0 {
-		h.bounds = append([]float64(nil), bounds...)
-		h.fixed = make([]uint64, len(h.bounds))
-	}
-	h.mu.Unlock()
 	return h
 }
 

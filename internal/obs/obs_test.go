@@ -24,7 +24,7 @@ func TestCounterConcurrent(t *testing.T) {
 				c.Inc()
 			}
 			reg.Gauge("last").Set(float64(perWorker))
-			reg.Histogram("obs").Observe(1.5)
+			reg.FixedHistogram("obs", LatencyBuckets).Observe(1.5)
 		}()
 	}
 	wg.Wait()
@@ -34,7 +34,7 @@ func TestCounterConcurrent(t *testing.T) {
 	if got := reg.Gauge("last").Load(); got != perWorker {
 		t.Fatalf("gauge = %v, want %v", got, float64(perWorker))
 	}
-	if got := reg.Histogram("obs").Count(); got != workers {
+	if got := reg.FixedHistogram("obs", LatencyBuckets).Count(); got != workers {
 		t.Fatalf("histogram count = %d, want %d", got, workers)
 	}
 }
@@ -105,8 +105,8 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	reg.SetManifest("seed", 42.0)
 	reg.Counter("core.union_ops").Add(123)
 	reg.Gauge("core.max_delta").Set(0.25)
-	reg.Histogram("core.iter_delta").Observe(0.5)
-	reg.Histogram("core.iter_delta").Observe(2.0)
+	reg.FixedHistogram("core.iter_delta", []float64{1, 2}).Observe(0.5)
+	reg.FixedHistogram("core.iter_delta", []float64{1, 2}).Observe(2.0)
 	sp := reg.StartSpan("solve")
 	sp.SetAttr("converged", true)
 	sp.Child("fwd").End()
@@ -133,9 +133,9 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	if h.Count != 2 || h.Sum != 2.5 || h.Min != 0.5 || h.Max != 2.0 || h.Mean != 1.25 {
 		t.Fatalf("histogram = %+v", h)
 	}
-	// 0.5 lands in bucket (0.25, 0.5] => exponent -1; 2.0 in (1, 2] => 1.
-	if h.Buckets["-1"] != 1 || h.Buckets["1"] != 1 {
-		t.Fatalf("buckets = %v", h.Buckets)
+	// 0.5 lands in bucket le=1; 2.0 in le=2 (bounds are inclusive).
+	if len(h.Bounds) != 2 || h.Bounds[0] != 1 || h.Bounds[1] != 2 || len(h.Counts) != 2 || h.Counts[0] != 1 || h.Counts[1] != 1 {
+		t.Fatalf("bounds = %v, counts = %v", h.Bounds, h.Counts)
 	}
 	if len(got.Spans) != 1 || got.Spans[0].Name != "solve" {
 		t.Fatalf("spans = %+v", got.Spans)
@@ -161,7 +161,7 @@ func TestNilSafety(t *testing.T) {
 	if reg.Gauge("g").Load() != 0 {
 		t.Fatal("nil gauge loaded non-zero")
 	}
-	reg.Histogram("h").Observe(1)
+	reg.FixedHistogram("h", LatencyBuckets).Observe(1)
 	reg.SetManifest("k", "v")
 	reg.SetSink(Discard)
 	sp := reg.StartSpan("root")

@@ -5,23 +5,18 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"sort"
 	"strconv"
 )
 
 // Prometheus text exposition (format version 0.0.4) of the registry.
 // This is the scrape surface a fleet gateway aggregates: counters and
 // gauges sum/average trivially across replicas, and the fixed-bucket
-// latency histograms (LatencyBuckets) expose identical le= layouts on
-// every process, so per-replica _bucket series add up to fleet-level
-// quantile estimates.
+// histograms expose identical le= layouts on every process, so
+// per-replica _bucket series add up to fleet-level quantile estimates.
 //
 // Metric names translate by replacing every character outside
 // [a-zA-Z0-9_:] with '_': "server.request_seconds" scrapes as
-// "server_request_seconds". Exponent-mode histograms (the default
-// Histogram) are rendered with their power-of-two upper bounds, which
-// are valid cumulative buckets but process-local; fleet-aggregated
-// latencies should come from FixedHistogram metrics.
+// "server_request_seconds".
 
 // PromContentType is the Content-Type of the text exposition format.
 const PromContentType = "text/plain; version=0.0.4; charset=utf-8"
@@ -60,10 +55,9 @@ func writePromHistogram(w io.Writer, pn string, h HistogramSnapshot) error {
 	if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", pn); err != nil {
 		return err
 	}
-	bounds, counts := promBuckets(h)
 	var cum uint64
-	for i, le := range bounds {
-		cum += counts[i]
+	for i, le := range h.Bounds {
+		cum += h.Counts[i]
 		if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", pn, promFloat(le), cum); err != nil {
 			return err
 		}
@@ -73,41 +67,6 @@ func writePromHistogram(w io.Writer, pn string, h HistogramSnapshot) error {
 	}
 	_, err := fmt.Fprintf(w, "%s_sum %s\n%s_count %d\n", pn, promFloat(h.Sum), pn, h.Count)
 	return err
-}
-
-// promBuckets returns the non-cumulative (bound, count) series for a
-// histogram snapshot. Fixed-bucket histograms expose their configured
-// bounds verbatim. Exponent-mode histograms expose the 2^e upper bound
-// of each populated bucket, with non-positive samples folded into the
-// smallest bucket (a sample <= 0 is <= any positive bound, so every
-// cumulative bucket must include it).
-func promBuckets(h HistogramSnapshot) (bounds []float64, counts []uint64) {
-	if h.Bounds != nil {
-		return h.Bounds, h.Counts
-	}
-	if len(h.Buckets) == 0 && h.Nonpos == 0 {
-		return nil, nil
-	}
-	exps := make([]int, 0, len(h.Buckets))
-	for k := range h.Buckets {
-		e, err := strconv.Atoi(k)
-		if err != nil {
-			continue
-		}
-		exps = append(exps, e)
-	}
-	sort.Ints(exps)
-	if h.Nonpos > 0 {
-		// A dedicated le="0" bucket holds the non-positive samples; the
-		// cumulative sum then carries them through every later bucket.
-		bounds = append(bounds, 0)
-		counts = append(counts, h.Nonpos)
-	}
-	for _, e := range exps {
-		bounds = append(bounds, math.Ldexp(1, e))
-		counts = append(counts, h.Buckets[strconv.Itoa(e)])
-	}
-	return bounds, counts
 }
 
 // promFloat renders a float in the exposition format's value syntax.

@@ -109,36 +109,6 @@ func TestWritePromFixedHistogram(t *testing.T) {
 	}
 }
 
-// TestWritePromExponentHistogram: default histograms expose power-of-two
-// bounds with non-positive samples folded into an le="0" bucket.
-func TestWritePromExponentHistogram(t *testing.T) {
-	reg := New()
-	h := reg.Histogram("core.iter_delta")
-	for _, v := range []float64{-1, 0, 0.5, 2, 2} {
-		h.Observe(v)
-	}
-	var buf bytes.Buffer
-	if err := reg.WriteProm(&buf); err != nil {
-		t.Fatalf("WriteProm: %v", err)
-	}
-	samples := parseProm(t, buf.String())
-	buckets := samples["core_iter_delta_bucket"]
-	want := []string{
-		`core_iter_delta_bucket{le="0"} 2`,
-		`core_iter_delta_bucket{le="0.5"} 3`,
-		`core_iter_delta_bucket{le="2"} 5`,
-		`core_iter_delta_bucket{le="+Inf"} 5`,
-	}
-	if len(buckets) != len(want) {
-		t.Fatalf("buckets = %v, want %v", buckets, want)
-	}
-	for i := range want {
-		if buckets[i] != want[i] {
-			t.Fatalf("bucket[%d] = %q, want %q", i, buckets[i], want[i])
-		}
-	}
-}
-
 func TestPromName(t *testing.T) {
 	cases := map[string]string{
 		"server.request_seconds": "server_request_seconds",

@@ -30,8 +30,8 @@ func waitForCount(t testing.TB, what string, fn func() bool) {
 }
 
 // TestFleetHardenThroughGateway drives POST /v1/harden end to end
-// through the gateway: a multi-budget sweep must split across the top-2
-// candidates, merge back in request order, and survive a concurrent
+// through the gateway: a multi-budget sweep must reach the design's
+// owner whole, come back in request order, and survive a concurrent
 // burst under the race detector.
 func TestFleetHardenThroughGateway(t *testing.T) {
 	res := solvedDesign(t, 93)
@@ -50,15 +50,15 @@ func TestFleetHardenThroughGateway(t *testing.T) {
 	}
 	var hr harden.Response
 	if err := json.Unmarshal(raw, &hr); err != nil {
-		t.Fatalf("bad merged response: %v\n%s", err, raw)
+		t.Fatalf("bad response: %v\n%s", err, raw)
 	}
 	if hr.Design != names[0] || len(hr.Plans) != len(budgets) {
-		t.Fatalf("merged response %q with %d plans, want %q/%d: %s",
+		t.Fatalf("response %q with %d plans, want %q/%d: %s",
 			hr.Design, len(hr.Plans), names[0], len(budgets), raw)
 	}
 	for i, p := range hr.Plans {
 		if p.Budget != budgets[i] {
-			t.Errorf("plan %d has budget %v, want %v (merge must preserve request order)", i, p.Budget, budgets[i])
+			t.Errorf("plan %d has budget %v, want %v (plans must keep request order)", i, p.Budget, budgets[i])
 		}
 		if len(p.Chosen) == 0 {
 			t.Errorf("plan %d chose nothing", i)
@@ -71,17 +71,24 @@ func TestFleetHardenThroughGateway(t *testing.T) {
 		t.Errorf("unbounded budget left residual %v", last.ResidualChipAVF)
 	}
 	if len(hr.TopTerms) == 0 {
-		t.Error("merged response dropped top_terms")
+		t.Error("response dropped top_terms")
 	}
 	if got := gwReg.Counter("gateway.harden_requests").Load(); got != 1 {
 		t.Errorf("gateway.harden_requests = %d, want 1", got)
 	}
-	if got := gwReg.Counter("gateway.harden_fanout_total").Load(); got != 1 {
-		t.Errorf("gateway.harden_fanout_total = %d, want 1", got)
+	// names[0] is owned by reps[0]: only the owner planned the request.
+	for i, r := range reps {
+		want := int64(0)
+		if i == 0 {
+			want = 1
+		}
+		if got := r.reg.Counter("harden.ok").Load(); got != want {
+			t.Errorf("replica %d harden.ok = %d, want %d", i, got, want)
+		}
 	}
 
 	// Concurrent burst: every request must come back 200 (retrying only
-	// 429 backpressure), exercising the fan-out path under -race.
+	// 429 backpressure), exercising the routed path under -race.
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for i := 0; i < 8; i++ {
@@ -110,6 +117,45 @@ func TestFleetHardenThroughGateway(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// BenchmarkFleetHarden times the eco_loop-shaped harden request (16
+// pAVF tables, budgets 64/256/1024/4096, greedy, top_terms 16) on the
+// XeonLike design, sent through a gateway fronting two replicas that
+// both hold the design.
+func BenchmarkFleetHarden(b *testing.B) {
+	reps := newFleetReplicas(b, 2, 4, 0, nil)
+	_, gwReg, gwTS := newGateway(b, replicaURLs(reps))
+	gen, err := design.Generate(design.DefaultConfig(2027))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var nl bytes.Buffer
+	if err := netlist.Write(&nl, gen.Design); err != nil {
+		b.Fatal(err)
+	}
+	name := gen.Design.Name
+	if resp, raw := postJSON(b, http.DefaultClient, gwTS.URL+"/v1/designs", nl.Bytes()); resp.StatusCode != http.StatusCreated {
+		b.Fatalf("upload via gateway: status %d: %s", resp.StatusCode, raw)
+	}
+	waitForCount(b, "upload replication", func() bool {
+		return gwReg.Counter("gateway.design_fanout_total").Load() == 1
+	})
+	res := reps[0].srv.Design(name).Result
+	req := harden.Request{Design: name, Budgets: []float64{64, 256, 1024, 4096}, Solver: "greedy", TopTerms: 16}
+	for i := 0; i < 16; i++ {
+		req.Workloads = append(req.Workloads, harden.Workload{Name: fmt.Sprintf("h%02d", i), PAVF: pavfText(b, res, uint64(500+i))})
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if resp, raw := postJSON(b, http.DefaultClient, gwTS.URL+"/v1/harden", body); resp.StatusCode != http.StatusOK {
+			b.Fatalf("harden via gateway: status %d: %s", resp.StatusCode, raw)
+		}
 	}
 }
 

@@ -24,7 +24,6 @@ var metricNameRE = regexp.MustCompile(`^[a-z][a-z0-9]*\.[a-z][a-z0-9_]*$`)
 var metricKind = map[string]string{
 	"Counter":        "counter",
 	"Gauge":          "gauge",
-	"Histogram":      "histogram",
 	"FixedHistogram": "histogram",
 }
 

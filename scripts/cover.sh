@@ -4,10 +4,13 @@
 # kernel, the pAVF closed forms, the ACE lifetime model with its window
 # emission, the pAVF table parsers, and the hardening optimizer's
 # gradient + knapsack solvers) must keep statement coverage above
-# fixed floors. Floors are set below current coverage (sweep ~82%,
-# pavf ~85%, harden ~86%, ace ~93%, pavfio ~93% when gated) so routine
-# changes pass, but a PR that lands substantial untested kernel code
-# trips the gate. Exits non-zero naming every package under its floor.
+# fixed floors. The fleet gateway is gated too: its route contract
+# (routing, failover, replication, ingest faults) is what lets a fleet
+# stand in for one seqavfd. Floors are set below current coverage
+# (sweep ~82%, pavf ~85%, harden ~86%, ace ~93%, pavfio ~93% when gated,
+# fleet ~90%) so routine changes pass, but a PR that lands substantial
+# untested code trips the gate. Exits non-zero naming every package
+# under its floor.
 set -eu
 
 GO=${GO:-go}
@@ -20,6 +23,7 @@ internal/pavf 78.0
 internal/pavfio 80.0
 internal/ace 75.0
 internal/harden 78.0
+internal/fleet 85.0
 "
 
 fail=0
