@@ -28,7 +28,6 @@ import (
 	"seqavf/internal/obs"
 	"seqavf/internal/pavf"
 	"seqavf/internal/pavfio"
-	"seqavf/internal/ser"
 	"seqavf/internal/sfi"
 	"seqavf/internal/stats"
 	"seqavf/internal/sweep"
@@ -277,24 +276,6 @@ func BenchmarkAblationBitFieldAnalysis(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkHardeningPlan times the mitigation planning pass (§1's
-// deployment decision) on the XeonLike design.
-func BenchmarkHardeningPlan(b *testing.B) {
-	e := env(b)
-	res, err := e.Analyzer.Solve(e.AvgInputs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	fit := ser.DefaultFITParams()
-	hp := ser.DefaultHardeningParams()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ser.PlanHardening(res, fit, hp, 0.3); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

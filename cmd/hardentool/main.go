@@ -20,7 +20,9 @@
 // -costs points at a JSON object mapping "FUB/node" keys to positive
 // protection costs; unlisted nodes default to their bit width. With
 // -artifacts DIR the solve warm-starts from the content-addressed store
-// and the term-sensitivity vector is cached as a .sens artifact.
+// and the term-sensitivity vector is cached as a .sens artifact. The
+// report is a harden.Response: the planning itself is harden.Run, the
+// pipeline POST /v1/harden runs.
 package main
 
 import (
@@ -76,19 +78,6 @@ func main() {
 		err = ob.Finish()
 	}
 	cliutil.Exit("hardentool", err)
-}
-
-// report is the JSON document hardentool emits.
-type report struct {
-	Design      string                   `json:"design"`
-	Workloads   []string                 `json:"workloads"`
-	SeqBits     int                      `json:"seq_bits"`
-	Candidates  int                      `json:"candidates"`
-	BaseChipAVF float64                  `json:"base_chip_avf"`
-	SensCache   string                   `json:"sens_cache,omitempty"`
-	Plans       []*harden.Protection     `json:"plans"`
-	TopTerms    []harden.TermSensitivity `json:"top_terms,omitempty"`
-	ElapsedMS   float64                  `json:"elapsed_ms"`
 }
 
 func parseBudgets(s string) ([]float64, error) {
@@ -211,106 +200,29 @@ func run(reg *obs.Registry, arts *cliutil.Artifacts, nlPath, pavfFile, dir, glob
 	}
 
 	engOpts := sweep.Options{Workers: workers, Obs: reg}
+	var sens harden.SensStore
 	if st != nil {
 		engOpts.Store = st
+		sens = st
 	}
 	eng := sweep.New(engOpts)
 
-	// The optimization substrate: the solved result when one workload is
-	// given, else a shallow copy carrying the mean AVF (and mean env)
-	// across all of them — the same aggregation POST /v1/harden applies.
-	agg := res
-	env, err := a.CheckedEnv(res.Inputs)
-	if err != nil {
-		return err
-	}
 	names := make([]string, len(named))
+	ws := make([]sweep.Workload, len(named))
 	for i, ni := range named {
 		names[i] = ni.Name
+		ws[i] = sweep.Workload{Name: ni.Name, Inputs: ni.Inputs}
 	}
-	if len(named) > 1 {
-		ws := make([]sweep.Workload, len(named))
-		for i, ni := range named {
-			ws[i] = sweep.Workload{Name: ni.Name, Inputs: ni.Inputs}
-		}
-		batch, err := eng.SweepContext(ctx, res, ws)
-		if err != nil {
-			return err
-		}
-		mean := make([]float64, len(res.AVF))
-		for _, r := range batch.Results {
-			for v, x := range r.AVF {
-				mean[v] += x
-			}
-		}
-		envSum := make([]float64, len(env))
-		for _, ni := range named {
-			wenv, err := a.CheckedEnv(ni.Inputs)
-			if err != nil {
-				return err
-			}
-			for t, x := range wenv {
-				envSum[t] += x
-			}
-		}
-		n := float64(len(named))
-		for v := range mean {
-			mean[v] /= n
-		}
-		for t := range envSum {
-			env[t] = envSum[t] / n
-		}
-		cp := *res
-		cp.AVF = mean
-		agg = &cp
+	if len(ws) == 1 {
+		// The solve already ran under the one table: plan on it as is.
+		ws = nil
 	}
-
-	model, err := harden.NewModel(agg, costs)
+	req := &harden.Request{Design: d.Name, Budgets: budgets, Solver: solver, Costs: costs, TopTerms: topTerms}
+	rep, err := harden.Run(ctx, eng, res, ws, req, sens, reg)
 	if err != nil {
 		return err
 	}
-	osp := root.Child("harden.optimize")
-	plans, err := model.Sweep(budgets, solver)
-	osp.SetAttr("budgets", len(budgets))
-	osp.End()
-	if err != nil {
-		return err
-	}
-
-	rep := report{
-		Design:      d.Name,
-		Workloads:   names,
-		SeqBits:     model.SeqBits(),
-		Candidates:  len(model.Candidates()),
-		BaseChipAVF: model.Base().WeightedSeqAVF,
-		Plans:       plans,
-	}
-	if topTerms > 0 {
-		plan, err := eng.PlanContext(ctx, res)
-		if err != nil {
-			return err
-		}
-		var sens harden.SensStore
-		if st != nil {
-			sens = st
-		}
-		vec, hit, err := harden.CachedTermDerivs(plan, env, sens)
-		if err != nil {
-			return err
-		}
-		if st != nil {
-			if hit {
-				rep.SensCache = "hit"
-			} else {
-				rep.SensCache = "miss"
-			}
-		}
-		ranked := harden.RankDerivs(a.Universe(), vec.Deriv)
-		if len(ranked) > topTerms {
-			ranked = ranked[:topTerms]
-		}
-		rep.TopTerms = ranked
-	}
+	rep.Workloads = names
 	rep.ElapsedMS = float64(time.Since(start).Microseconds()) / 1e3
 
 	w := os.Stdout
@@ -332,12 +244,12 @@ func run(reg *obs.Registry, arts *cliutil.Artifacts, nlPath, pavfFile, dir, glob
 		return err
 	}
 	if csvOut != "" {
-		if err := writeCSV(csvOut, plans); err != nil {
+		if err := writeCSV(csvOut, rep.Plans); err != nil {
 			return err
 		}
 	}
 	fmt.Fprintf(os.Stderr, "hardentool: %d candidates over %d seq bits, %d budgets, base chip AVF %.6f\n",
-		rep.Candidates, rep.SeqBits, len(plans), rep.BaseChipAVF)
+		rep.Candidates, rep.SeqBits, len(rep.Plans), rep.BaseChipAVF)
 	return nil
 }
 

@@ -283,7 +283,7 @@ func TestConvergenceScalingLaw(t *testing.T) {
 
 func TestHardeningStudy(t *testing.T) {
 	env := sharedEnv(t)
-	r, err := Hardening(env, []float64{0.2, 0.5})
+	r, err := Hardening(env, []float64{0.2, 0.3, 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,10 +295,42 @@ func TestHardeningStudy(t *testing.T) {
 			t.Fatalf("guided plan (%v bits) not cheaper than uniform (%v)",
 				p.GuidedBitsFrac, p.RandomBitsFrac)
 		}
+		if p.HardenedBits == 0 || p.HardenedBits >= p.SeqBits {
+			t.Fatalf("target %v hardened %d of %d bits", p.Target, p.HardenedBits, p.SeqBits)
+		}
+		// AVF-guided selection beats uniform selection of the same bit
+		// count, whose expected FIT has a closed form.
+		uniform := p.BaseFIT * (1 - p.GuidedBitsFrac*(1-r.Params.RateFactor))
+		if p.PlannedFIT >= uniform {
+			t.Fatalf("guided plan (%v FIT) not better than uniform (%v)", p.PlannedFIT, uniform)
+		}
+		// Selection is ordered by descending average SDC AVF.
+		for i := 1; i < len(p.Nodes); i++ {
+			a, b := p.Nodes[i-1], p.Nodes[i]
+			if b.Gain/float64(b.Bits) > a.Gain/float64(a.Bits)+1e-12 {
+				t.Fatalf("target %v plan not sorted by AVF at %s", p.Target, b.Key)
+			}
+		}
 	}
 	// More ambitious targets need more bits.
-	if r.Points[1].GuidedBitsFrac <= r.Points[0].GuidedBitsFrac {
-		t.Fatal("bit cost did not grow with target")
+	for i := 1; i < len(r.Points); i++ {
+		if r.Points[i].GuidedBitsFrac <= r.Points[i-1].GuidedBitsFrac {
+			t.Fatal("bit cost did not grow with target")
+		}
+	}
+	// Hardening a high-AVF node saves proportionally more: the guided
+	// plan's bits are a small fraction for a 30% cut.
+	if frac := r.Points[1].GuidedBitsFrac; frac > 0.35 {
+		t.Fatalf("needed %.0f%% of bits for a 30%% reduction — AVF ranking not helping", 100*frac)
+	}
+
+	if _, err := Hardening(env, []float64{0}); err == nil {
+		t.Fatal("zero target accepted")
+	}
+	bad := hardenedCell
+	bad.RateFactor = 1.0
+	if _, err := hardeningStudy(env, bad, []float64{0.5}); err == nil {
+		t.Fatal("useless rate factor accepted")
 	}
 }
 

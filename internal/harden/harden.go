@@ -16,8 +16,8 @@
 //   - Node level (the optimizer's candidates): every sequential node
 //     ("fub/node", the unit a hardened cell swap protects) with its AVF
 //     mass — the sum of its bits' AVFs, i.e. N_seq · ∂chipAVF/∂(protect
-//     node). Node masses are additive across disjoint nodes, so greedy
-//     with lazy re-evaluation, an exact DP knapsack, and brute-force
+//     node). Node masses are additive across disjoint nodes, so a
+//     density-ranked greedy, an exact DP knapsack, and brute-force
 //     enumeration all apply and can be cross-checked.
 //   - Term level (diagnostics): ∂chipAVF/∂env[t] for every pAVF source
 //     term, computed analytically from the compiled CSR plan structure
@@ -152,22 +152,6 @@ func (m *Model) Residual(chosen []int) core.Summary {
 	masked := *m.res
 	masked.AVF = avf
 	return masked.Summarize()
-}
-
-// marginalGain returns the AVF mass removed by additionally protecting
-// candidate ci given the bits already protected. Candidates partition
-// the sequential bits, so with disjoint nodes this equals the cached
-// Gain; the recomputation is what makes the greedy's lazy re-evaluation
-// honest (and keeps it correct if overlapping candidate sets ever
-// appear).
-func (m *Model) marginalGain(ci int, protected []bool) float64 {
-	g := 0.0
-	for _, v := range m.verts[ci] {
-		if !protected[v] {
-			g += m.res.AVF[v]
-		}
-	}
-	return g
 }
 
 // Protection is one budget point's plan: the selected nodes ranked by

@@ -2,13 +2,12 @@
 // partition the sequential bits), so the problem is a 0/1 knapsack:
 // maximize removed AVF mass subject to Σ cost ≤ budget.
 //
-//   - "greedy": density-ordered greedy with lazy re-evaluation (CELF):
-//     marginal gains are recomputed against the current selection when an
-//     entry surfaces, and a stale entry is pushed back rather than
-//     trusted. With disjoint nodes the recomputed gain equals the cached
-//     one, but the structure is what keeps the solver correct under
-//     overlapping candidate sets. The classic best-single-item
-//     refinement gives the standard 1/2-approximation guarantee.
+//   - "greedy": one pass over the candidates in descending gain/cost
+//     density. Candidates partition the sequential bits, so a node's
+//     marginal gain is its cached Gain whatever else is chosen, and the
+//     ranking never changes during the pass. The classic
+//     best-single-item refinement gives the standard 1/2-approximation
+//     guarantee.
 //   - "dp": exact dynamic-programming knapsack over integer-quantized
 //     costs — the right answer for small designs, refused (or skipped by
 //     "auto") when the DP table would not fit.
@@ -18,7 +17,6 @@
 package harden
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -85,8 +83,7 @@ func (m *Model) Optimize(budget float64, solver string) (*Protection, error) {
 }
 
 // Sweep solves every budget point with one shared model — the budget
-// sweep the CLI and the /v1/harden endpoint expose, and the fan-out unit
-// the gateway splits across the fleet.
+// sweep Run answers for the CLI and the /v1/harden endpoint.
 func (m *Model) Sweep(budgets []float64, solver string) ([]*Protection, error) {
 	out := make([]*Protection, len(budgets))
 	for i, b := range budgets {
@@ -99,92 +96,42 @@ func (m *Model) Sweep(budgets []float64, solver string) ([]*Protection, error) {
 	return out, nil
 }
 
-// lazyEntry is one candidate in the greedy's priority queue.
-type lazyEntry struct {
-	idx   int
-	gain  float64 // marginal gain when last evaluated
-	round int     // selection round the gain was evaluated in
-}
-
-type lazyQueue struct {
-	entries []lazyEntry
-	cands   []Candidate
-}
-
-func (q *lazyQueue) Len() int { return len(q.entries) }
-func (q *lazyQueue) Less(i, j int) bool {
-	a, b := q.entries[i], q.entries[j]
-	da, db := a.gain/q.cands[a.idx].Cost, b.gain/q.cands[b.idx].Cost
-	if da != db {
-		return da > db
-	}
-	// Deterministic tie-break: candidate order (vertex order).
-	return a.idx < b.idx
-}
-func (q *lazyQueue) Swap(i, j int) { q.entries[i], q.entries[j] = q.entries[j], q.entries[i] }
-func (q *lazyQueue) Push(x any)    { q.entries = append(q.entries, x.(lazyEntry)) }
-func (q *lazyQueue) Pop() any {
-	old := q.entries
-	n := len(old)
-	x := old[n-1]
-	q.entries = old[:n-1]
-	return x
-}
-
-// greedy is density-ordered selection with lazy re-evaluation: the top
-// entry's marginal gain is recomputed against the current selection
-// when its cached value is stale; if it no longer dominates the next
-// entry it is re-queued instead of selected. Entries that exceed the
-// remaining budget are dropped and the scan continues with smaller
-// candidates. The best single affordable item is kept as a fallback —
-// the refinement that upgrades density-greedy to the standard knapsack
+// greedy walks the affordable candidates in descending gain/cost
+// density (ties broken by candidate index, i.e. vertex order), taking
+// each one that still fits the remaining budget and skipping the rest.
+// The best single affordable item is kept as a fallback — the
+// refinement that upgrades density-greedy to the standard knapsack
 // 1/2-approximation.
 func (m *Model) greedy(budget float64) []int {
-	q := &lazyQueue{cands: m.cands}
+	order := make([]int, 0, len(m.cands))
 	bestSingle, bestSingleGain := -1, 0.0
 	for i, c := range m.cands {
-		if c.Cost <= 0 || c.Gain <= 0 {
+		if c.Gain <= 0 || c.Cost > budget {
 			continue
 		}
-		if c.Cost <= budget {
-			q.entries = append(q.entries, lazyEntry{idx: i, gain: c.Gain})
-			if c.Gain > bestSingleGain {
-				bestSingle, bestSingleGain = i, c.Gain
-			}
+		order = append(order, i)
+		if c.Gain > bestSingleGain {
+			bestSingle, bestSingleGain = i, c.Gain
 		}
 	}
-	heap.Init(q)
+	sort.Slice(order, func(a, b int) bool {
+		da, db := m.cands[order[a]].Density(), m.cands[order[b]].Density()
+		if da != db {
+			return da > db
+		}
+		return order[a] < order[b]
+	})
 
-	protected := make([]bool, len(m.res.AVF))
 	var chosen []int
-	total := 0.0
-	remaining, round := budget, 0
-	for q.Len() > 0 {
-		e := heap.Pop(q).(lazyEntry)
-		if m.cands[e.idx].Cost > remaining {
+	total, remaining := 0.0, budget
+	for _, ci := range order {
+		c := m.cands[ci]
+		if c.Cost > remaining {
 			continue
 		}
-		if e.round != round {
-			e.gain = m.marginalGain(e.idx, protected)
-			e.round = round
-			if e.gain <= 0 {
-				continue
-			}
-			if q.Len() > 0 {
-				top := q.entries[0]
-				if e.gain/m.cands[e.idx].Cost < top.gain/m.cands[top.idx].Cost {
-					heap.Push(q, e)
-					continue
-				}
-			}
-		}
-		chosen = append(chosen, e.idx)
-		total += e.gain
-		remaining -= m.cands[e.idx].Cost
-		for _, v := range m.verts[e.idx] {
-			protected[v] = true
-		}
-		round++
+		chosen = append(chosen, ci)
+		total += c.Gain
+		remaining -= c.Cost
 	}
 	if bestSingle >= 0 && bestSingleGain > total {
 		return []int{bestSingle}

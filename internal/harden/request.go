@@ -1,15 +1,22 @@
-// Wire types for POST /v1/harden and cmd/hardentool: a strict JSON
-// request parser (unknown fields, non-finite numbers, and out-of-range
-// budgets are rejected with field-level errors — the fuzz target's
-// contract) and the response shape both ends share.
+// The harden request path POST /v1/harden and cmd/hardentool share: a
+// strict JSON request parser (unknown fields, non-finite numbers, and
+// out-of-range budgets are rejected with field-level errors — the fuzz
+// target's contract), the response shape both ends emit, and Run, the
+// one pipeline from a solved design to that response.
 
 package harden
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
+
+	"seqavf/internal/core"
+	"seqavf/internal/obs"
+	"seqavf/internal/pavf"
+	"seqavf/internal/sweep"
 )
 
 const (
@@ -111,4 +118,91 @@ type Response struct {
 	// TopTerms, when requested, ranks pAVF terms by |∂chipAVF/∂term|.
 	TopTerms  []TermSensitivity `json:"top_terms,omitempty"`
 	ElapsedMS float64           `json:"elapsed_ms"`
+}
+
+// Run answers one harden request on the solved design res.
+//
+// With workloads, node gains are computed on the mean AVF across them —
+// one blocked sweep through eng; gains are linear in AVF, so the
+// mean-AVF plan minimizes the mean residual chip AVF over the workload
+// set — and term sensitivities at their mean environment. Without, both
+// use res itself. ws are the request's workloads already parsed;
+// req.Workloads is not read.
+//
+// Term sensitivities (req.TopTerms > 0) come from the analytical
+// gradient over eng's compiled plan for res, consulting sens first when
+// it is non-nil. The budget sweep is timed as the harden.optimize span
+// (under ctx's span) and histogram. ElapsedMS is left to the caller,
+// which knows when its request began.
+func Run(ctx context.Context, eng *sweep.Engine, res *core.Result, ws []sweep.Workload,
+	req *Request, sens SensStore, reg *obs.Registry) (*Response, error) {
+	resp := &Response{Design: req.Design}
+	agg, env := res, res.Env
+	if len(ws) > 0 {
+		batch, err := eng.SweepContext(ctx, res, ws)
+		if err != nil {
+			return nil, err
+		}
+		// Each result carries the environment the sweep built and
+		// validated for its workload; both means sum in workload order.
+		mean := make([]float64, len(res.AVF))
+		env = make(pavf.Env, len(res.Env))
+		for i, r := range batch.Results {
+			resp.Workloads = append(resp.Workloads, ws[i].Name)
+			for v, x := range r.AVF {
+				mean[v] += x
+			}
+			for t, x := range r.Env {
+				env[t] += x
+			}
+		}
+		n := float64(len(ws))
+		for v := range mean {
+			mean[v] /= n
+		}
+		for t := range env {
+			env[t] /= n
+		}
+		cp := *res
+		cp.AVF = mean
+		agg = &cp
+	}
+
+	model, err := NewModel(agg, req.Costs)
+	if err != nil {
+		return nil, err
+	}
+	osp := reg.StartSpanContext(ctx, "harden.optimize")
+	resp.Plans, err = model.Sweep(req.Budgets, req.Solver)
+	osp.SetAttr("budgets", len(req.Budgets))
+	osp.End()
+	reg.FixedHistogram("harden.optimize_seconds", obs.LatencyBuckets).Observe(osp.Duration().Seconds())
+	if err != nil {
+		return nil, err
+	}
+	resp.SeqBits = model.SeqBits()
+	resp.Candidates = len(model.Candidates())
+	resp.BaseChipAVF = model.Base().WeightedSeqAVF
+
+	if req.TopTerms > 0 {
+		// The plan comes from the engine's LRU, so a warm design pays
+		// nothing to compile.
+		plan, err := eng.PlanContext(ctx, res)
+		if err != nil {
+			return nil, fmt.Errorf("compiling plan: %w", err)
+		}
+		vec, hit, err := CachedTermDerivs(plan, env, sens)
+		if err != nil {
+			return nil, fmt.Errorf("term sensitivities: %v", err)
+		}
+		resp.SensCache = "miss"
+		if hit {
+			resp.SensCache = "hit"
+		}
+		resp.TopTerms = RankDerivs(res.Analyzer.Universe(), vec.Deriv)
+		if len(resp.TopTerms) > req.TopTerms {
+			resp.TopTerms = resp.TopTerms[:req.TopTerms]
+		}
+	}
+	return resp, nil
 }

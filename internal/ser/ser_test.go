@@ -169,65 +169,3 @@ func TestFullFigure10Shape(t *testing.T) {
 	t.Logf("pre=%.0f post=%.0f measured=%.0f (±%.0f) improvement=%.0f%%",
 		pre, post, meas.FIT.Point, meas.FIT.Width()/2, 100*c.Improvement())
 }
-
-func TestPlanHardeningMeetsTarget(t *testing.T) {
-	_, res, _ := fixture(t)
-	fit := DefaultFITParams()
-	hp := DefaultHardeningParams()
-	plan, err := PlanHardening(res, fit, hp, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Reduction() < 0.3 {
-		t.Fatalf("plan reduction %v below target", plan.Reduction())
-	}
-	if plan.HardenedBits == 0 || plan.HardenedBits >= plan.TotalSeqBits {
-		t.Fatalf("hardened %d of %d bits", plan.HardenedBits, plan.TotalSeqBits)
-	}
-	// AVF-guided selection beats random selection of the same bit count.
-	random := RandomHardeningFIT(plan, fit, hp)
-	if plan.PlannedSeqFIT >= random {
-		t.Fatalf("guided plan (%v) not better than random (%v)", plan.PlannedSeqFIT, random)
-	}
-	// Selection is ordered by descending AVF.
-	for i := 1; i < len(plan.Nodes); i++ {
-		if plan.Nodes[i].AVF > plan.Nodes[i-1].AVF+1e-12 {
-			t.Fatal("plan not sorted by AVF")
-		}
-	}
-	// Hardening a high-AVF node saves proportionally more: the guided
-	// plan's bits are a small fraction for a 30% cut.
-	frac := float64(plan.HardenedBits) / float64(plan.TotalSeqBits)
-	if frac > 0.35 {
-		t.Fatalf("needed %.0f%% of bits for a 30%% reduction — AVF ranking not helping", 100*frac)
-	}
-	t.Logf("30%% FIT cut by hardening %.1f%% of bits (random would need ~33%%)", 100*frac)
-}
-
-func TestPlanHardeningFullTarget(t *testing.T) {
-	_, res, _ := fixture(t)
-	plan, err := PlanHardening(res, DefaultFITParams(), DefaultHardeningParams(), 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A RateFactor of 0.1 cannot reach 100% reduction: everything gets
-	// hardened and the floor is 10% of base.
-	if plan.HardenedBits != plan.TotalSeqBits {
-		t.Fatalf("full target hardened %d of %d", plan.HardenedBits, plan.TotalSeqBits)
-	}
-	if r := plan.Reduction(); math.Abs(r-0.9) > 1e-9 {
-		t.Fatalf("reduction = %v, want 0.9 (rate-factor floor)", r)
-	}
-}
-
-func TestPlanHardeningValidation(t *testing.T) {
-	_, res, _ := fixture(t)
-	if _, err := PlanHardening(res, DefaultFITParams(), DefaultHardeningParams(), 0); err == nil {
-		t.Fatal("zero target accepted")
-	}
-	bad := DefaultHardeningParams()
-	bad.RateFactor = 1.0
-	if _, err := PlanHardening(res, DefaultFITParams(), bad, 0.5); err == nil {
-		t.Fatal("useless rate factor accepted")
-	}
-}
