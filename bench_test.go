@@ -343,27 +343,6 @@ func BenchmarkConvergenceScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelPartitioned contrasts serial and parallel relaxation.
-func BenchmarkParallelPartitioned(b *testing.B) {
-	e := env(b)
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
-			opts := e.Analyzer.Opts
-			opts.Workers = workers
-			a, err := core.NewAnalyzer(e.Analyzer.G, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := a.SolvePartitioned(e.AvgInputs); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 var (
 	sweepOnce sync.Once
 	sweepAnl  *core.Analyzer

@@ -17,8 +17,10 @@
 //     injected static pAVF (§4.3; 0.3 per the Figure 8 study),
 //   - debug/DFX logic is stripped from the analysis, and undriven design
 //     boundary ports attach to pseudo-structures (§5.1),
-//   - a FUB-partitioned relaxation mode reproduces the paper's operational
-//     tool flow (per-FUB walks plus a FUBIO merge each iteration, §5.2),
+//   - a FUB-partitioned relaxation reproduces the paper's operational tool
+//     flow (per-FUB walks plus a FUBIO merge each iteration, §5.2); the
+//     same loop, seeded from a prior solve and started on the FUBs an
+//     edit dirtied, is the incremental (ECO) re-solve,
 //   - every node ends with a closed-form symbolic AVF equation that can be
 //     re-evaluated against fresh pAVF measurements without re-walking.
 package core
@@ -51,11 +53,12 @@ type Options struct {
 	ControlRegPrefixes []string
 	// ControlRegClocks lists clock names identifying control registers.
 	ControlRegClocks []string
-	// Iterations bounds the partitioned relaxation. The paper found 20
-	// sufficient for a Xeon-class design.
+	// Iterations bounds the FUB relaxation that SolvePartitioned and
+	// ResolveIncremental run. The paper found 20 sufficient for a
+	// Xeon-class design.
 	Iterations int
-	// Epsilon is the convergence threshold on the largest per-FUB change
-	// in average node pAVF between relaxation iterations.
+	// Epsilon is the relaxation's convergence threshold on the largest
+	// per-vertex AVF change between two iterations.
 	Epsilon float64
 	// DefaultPortPAVF, when non-negative, substitutes for structure ports
 	// missing from the Inputs tables instead of failing. Use -1 (the
@@ -71,10 +74,6 @@ type Options struct {
 	// closed forms), taking precedence over PseudoPAVF — §5.1's
 	// pseudo-structures "with its own pAVF_R and pAVF_W values".
 	PseudoOverrides map[string]float64
-	// Workers bounds the goroutines used by SolvePartitioned's per-FUB
-	// walks (§5.2 notes partitioning exists "to parallelize the task").
-	// 0 or 1 runs serially; results are identical either way.
-	Workers int
 	// Obs receives solver telemetry: phase spans (env/fwd/bwd/finish,
 	// per-iteration relaxation spans) and walk counters (vertices visited,
 	// union ops, top-set short-circuits). nil disables instrumentation at

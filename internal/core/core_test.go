@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"seqavf/internal/graph"
+	"seqavf/internal/graph/graphtest"
 	"seqavf/internal/netlist"
 	"seqavf/internal/obs"
 )
@@ -632,33 +633,6 @@ func TestSummaryAndFubStats(t *testing.T) {
 	approx(t, byNode["LOOP/acc"], 0.3, "loop node avg")
 }
 
-func TestParallelPartitionedMatchesSerial(t *testing.T) {
-	a, in := multiFubDesign(t)
-	serial, err := a.SolvePartitioned(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := a.Opts
-	opts.Workers = 4
-	ap, err := NewAnalyzer(a.G, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := ap.SolvePartitioned(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !parallel.Converged {
-		t.Fatal("parallel run did not converge")
-	}
-	if d := MaxAbsDiff(serial, parallel); d > 1e-12 {
-		t.Fatalf("parallel deviates from serial by %v", d)
-	}
-	if parallel.Iterations != serial.Iterations {
-		t.Fatalf("iteration counts differ: %d vs %d", parallel.Iterations, serial.Iterations)
-	}
-}
-
 func TestLoopOverrides(t *testing.T) {
 	a, in := loopFixture(t, 0.3)
 	// Find the loop term name.
@@ -836,6 +810,56 @@ func TestSolveObservability(t *testing.T) {
 	}
 	if h := snap.Histograms["core.iter_delta"]; h.Count != uint64(part.Iterations) {
 		t.Fatalf("iter_delta observations = %d, want %d", h.Count, part.Iterations)
+	}
+
+	// The edit path runs the same relaxation and must report it the same
+	// way: one iteration span per iteration with both convergence attrs,
+	// one iter_delta observation each, and one trace row each.
+	h := buildEditHarness(t, 1, graphtest.EditAddFlop)
+	ireg := obs.New()
+	iopts := h.aNew.Opts
+	iopts.Obs = ireg
+	ai, err := NewAnalyzer(h.aNew.G, iopts)
+	if err != nil {
+		t.Fatalf("NewAnalyzer: %v", err)
+	}
+	incr, st, err := ai.ResolveIncremental(randPortInputs(ai, h.inSeed), h.prior)
+	if err != nil {
+		t.Fatalf("ResolveIncremental: %v", err)
+	}
+	if st.FubsDirty == 0 || incr.Iterations < 1 {
+		t.Fatalf("edit did not reach the relaxation: %+v", st)
+	}
+	isnap := ireg.Snapshot()
+	if len(isnap.Spans) != 1 || isnap.Spans[0].Name != "solve_incremental" {
+		t.Fatalf("incremental root spans = %v, want one solve_incremental", isnap.Spans)
+	}
+	iters := 0
+	for _, c := range isnap.Spans[0].Children {
+		if c.Name != "iteration" {
+			continue
+		}
+		iters++
+		if _, ok := c.Attrs["max_delta"]; !ok {
+			t.Fatalf("incremental iteration span missing max_delta: %v", c.Attrs)
+		}
+		if _, ok := c.Attrs["fub_avg_pavf"]; !ok {
+			t.Fatalf("incremental iteration span missing fub_avg_pavf: %v", c.Attrs)
+		}
+	}
+	if iters != incr.Iterations {
+		t.Fatalf("incremental iteration spans = %d, want %d", iters, incr.Iterations)
+	}
+	if hd := isnap.Histograms["core.iter_delta"]; hd.Count != uint64(incr.Iterations) {
+		t.Fatalf("incremental iter_delta observations = %d, want %d", hd.Count, incr.Iterations)
+	}
+	if len(incr.Trace) != incr.Iterations {
+		t.Fatalf("incremental trace rows = %d, want %d", len(incr.Trace), incr.Iterations)
+	}
+	for i, row := range incr.Trace {
+		if len(row) != len(ai.G.FubNames) {
+			t.Fatalf("incremental trace row %d has %d entries, want %d", i, len(row), len(ai.G.FubNames))
+		}
 	}
 }
 

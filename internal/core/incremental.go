@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"math"
 	"sort"
 	"time"
 
@@ -233,10 +232,10 @@ type Incremental struct {
 
 // ResolveIncremental solves the design seeded from a prior solve's
 // converged state: per-FUB fingerprints are diffed against the prior,
-// clean FUBs keep their walk state, and the relaxation iterates only the
-// dirty FUBs plus their FUBIO neighbors — expanding that frontier
-// whenever the merge pass moves an active FUB's boundary set — until the
-// active region converges. The fixpoint is unique (the loop-cut
+// clean FUBs keep their walk state, and SolvePartitioned's relaxation
+// iterates only the dirty FUBs plus their FUBIO neighbors — expanding
+// that frontier whenever a walk moves a boundary set an inactive FUB
+// consumes — until the active region converges. The fixpoint is unique (the loop-cut
 // dependency graph is a DAG), so under the inputs the prior was solved
 // with the result matches a from-scratch SolvePartitioned within
 // Epsilon. Under different inputs the reused FUBs follow the §5.1
@@ -361,24 +360,10 @@ func (a *Analyzer) ResolveIncrementalContext(ctx context.Context, in *Inputs, pr
 		}
 	}
 
-	fwdTopo, bwdTopo, err := a.localTopos()
-	if err != nil {
-		return nil, nil, err
-	}
-	fwdPrev := make([]pavf.Set, n)
-	fwdPrevKnown := make([]bool, n)
-	bwdPrev := make([]pavf.Set, n)
-	bwdPrevKnown := make([]bool, n)
-	fwdCur := make([]pavf.Set, n)
-	bwdCur := make([]pavf.Set, n)
-	bwdCurKnown := make([]bool, n)
-	prevVal := make([]float64, n)
-	for v := range prevVal {
-		prevVal[v] = 1
-	}
 	// Seed every clean FUB — active or not — with its converged state.
 	// Active clean FUBs start the relaxation from the old fixpoint;
 	// inactive ones publish it as their boundary contribution.
+	rx := a.newRelaxation()
 	for f := 0; f < numFubs; f++ {
 		p := fubPrior[f]
 		if p == nil {
@@ -388,97 +373,16 @@ func (a *Analyzer) ResolveIncrementalContext(ctx context.Context, in *Inputs, pr
 		for i := range p.FwdIdx {
 			v := base + i
 			if idx := p.FwdIdx[i]; idx >= 0 && !a.fwdFixed[v] {
-				fwdPrev[v], fwdPrevKnown[v] = sets[idx], true
+				rx.fwdPrev[v], rx.fwdPrevKnown[v] = sets[idx], true
 			}
 			if idx := p.BwdIdx[i]; idx >= 0 && !a.bwdFixed[v] {
-				bwdPrev[v], bwdPrevKnown[v] = sets[idx], true
+				rx.bwdPrev[v], rx.bwdPrevKnown[v] = sets[idx], true
 			}
-			prevVal[v] = a.vertexValue(graph.VertexID(v), fwdPrev[v], bwdPrev[v], bwdPrevKnown[v], env)
+			rx.prevVal[v] = a.vertexValue(graph.VertexID(v), rx.fwdPrev[v], rx.bwdPrev[v], rx.bwdPrevKnown[v], env)
 		}
 	}
-
-	walked := make([]bool, numFubs)
-	var ws walkStats
-	converged := false
-	iters := 0
-	for iter := 1; iter <= a.Opts.Iterations; iter++ {
-		iters = iter
-		isp := sp.Child("iteration")
-		isp.SetAttr("iter", iter)
-		for f := 0; f < numFubs; f++ {
-			if !active[f] {
-				continue
-			}
-			walked[f] = true
-			for _, v := range fwdTopo[f] {
-				fwdCur[v] = a.fwdUnionLocal(v, int32(f), fwdCur, fwdPrev, fwdPrevKnown, &ws)
-			}
-			lt := bwdTopo[f]
-			for i := len(lt) - 1; i >= 0; i-- {
-				v := lt[i]
-				bwdCur[v], bwdCurKnown[v] = a.bwdUnionLocal(v, int32(f), bwdCur, bwdCurKnown, bwdPrev, bwdPrevKnown, &ws)
-			}
-		}
-		// Frontier expansion: an inactive FUB was seeded assuming its
-		// boundary holds at the prior fixpoint. If the walk just moved a
-		// value it consumes (a cross predecessor's forward set, a cross
-		// successor's backward set), that assumption broke — pull it into
-		// the active region. Set identity is a stricter test than the
-		// Epsilon value delta: any numeric movement implies set movement.
-		grew := false
-		for _, e := range a.G.CrossEdges {
-			ff, tf := a.G.Verts[e.From].Fub, a.G.Verts[e.To].Fub
-			if active[ff] && !active[tf] {
-				u := e.From
-				if !a.fwdFixed[u] && (!fwdPrevKnown[u] || !fwdCur[u].Equal(fwdPrev[u])) {
-					active[tf] = true
-					grew = true
-				}
-			}
-			if active[tf] && !active[ff] {
-				w := e.To
-				if !a.bwdFixed[w] && (bwdCurKnown[w] != bwdPrevKnown[w] || (bwdCurKnown[w] && !bwdCur[w].Equal(bwdPrev[w]))) {
-					active[ff] = true
-					grew = true
-				}
-			}
-		}
-		// Merge only what was walked this iteration: a FUB activated by
-		// the frontier scan keeps its seed until its first walk.
-		maxDelta := 0.0
-		for f := 0; f < numFubs; f++ {
-			if !walked[f] {
-				continue
-			}
-			for v := exts[f].start; v < exts[f].end; v++ {
-				fwdPrev[v], fwdPrevKnown[v] = fwdCur[v], true
-				bwdPrev[v], bwdPrevKnown[v] = bwdCur[v], bwdCurKnown[v]
-				val := a.vertexValue(graph.VertexID(v), fwdCur[v], bwdCur[v], bwdCurKnown[v], env)
-				if d := math.Abs(val - prevVal[v]); d > maxDelta {
-					maxDelta = d
-				}
-				prevVal[v] = val
-			}
-		}
-		isp.SetAttr("max_delta", maxDelta)
-		isp.End()
-		reg.FixedHistogram("core.iter_delta", iterDeltaBuckets).Observe(maxDelta)
-		if maxDelta <= a.Opts.Epsilon && !grew {
-			converged = true
-			break
-		}
-	}
-	// Never-walked FUBs still hold their seed in the prev arrays (the
-	// merge skipped them); surface it through the cur arrays so finish
-	// assembles one uniform view.
-	for f := 0; f < numFubs; f++ {
-		if walked[f] {
-			continue
-		}
-		for v := exts[f].start; v < exts[f].end; v++ {
-			fwdCur[v] = fwdPrev[v]
-			bwdCur[v], bwdCurKnown[v] = bwdPrev[v], bwdPrevKnown[v]
-		}
+	if err := a.relax(sp, env, rx, active); err != nil {
+		return nil, nil, err
 	}
 	// FUBs that were never walked still hold the prior fixpoint exactly;
 	// under identical inputs their prior AVFs ARE the evaluation result,
@@ -490,7 +394,7 @@ func (a *Analyzer) ResolveIncrementalContext(ctx context.Context, in *Inputs, pr
 		reuseOK = make([]bool, n)
 		for f := 0; f < numFubs; f++ {
 			p := fubPrior[f]
-			if p == nil || walked[f] {
+			if p == nil || rx.walked[f] {
 				continue
 			}
 			base := exts[f].start
@@ -499,17 +403,16 @@ func (a *Analyzer) ResolveIncrementalContext(ctx context.Context, in *Inputs, pr
 			}
 		}
 	}
-	fin := a.finishReuse(in, env, fwdCur, bwdCur, bwdCurKnown, reuseAVF, reuseOK)
-	ws.record(reg)
-	reg.Counter("core.iterations").Add(int64(iters))
+	fin := a.finishReuse(in, env, rx.fwdCur, rx.bwdCur, rx.bwdCurKnown, reuseAVF, reuseOK)
+	fin.Trace = rx.trace
 	for f := range active {
 		if active[f] {
 			st.FubsActive++
 		}
 	}
 	st.FubsReused = numFubs - st.FubsActive
-	st.Iterations = iters
-	st.Converged = converged
+	st.Iterations = rx.iterations
+	st.Converged = rx.converged
 	finishUp(fin)
 	return fin, st, nil
 }
