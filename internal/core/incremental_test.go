@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"seqavf/internal/graph/graphtest"
+	"seqavf/internal/netlist"
 	"seqavf/internal/stats"
 )
 
@@ -235,6 +236,102 @@ func TestFubFingerprintsStability(t *testing.T) {
 				t.Fatalf("seed %d: FUB %s fingerprint changed=%v but touched=%v (%s)",
 					seed, name, changed, touched[name], edit.Desc)
 			}
+		}
+	}
+}
+
+// chainDesign builds four FUBs wired A→B→C→D, one bit wide. A drives its
+// output from the IA read port, or, when widened, from IA and IB joined,
+// which dirties A and moves every forward set downstream of it. B
+// forwards its input. C stores its input at the WC write port and, unless
+// cForwards is set, drives D from its own IC read port, so C's boundary
+// towards D does not depend on anything upstream.
+func chainDesign(t *testing.T, widened, cForwards bool) (*Analyzer, *Inputs) {
+	t.Helper()
+	d := netlist.NewDesign("chain")
+	for _, s := range []string{"IA", "IB", "IC", "WA", "WC", "WD"} {
+		d.AddStructure(s, 4, 1)
+	}
+	ab := netlist.Build(d.AddModule("a"))
+	ra := ab.SRead("ra", 1, "IA", "rd")
+	rb := ab.SRead("rb", 1, "IB", "rd")
+	ab.SWrite("wa", "WA", "wr", rb)
+	src := ra
+	if widened {
+		src = ab.C("join", 1, netlist.OpOr, ra, rb)
+	}
+	ab.Out("o", 1, ab.Seq("ar", 1, src))
+
+	bb := netlist.Build(d.AddModule("b"))
+	bb.Out("o", 1, bb.Seq("br", 1, bb.In("i", 1)))
+
+	cb := netlist.Build(d.AddModule("c"))
+	ci := cb.Seq("cr", 1, cb.In("i", 1))
+	cb.SWrite("wc", "WC", "wr", ci)
+	cout := ci
+	if !cForwards {
+		cout = cb.SRead("rc", 1, "IC", "rd")
+	}
+	cb.Out("o", 1, cb.Seq("co", 1, cout))
+
+	db := netlist.Build(d.AddModule("d"))
+	db.SWrite("wd", "WD", "wr", db.Seq("dr", 1, db.In("i", 1)))
+
+	d.AddFub("A", "a")
+	d.AddFub("B", "b")
+	d.AddFub("C", "c")
+	d.AddFub("D", "d")
+	d.ConnectPorts("A", "o", "B", "i")
+	d.ConnectPorts("B", "o", "C", "i")
+	d.ConnectPorts("C", "o", "D", "i")
+
+	a := mustAnalyze(t, d, DefaultOptions())
+	in := NewInputs()
+	in.ReadPorts[StructPort{"IA", "rd"}] = 0.3
+	in.ReadPorts[StructPort{"IB", "rd"}] = 0.2
+	in.ReadPorts[StructPort{"IC", "rd"}] = 0.1
+	in.WritePorts[StructPort{"WA", "wr"}] = 0.6
+	in.WritePorts[StructPort{"WC", "wr"}] = 0.5
+	in.WritePorts[StructPort{"WD", "wr"}] = 0.4
+	return a, in
+}
+
+// TestFrontierWalksOnlyMovedBoundaries pins the frontier rule on a FUB
+// chain A→B→C→D with A dirty: A and its neighbour B start active, B's
+// moved output activates C, and D joins only if C's walked boundary
+// moves. A FUB the scan has just activated has not been walked, so its
+// boundary must not count as moved in the same scan.
+func TestFrontierWalksOnlyMovedBoundaries(t *testing.T) {
+	for _, tc := range []struct {
+		cForwards  bool
+		wantActive int
+	}{
+		{cForwards: false, wantActive: 3},
+		{cForwards: true, wantActive: 4},
+	} {
+		base, in := chainDesign(t, false, tc.cForwards)
+		res, err := base.SolvePartitioned(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prior, err := res.PriorState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		edited, in := chainDesign(t, true, tc.cForwards)
+		incr, st, err := edited.ResolveIncremental(in, prior)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.FubsDirty != 1 || st.FubsActive != tc.wantActive || !st.Converged {
+			t.Fatalf("cForwards=%v: stats %+v, want 1 dirty and %d active", tc.cForwards, st, tc.wantActive)
+		}
+		cold, err := edited.SolvePartitioned(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := MaxAbsDiff(incr, cold); math.IsNaN(d) || d > edited.Opts.Epsilon {
+			t.Fatalf("cForwards=%v: incremental diverges from cold by %v", tc.cForwards, d)
 		}
 	}
 }
