@@ -131,11 +131,12 @@ func run(reg *obs.Registry, arts *cliutil.Artifacts, nlPath, pavfPath string, lo
 	lsp.End()
 	var res *core.Result
 	if partitioned {
-		// The partitioned relaxation's numerics differ from the
-		// monolithic fixpoint in the last bits; artifacts persist the
-		// monolithic solve, so the store is bypassed here.
+		// -partitioned exists to run the §5.2 relaxation and report its
+		// convergence trace. A warm hit in the store would decode stored
+		// closed forms and skip the relaxation, trace and all, so the
+		// store is bypassed here.
 		if arts.Dir != "" {
-			fmt.Fprintln(os.Stderr, "sartool: -artifacts is ignored with -partitioned (artifacts persist the monolithic solve)")
+			fmt.Fprintln(os.Stderr, "sartool: -artifacts is ignored with -partitioned (a warm start would skip the relaxation and its convergence trace)")
 		}
 		res, err = a.SolvePartitioned(in)
 	} else {

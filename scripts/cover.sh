@@ -1,24 +1,27 @@
 #!/bin/sh
 # Coverage gate for the numerical core: the packages whose arithmetic
-# the bit-identity harness pins (the sweep engine with its blocked
-# kernel, the pAVF closed forms, the ACE lifetime model with its window
-# emission, the pAVF table parsers, and the hardening optimizer's
-# gradient + knapsack solvers) must keep statement coverage above
-# fixed floors. The fleet gateway is gated too: its route contract
+# the bit-identity harness pins (the SART solver, the sweep engine with
+# its blocked kernel, the pAVF closed forms, the ACE lifetime model with
+# its window emission, the pAVF table parsers, and the hardening
+# optimizer's gradient + knapsack solvers) must keep statement coverage
+# above fixed floors. The fleet gateway is gated too: its route contract
 # (routing, failover, replication, ingest faults) is what lets a fleet
 # stand in for one seqavfd. So is hardentool, whose report is pinned to
-# POST /v1/harden. Floors are set below current coverage (sweep ~82%,
-# pavf ~85%, harden ~90%, ace ~93%, pavfio ~93% when gated, fleet ~90%,
-# hardentool ~69%, whose main is untested) so routine changes pass, but
-# a PR that lands substantial untested code trips the gate. Exits
-# non-zero naming every package under its floor.
+# POST /v1/harden. Floors are set below current coverage (core ~93%,
+# sweep ~82%, pavf ~85%, harden ~90%, ace ~93%, pavfio ~93% when gated,
+# fleet ~90%, hardentool ~69%, whose main is untested) so routine
+# changes pass, but a change that lands substantial untested code trips
+# the gate. The core floor sits about 5 points under its measurement:
+# the solver's one relaxation loop serves both the cold and the
+# incremental solve, so an untested branch in it is untested in both.
+# Exits non-zero naming every package under its floor.
 set -eu
 
 GO=${GO:-go}
 
 # package floor
 GATES="
-internal/core 75.0
+internal/core 88.0
 internal/sweep 75.0
 internal/pavf 78.0
 internal/pavfio 80.0
