@@ -35,23 +35,12 @@ type SweepWorkload struct {
 	PAVF string `json:"pavf"`
 }
 
-// SweepResponse mirrors sweeprun's report: plan statistics plus
-// per-workload design summaries, index-aligned with the request.
-type SweepResponse struct {
-	Design    string           `json:"design"`
-	Workloads int              `json:"workloads"`
-	Plan      sweep.Stats      `json:"plan"`
-	ElapsedMS float64          `json:"eval_elapsed_ms"`
-	PerSec    float64          `json:"workloads_per_sec"`
-	Results   []WorkloadResult `json:"results"`
-}
-
-// WorkloadResult is one workload's scores.
-type WorkloadResult struct {
-	Name    string             `json:"name"`
-	Summary core.Summary       `json:"summary"`
-	SeqAVF  map[string]float64 `json:"seqavf,omitempty"`
-}
+// The sweep responses are internal/sweep's reports, the same documents
+// sweeprun prints; the names stay here for the service's clients.
+type (
+	SweepResponse  = sweep.SweepResponse
+	WorkloadResult = sweep.WorkloadResult
+)
 
 // DesignInfo describes one registered design on GET /v1/designs.
 type DesignInfo struct {
@@ -217,29 +206,12 @@ func (s *Server) decodeSweep(_ *http.Request, body io.Reader) (job, error) {
 		return j, err
 	}
 	j.run = func(ctx context.Context, d *Design) (any, *Design, error) {
-		// Summary-first: the engine reduces each workload straight to
-		// its summary (and node map); no per-vertex AVF vector is built.
-		batch, err := s.eng.SweepSummariesContext(ctx, d.Result, ws, req.Nodes)
+		rep, err := s.eng.Report(ctx, d.Result, d.Name, ws, req.Nodes)
 		if err != nil {
 			return nil, nil, err
 		}
-		resp := SweepResponse{
-			Design:    d.Name,
-			Workloads: len(batch.Names),
-			Plan:      batch.Plan.Stats(),
-			ElapsedMS: float64(batch.Elapsed.Microseconds()) / 1e3,
-			PerSec:    batch.WorkloadsPerSec(),
-			Results:   make([]WorkloadResult, len(batch.Names)),
-		}
-		for i, name := range batch.Names {
-			wr := WorkloadResult{Name: name, Summary: batch.Summaries[i]}
-			if req.Nodes {
-				wr.SeqAVF = batch.Nodes[i]
-			}
-			resp.Results[i] = wr
-		}
 		s.reg.Counter("server.sweep_ok").Inc()
-		return resp, d, nil
+		return rep, d, nil
 	}
 	return j, nil
 }

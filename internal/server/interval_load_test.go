@@ -120,14 +120,21 @@ func TestSweepIntervalsEndpoint(t *testing.T) {
 			wr.PeakChipAVF != want.PeakChipAVF || wr.PeakToMean != want.PeakToMean {
 			t.Fatalf("workload %d summary %+v != reference %+v", i, wr, want)
 		}
-		for node, series := range wr.SeqAVF {
-			refSeries := make([]float64, windows)
-			for w, r := range rb.Workloads[0].Results {
-				refSeries[w] = r.SeqAVFByNode()[node]
+		// Node series reference: each window's inputs re-evaluated
+		// through the closed forms.
+		for w, in := range iw.Inputs {
+			r := *results["alpha"]
+			r.AVF = make([]float64, len(r.AVF))
+			if err := r.Reevaluate(in); err != nil {
+				t.Fatal(err)
 			}
-			for w := 0; w < windows; w++ {
-				if series[w] != refSeries[w] {
-					t.Fatalf("workload %d node %s window %d: %v != reference %v", i, node, w, series[w], refSeries[w])
+			refNodes := r.SeqAVFByNode()
+			if len(refNodes) != len(wr.SeqAVF) {
+				t.Fatalf("workload %d: %d node series for %d nodes", i, len(wr.SeqAVF), len(refNodes))
+			}
+			for node, avf := range refNodes {
+				if got := wr.SeqAVF[node][w]; got != avf {
+					t.Fatalf("workload %d node %s window %d: %v != reference %v", i, node, w, got, avf)
 				}
 			}
 		}

@@ -36,38 +36,14 @@ type IntervalSweepWorkload struct {
 	Table string `json:"table"`
 }
 
-// IntervalSweepResponse reports the time-resolved sweep: plan
-// statistics plus per-workload AVF time series, index-aligned with the
-// request.
-type IntervalSweepResponse struct {
-	Design           string                   `json:"design"`
-	Workloads        int                      `json:"workloads"`
-	WindowsEvaluated int                      `json:"windows_evaluated"`
-	Plan             sweep.Stats              `json:"plan"`
-	ElapsedMS        float64                  `json:"eval_elapsed_ms"`
-	Results          []IntervalWorkloadResult `json:"results"`
-}
-
-// IntervalWindowInfo is one window's half-open cycle span.
-type IntervalWindowInfo struct {
-	Start uint64 `json:"start"`
-	End   uint64 `json:"end"`
-}
-
-// IntervalWorkloadResult is one workload's AVF time series: the window
-// geometry, the per-window chip AVF, its peak statistics, and (with
-// nodes: true) the per-sequential-node series, each value index-aligned
-// with Windows.
-type IntervalWorkloadResult struct {
-	Name             string               `json:"name"`
-	Windows          []IntervalWindowInfo `json:"windows"`
-	ChipAVF          []float64            `json:"chip_avf"`
-	TimeWeightedMean float64              `json:"time_weighted_mean"`
-	PeakWindow       int                  `json:"peak_window"`
-	PeakChipAVF      float64              `json:"peak_chip_avf"`
-	PeakToMean       float64              `json:"peak_to_mean"`
-	SeqAVF           map[string][]float64 `json:"seqavf,omitempty"`
-}
+// The interval response is internal/sweep's time-resolved report, the
+// document sweeprun -windows prints; IntervalWindowInfo is one window's
+// half-open cycle span.
+type (
+	IntervalSweepResponse  = sweep.IntervalSweepResponse
+	IntervalWorkloadResult = sweep.IntervalWorkloadResult
+	IntervalWindowInfo     = sweep.WindowSpan
+)
 
 // decodeIntervals decodes the envelope and runs every interval table
 // through the strict multi-window parser — malformed geometry or a
@@ -107,50 +83,12 @@ func (s *Server) decodeIntervals(_ *http.Request, body io.Reader) (job, error) {
 		ws[i] = iw
 	}
 	j.run = func(ctx context.Context, d *Design) (any, *Design, error) {
-		batch, err := s.eng.SweepIntervalsContext(ctx, d.Result, ws)
+		rep, err := s.eng.ReportIntervals(ctx, d.Result, d.Name, ws, req.Nodes)
 		if err != nil {
 			return nil, nil, err
 		}
-		resp := IntervalSweepResponse{
-			Design:           d.Name,
-			Workloads:        len(batch.Workloads),
-			WindowsEvaluated: batch.WindowsEvaluated,
-			Plan:             batch.Plan.Stats(),
-			ElapsedMS:        float64(batch.Elapsed.Microseconds()) / 1e3,
-			Results:          make([]IntervalWorkloadResult, len(batch.Workloads)),
-		}
-		for i, iw := range batch.Workloads {
-			wr := IntervalWorkloadResult{
-				Name:             iw.Name,
-				Windows:          make([]IntervalWindowInfo, len(iw.Windows)),
-				ChipAVF:          iw.Summary.ChipAVF,
-				TimeWeightedMean: iw.Summary.TimeWeightedMean,
-				PeakWindow:       iw.Summary.PeakWindow,
-				PeakChipAVF:      iw.Summary.PeakChipAVF,
-				PeakToMean:       iw.Summary.PeakToMean,
-			}
-			for wi, span := range iw.Windows {
-				wr.Windows[wi] = IntervalWindowInfo{Start: span.Start, End: span.End}
-			}
-			if req.Nodes {
-				// Per-node time series: node -> one AVF per window, in
-				// window order.
-				wr.SeqAVF = make(map[string][]float64)
-				for wi, res := range iw.Results {
-					for node, avf := range res.SeqAVFByNode() {
-						series, ok := wr.SeqAVF[node]
-						if !ok {
-							series = make([]float64, len(iw.Results))
-							wr.SeqAVF[node] = series
-						}
-						series[wi] = avf
-					}
-				}
-			}
-			resp.Results[i] = wr
-		}
 		s.reg.Counter("server.interval_sweep_ok").Inc()
-		return resp, d, nil
+		return rep, d, nil
 	}
 	return j, nil
 }

@@ -30,11 +30,11 @@ func findSpan(sp obs.SpanSnapshot, name string) *obs.SpanSnapshot {
 	return nil
 }
 
-// TestSweepSummaryTelemetry: /v1/sweep runs on the summary sink and
-// /v1/sweep/intervals on the materializing one. The sweep.eval span
-// says which (output=summary|vectors), sweep.workloads_reduced counts
-// only the summary sink's workloads, and the flight record still gets
-// its plan and eval stage times from the sweep.plan / sweep.eval spans.
+// TestSweepSummaryTelemetry: /v1/sweep and /v1/sweep/intervals both run
+// on the summary sink. The sweep.eval span says so (output=summary),
+// sweep.workloads_reduced counts every workload and window lane, and
+// the flight record still gets its plan and eval stage times from the
+// sweep.plan / sweep.eval spans.
 func TestSweepSummaryTelemetry(t *testing.T) {
 	s, reg, results := newTestServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
@@ -65,7 +65,7 @@ func TestSweepSummaryTelemetry(t *testing.T) {
 		endpoint, _ := root.Attrs["endpoint"].(string)
 		outputs = append(outputs, endpoint+"="+out)
 	}
-	if got, want := strings.Join(outputs, " "), "/v1/sweep=summary /v1/sweep/intervals=vectors"; got != want {
+	if got, want := strings.Join(outputs, " "), "/v1/sweep=summary /v1/sweep/intervals=summary"; got != want {
 		t.Fatalf("sweep.eval outputs %q, want %q", got, want)
 	}
 
@@ -76,8 +76,8 @@ func TestSweepSummaryTelemetry(t *testing.T) {
 	text, _ := io.ReadAll(mresp.Body)
 	mresp.Body.Close()
 	_, scalars := parsePromText(t, string(text))
-	if got := scalars["sweep_workloads_reduced"]; got != workloads {
-		t.Fatalf("sweep_workloads_reduced = %v, want %d", got, workloads)
+	if got := scalars["sweep_workloads_reduced"]; got != workloads+3 {
+		t.Fatalf("sweep_workloads_reduced = %v, want %d", got, workloads+3)
 	}
 	if got := scalars["sweep_workloads"]; got != workloads+3 {
 		t.Fatalf("sweep_workloads = %v, want %d", got, workloads+3)

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"path/filepath"
 	"strconv"
@@ -87,18 +88,30 @@ func TestTinycoreGoldenIntervals(t *testing.T) {
 	}
 	// Block width 4 over 6 window lanes: one full block and one ragged.
 	eng := newWidth(Options{Workers: 1}, 4)
-	b, err := eng.SweepIntervals(res, []IntervalWorkload{iw})
+	b, err := eng.sweepIntervals(context.Background(), res, []IntervalWorkload{iw}, true)
 	if err != nil {
-		t.Fatalf("SweepIntervals: %v", err)
+		t.Fatalf("sweepIntervals: %v", err)
 	}
 	out := b.Workloads[0]
+	// The same window inputs through the materializing sweep, for the
+	// per-vertex sums the summary sink never builds.
+	lanes := make([]Workload, len(iw.Inputs))
+	for wi, in := range iw.Inputs {
+		lanes[wi] = Workload{Name: fmt.Sprintf("w%d", wi), Inputs: in}
+	}
+	vb, err := eng.Sweep(res, lanes)
+	if err != nil {
+		t.Fatalf("Sweep: %v", err)
+	}
 
 	got := make(map[string]string)
 	hex := func(v float64) string { return strconv.FormatFloat(v, 'x', -1, 64) }
-	for wi, r := range out.Results {
-		for node, avf := range r.SeqAVFByNode() {
+	for node, series := range out.SeqAVF {
+		for wi, avf := range series {
 			got[fmt.Sprintf("w%d/%s", wi, node)] = hex(avf)
 		}
+	}
+	for wi, r := range vb.Results {
 		got[fmt.Sprintf("w%d/__chipavf", wi)] = hex(out.Summary.ChipAVF[wi])
 		// The seqAVF nodes above are tinycore's FSM registers, whose
 		// closed forms are insensitive to the measured inputs; the full
@@ -146,9 +159,11 @@ func TestTinycoreGoldenIntervals(t *testing.T) {
 
 	// The packed lanes must match each window's inputs re-evaluated
 	// through the closed forms bit for bit — the windows-as-lanes
-	// contract on the real design.
+	// contract on the real design — on both sinks.
 	for wi, in := range iw.Inputs {
-		bitIdentical(t, fmt.Sprintf("window %d", wi), out.Results[wi].AVF, reevaluated(t, res, in).AVF)
+		ref := reevaluated(t, res, in)
+		bitIdentical(t, fmt.Sprintf("window %d", wi), vb.Results[wi].AVF, ref.AVF)
+		checkWindow(t, fmt.Sprintf("window %d", wi), out, wi, ref)
 	}
 }
 

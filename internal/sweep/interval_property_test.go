@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -24,15 +25,39 @@ func ulpClose(a, b, k float64) bool {
 	return diff <= k*ulp
 }
 
+// checkWindow fails unless window wi of an interval sweep run with
+// nodes carries ref's chip AVF and node AVFs bit for bit, ref being the
+// window's inputs re-evaluated through the closed forms.
+func checkWindow(t *testing.T, ctxt string, iw IntervalResult, wi int, ref *core.Result) {
+	t.Helper()
+	if got, want := iw.Summary.ChipAVF[wi], ref.Summarize().WeightedSeqAVF; math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("%s: chip AVF %v != Summarize %v (must be bit-identical)", ctxt, got, want)
+	}
+	want := ref.SeqAVFByNode()
+	if len(iw.SeqAVF) != len(want) {
+		t.Fatalf("%s: %d node series for %d nodes", ctxt, len(iw.SeqAVF), len(want))
+	}
+	for node, avf := range want {
+		series, ok := iw.SeqAVF[node]
+		if !ok || len(series) != len(iw.Windows) {
+			t.Fatalf("%s: node %s series %v, want one value per window", ctxt, node, series)
+		}
+		if math.Float64bits(series[wi]) != math.Float64bits(avf) {
+			t.Fatalf("%s: node %s AVF %v != SeqAVFByNode %v (must be bit-identical)", ctxt, node, series[wi], avf)
+		}
+	}
+}
+
 // TestPropertyIntervalDifferential is the time-resolved differential
 // property test: on 200 seeded random designs, a T-window interval
 // sweep must
 //
-//  1. produce each window's result bit-identical to Result.Reevaluate
-//     of that window's inputs alone — at every block width, including
-//     one lane (1), ragged (2, 3), wider than the lane count (16 > T),
-//     exactly T, and T+7 — because windows are just lanes and every
-//     lane equals the closed forms bit for bit; and
+//  1. produce each window's chip AVF and node series bit-identical to
+//     Summarize and SeqAVFByNode of Result.Reevaluate of that window's
+//     inputs alone — at every block width, including one lane (1),
+//     ragged (2, 3), wider than the lane count (16 > T), exactly T, and
+//     T+7 — because windows are just lanes and every lane's summary
+//     sink equals the closed forms bit for bit; and
 //  2. satisfy the integration identity: the time-weighted mean of the
 //     per-window chip AVFs equals the chip AVF of the time-weighted
 //     mean AVF vector (WholeRunAVF), since Summarize is linear in the
@@ -76,22 +101,16 @@ func TestPropertyIntervalDifferential(t *testing.T) {
 
 		var summary IntervalSummary
 		for _, width := range []int{1, 2, 3, 16, nT, nT + 7} {
-			b, err := engine(width).SweepIntervals(res, []IntervalWorkload{w})
+			b, err := engine(width).sweepIntervals(context.Background(), res, []IntervalWorkload{w}, true)
 			if err != nil {
-				t.Fatalf("seed %d width %d: SweepIntervals: %v", seed, width, err)
+				t.Fatalf("seed %d width %d: sweepIntervals: %v", seed, width, err)
 			}
 			iw := b.Workloads[0]
-			if len(iw.Results) != nT || b.WindowsEvaluated != nT {
-				t.Fatalf("seed %d width %d: %d results for %d windows", seed, width, len(iw.Results), nT)
+			if len(iw.Summary.ChipAVF) != nT || b.WindowsEvaluated != nT {
+				t.Fatalf("seed %d width %d: %d chip AVFs for %d windows", seed, width, len(iw.Summary.ChipAVF), nT)
 			}
 			for wi := 0; wi < nT; wi++ {
-				got, want := iw.Results[wi].AVF, ref[wi].AVF
-				for v := range got {
-					if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
-						t.Fatalf("seed %d width %d window %d vertex %d: packed lane %v != reevaluate %v (must be bit-identical)",
-							seed, width, wi, v, got[v], want[v])
-					}
-				}
+				checkWindow(t, fmt.Sprintf("seed %d width %d window %d", seed, width, wi), iw, wi, ref[wi])
 			}
 			summary = iw.Summary
 		}

@@ -65,13 +65,11 @@ func TestSweepIntervalsShapeAndCounters(t *testing.T) {
 		t.Fatalf("batch shape: %d workloads, %d windows", len(b.Workloads), b.WindowsEvaluated)
 	}
 	for _, iw := range b.Workloads {
-		if len(iw.Results) != 5 || len(iw.Summary.ChipAVF) != 5 {
-			t.Fatalf("workload shape: %d results, %d chip AVFs", len(iw.Results), len(iw.Summary.ChipAVF))
+		if len(iw.Windows) != 5 || len(iw.Summary.ChipAVF) != 5 {
+			t.Fatalf("workload shape: %d windows, %d chip AVFs", len(iw.Windows), len(iw.Summary.ChipAVF))
 		}
-		for wi, r := range iw.Results {
-			if r == nil {
-				t.Fatalf("window %d result missing", wi)
-			}
+		if iw.SeqAVF != nil {
+			t.Fatalf("node series without nodes: %d entries", len(iw.SeqAVF))
 		}
 	}
 	snap := reg.Snapshot()
@@ -123,24 +121,48 @@ func TestWholeRunAVFEdges(t *testing.T) {
 		t.Fatalf("empty series = %v", got)
 	}
 	res, w := intervalFixture(t, 4, 2, 100)
-	eng := New(Options{Workers: 1})
-	b, err := eng.SweepIntervals(res, []IntervalWorkload{w})
-	if err != nil {
-		t.Fatal(err)
-	}
-	iw := b.Workloads[0]
-	whole := WholeRunAVF(iw.Windows, iw.Results)
-	if len(whole) != len(iw.Results[0].AVF) {
+	ref := []*core.Result{reevaluated(t, res, w.Inputs[0]), reevaluated(t, res, w.Inputs[1])}
+	whole := WholeRunAVF(w.Windows, ref)
+	if len(whole) != len(ref[0].AVF) {
 		t.Fatalf("whole-run vector length %d", len(whole))
 	}
 	// Equal spans: the mean of two windows lies between them, bit by bit.
 	for v := range whole {
-		lo, hi := iw.Results[0].AVF[v], iw.Results[1].AVF[v]
+		lo, hi := ref[0].AVF[v], ref[1].AVF[v]
 		if lo > hi {
 			lo, hi = hi, lo
 		}
 		if whole[v] < lo-1e-15 || whole[v] > hi+1e-15 {
 			t.Fatalf("vertex %d: mean %v outside [%v,%v]", v, whole[v], lo, hi)
 		}
+	}
+}
+
+// TestIntervalSweepRunsOnSummarySink: an interval sweep's lanes reduce
+// through the summary sink — its sweep.eval span says output=summary and
+// sweep.workloads_reduced grows by one per window.
+func TestIntervalSweepRunsOnSummarySink(t *testing.T) {
+	reg := obs.New()
+	res, w := intervalFixture(t, 5, 6, 100)
+	eng := newWidth(Options{Workers: 1, Obs: reg}, 4)
+	if _, err := eng.SweepIntervals(res, []IntervalWorkload{w}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.SweepIntervals(res, []IntervalWorkload{w, w}); err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	var outputs []string
+	for _, sp := range snap.Spans {
+		if sp.Name == "sweep.eval" {
+			out, _ := sp.Attrs["output"].(string)
+			outputs = append(outputs, out)
+		}
+	}
+	if got := strings.Join(outputs, " "); got != "summary summary" {
+		t.Fatalf("sweep.eval outputs %q, want %q", got, "summary summary")
+	}
+	if got := snap.Counters["sweep.workloads_reduced"]; got != 3*6 {
+		t.Fatalf("sweep.workloads_reduced = %d, want %d", got, 3*6)
 	}
 }

@@ -4,9 +4,11 @@ package sweep
 // windows is evaluated as T lanes of one batch sharing a single
 // compiled plan. The windows ride the existing blocked kernel — each
 // window's inputs are one more lane in the EnvMatrix — so a T-window
-// sweep costs one plan compile plus T lane evaluations, and every
-// window's result is bit-identical to a standalone single-window sweep
-// (lanes are independent: each equals Result.Reevaluate of its inputs).
+// sweep costs one plan compile plus T lane evaluations. The lanes feed
+// the summary sink: each window reduces straight to its chip AVF (and,
+// when asked, its node map), bit-identical to Summarize and
+// SeqAVFByNode of Result.Reevaluate under that window's inputs, and no
+// per-window Result or per-vertex vector is built.
 
 import (
 	"context"
@@ -18,8 +20,8 @@ import (
 
 // WindowSpan is a half-open cycle range [Start, End).
 type WindowSpan struct {
-	Start uint64
-	End   uint64
+	Start uint64 `json:"start"`
+	End   uint64 `json:"end"`
 }
 
 // Span returns the window length in cycles.
@@ -78,14 +80,15 @@ type IntervalSummary struct {
 	PeakToMean float64
 }
 
-// IntervalResult is one workload's time-resolved sweep outcome:
-// per-window solver results (index-aligned with Windows) and the
-// summarized time series.
+// IntervalResult is one workload's time-resolved sweep outcome: the
+// window geometry and the summarized time series, plus (when the sweep
+// asked for nodes) each sequential node's AVF series, index-aligned
+// with Windows.
 type IntervalResult struct {
 	Name    string
 	Windows []WindowSpan
-	Results []*core.Result
 	Summary IntervalSummary
+	SeqAVF  map[string][]float64
 }
 
 // IntervalBatch is the outcome of one interval sweep.
@@ -105,10 +108,16 @@ func (e *Engine) SweepIntervals(res *core.Result, workloads []IntervalWorkload) 
 
 // SweepIntervalsContext flattens the workloads' windows into lanes of
 // one batch — window w of workload k becomes lane "name#w" — runs them
-// through SweepContext (one shared plan, blocked kernel, worker pool,
-// cancellation), then reshapes the lane results back window-major per
-// workload and summarizes each time series.
+// through the summary sink (one shared plan, blocked kernel, worker
+// pool, cancellation), then reshapes the lane summaries back
+// window-major per workload and summarizes each time series.
 func (e *Engine) SweepIntervalsContext(ctx context.Context, res *core.Result, workloads []IntervalWorkload) (*IntervalBatch, error) {
+	return e.sweepIntervals(ctx, res, workloads, false)
+}
+
+// sweepIntervals is SweepIntervalsContext; with nodes it also
+// transposes the lanes' node maps into per-node series.
+func (e *Engine) sweepIntervals(ctx context.Context, res *core.Result, workloads []IntervalWorkload, nodes bool) (*IntervalBatch, error) {
 	if len(workloads) == 0 {
 		return nil, fmt.Errorf("sweep: no interval workloads")
 	}
@@ -126,7 +135,7 @@ func (e *Engine) SweepIntervalsContext(ctx context.Context, res *core.Result, wo
 			lanes = append(lanes, Workload{Name: fmt.Sprintf("%s#%d", w.Name, wi), Inputs: in})
 		}
 	}
-	batch, err := e.SweepContext(ctx, res, lanes)
+	batch, err := e.SweepSummariesContext(ctx, res, lanes, nodes)
 	if err != nil {
 		return nil, err
 	}
@@ -143,14 +152,33 @@ func (e *Engine) SweepIntervalsContext(ctx context.Context, res *core.Result, wo
 		out.Workloads[i] = IntervalResult{
 			Name:    w.Name,
 			Windows: w.Windows,
-			Results: batch.Results[lane:end],
 			Summary: summarizeIntervals(w.Windows, batch.Summaries[lane:end]),
+		}
+		if nodes {
+			out.Workloads[i].SeqAVF = nodeSeries(batch.Nodes[lane:end])
 		}
 		lane = end
 	}
 	e.opts.Obs.Counter("sweep.windows_evaluated").Add(int64(total))
 	e.opts.Obs.Counter("sweep.interval_batches").Inc()
 	return out, nil
+}
+
+// nodeSeries transposes a window-major series of node maps into one AVF
+// series per node, index-aligned with the windows.
+func nodeSeries(windows []map[string]float64) map[string][]float64 {
+	series := make(map[string][]float64)
+	for wi, m := range windows {
+		for node, avf := range m {
+			s, ok := series[node]
+			if !ok {
+				s = make([]float64, len(windows))
+				series[node] = s
+			}
+			s[wi] = avf
+		}
+	}
+	return series
 }
 
 // summarizeIntervals reduces a window-major series of the batch's
