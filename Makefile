@@ -44,7 +44,7 @@ bench:
 # Short coverage-guided runs of the native fuzz targets (Go allows one
 # -fuzz target per invocation, hence one line each).
 fuzz-smoke:
-	$(GO) test -run=^$$ -fuzz=FuzzParsePavfTable -fuzztime=10s ./cmd/internal/cliutil/
+	$(GO) test -run=^$$ -fuzz=FuzzParsePavfTable -fuzztime=10s ./internal/pavfio/
 	$(GO) test -run=^$$ -fuzz=FuzzParseIntervalTable -fuzztime=10s ./internal/pavfio/
 	$(GO) test -run=^$$ -fuzz=FuzzParseMatchesOracle -fuzztime=10s ./internal/pavfio/
 	$(GO) test -run=^$$ -fuzz=FuzzCompilePlan -fuzztime=10s ./internal/sweep/

@@ -22,6 +22,7 @@ import (
 	"seqavf/internal/graph"
 	"seqavf/internal/netlist"
 	"seqavf/internal/obs"
+	"seqavf/internal/pavfio"
 	"seqavf/internal/uarch"
 	"seqavf/internal/workload"
 )
@@ -54,16 +55,9 @@ func run(reg *obs.Registry, seed uint64, fubs int, out, pavfPath string, stats b
 		return err
 	}
 	gsp.End()
-	var w io.Writer = os.Stdout
-	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	if err := netlist.Write(w, gen.Design); err != nil {
+	if err := cliutil.WriteOutput(out, func(w io.Writer) error {
+		return netlist.Write(w, gen.Design)
+	}); err != nil {
 		return err
 	}
 	fsp := reg.StartSpan("flatten")
@@ -98,13 +92,11 @@ func run(reg *obs.Registry, seed uint64, fubs int, out, pavfPath string, stats b
 		return err
 	}
 	psp.End()
-	f, err := os.Create(pavfPath)
-	if err != nil {
+	var n int
+	if err := cliutil.WriteOutput(pavfPath, func(w io.Writer) (err error) {
+		n, err = pavfio.Write(w, in)
 		return err
-	}
-	defer f.Close()
-	n, err := cliutil.WritePAVF(f, in)
-	if err != nil {
+	}); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "designgen: wrote %d pAVF entries to %s\n", n, pavfPath)

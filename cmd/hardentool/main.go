@@ -26,11 +26,11 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strconv"
@@ -43,6 +43,7 @@ import (
 	"seqavf/internal/harden"
 	"seqavf/internal/netlist"
 	"seqavf/internal/obs"
+	"seqavf/internal/pavfio"
 	"seqavf/internal/sweep"
 )
 
@@ -169,16 +170,16 @@ func run(reg *obs.Registry, arts *cliutil.Artifacts, nlPath, pavfFile, dir, glob
 	if err != nil {
 		return err
 	}
-	var named []cliutil.NamedInputs
+	var named []pavfio.NamedInputs
 	if pavfFile != "" {
-		in, err := cliutil.ReadPAVF(pavfFile)
+		in, err := pavfio.ReadFile(pavfFile)
 		if err != nil {
 			return err
 		}
-		named = append(named, cliutil.NamedInputs{Name: pavfFile, Inputs: in})
+		named = append(named, pavfio.NamedInputs{Name: pavfFile, Inputs: in})
 	}
 	if dir != "" {
-		more, err := cliutil.ReadPAVFDir(dir, glob)
+		more, err := pavfio.ReadDir(dir, glob)
 		if err != nil {
 			return err
 		}
@@ -225,22 +226,11 @@ func run(reg *obs.Registry, arts *cliutil.Artifacts, nlPath, pavfFile, dir, glob
 	rep.Workloads = names
 	rep.ElapsedMS = float64(time.Since(start).Microseconds()) / 1e3
 
-	w := os.Stdout
-	if out != "" {
-		g, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		defer g.Close()
-		w = g
-	}
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		return err
-	}
-	if err := bw.Flush(); err != nil {
+	if err := cliutil.WriteOutput(out, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(rep)
+	}); err != nil {
 		return err
 	}
 	if csvOut != "" {
@@ -256,17 +246,13 @@ func run(reg *obs.Registry, arts *cliutil.Artifacts, nlPath, pavfFile, dir, glob
 // writeCSV emits the budget/residual curve: one row per plan, ready for
 // plotting AVF-vs-budget trade-off frontiers.
 func writeCSV(path string, plans []*harden.Protection) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	bw := bufio.NewWriter(f)
-	fmt.Fprintln(bw, "budget,solver,chosen,total_cost,base_chip_avf,residual_chip_avf,reduction_frac")
-	for _, p := range plans {
-		fmt.Fprintf(bw, "%g,%s,%d,%g,%.9g,%.9g,%.9g\n",
-			p.Budget, p.Solver, len(p.Chosen), p.TotalCost,
-			p.BaseChipAVF, p.ResidualChipAVF, p.ReductionFrac)
-	}
-	return bw.Flush()
+	return cliutil.WriteOutput(path, func(w io.Writer) error {
+		fmt.Fprintln(w, "budget,solver,chosen,total_cost,base_chip_avf,residual_chip_avf,reduction_frac")
+		for _, p := range plans {
+			fmt.Fprintf(w, "%g,%s,%d,%g,%.9g,%.9g,%.9g\n",
+				p.Budget, p.Solver, len(p.Chosen), p.TotalCost,
+				p.BaseChipAVF, p.ResidualChipAVF, p.ReductionFrac)
+		}
+		return nil
+	})
 }

@@ -44,6 +44,7 @@ import (
 	"seqavf/internal/graph"
 	"seqavf/internal/netlist"
 	"seqavf/internal/obs"
+	"seqavf/internal/pavfio"
 )
 
 func main() {
@@ -124,7 +125,7 @@ func run(reg *obs.Registry, arts *cliutil.Artifacts, nlPath, pavfPath string, lo
 		return err
 	}
 	asp.End()
-	in, err := cliutil.ReadPAVF(pavfPath)
+	in, err := pavfio.ReadFile(pavfPath)
 	if err != nil {
 		return err
 	}

@@ -1,9 +1,12 @@
 package pavfio
 
 import (
+	"bytes"
 	"math"
 	"strings"
 	"testing"
+
+	"seqavf/internal/core"
 )
 
 // FuzzParseIntervalTable throws arbitrary bytes at the multi-window
@@ -116,4 +119,91 @@ func FuzzParseMatchesOracle(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzParsePavfTable throws arbitrary bytes at the pAVF table parser: it
+// must never panic, any table it accepts must carry only finite values in
+// [0,1] (the solver's capped sums assume probabilities — one NaN poisons
+// every downstream node), and accepted tables must survive a
+// write/re-parse round trip with the same port keys and (up to the %.6f
+// rendering) the same values.
+func FuzzParsePavfTable(f *testing.F) {
+	f.Add("R IQ.rd 0.5\nW IQ.wr 0.25\nS IQ 0.9\n")
+	f.Add("# comment\n\nR A.b 1\n")
+	f.Add("R a.b.c -0.001\nS x NaN\nS y +Inf\n")
+	f.Add("R .p 0.5\nS # 2\n")
+	f.Add("bogus line\n")
+	f.Add("R noport 0.5\n")
+	f.Add("R a.b not-a-number\n")
+	f.Add("R a.b 0.5\nR a.b 0.5\n")
+	f.Add("S s 1e308\nS t -0\n")
+	f.Fuzz(func(t *testing.T, table string) {
+		in, err := Parse("fuzz", strings.NewReader(table))
+		if err != nil {
+			return // rejection is fine; panicking is not
+		}
+		checkRange := func(what string, v float64) {
+			t.Helper()
+			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 || v > 1 {
+				t.Fatalf("accepted table yields %s value %v outside [0,1]\ntable:\n%s", what, v, table)
+			}
+		}
+		for sp, v := range in.ReadPorts {
+			checkRange("R "+sp.String(), v)
+		}
+		for sp, v := range in.WritePorts {
+			checkRange("W "+sp.String(), v)
+		}
+		for s, v := range in.StructAVF {
+			checkRange("S "+s, v)
+		}
+		var buf bytes.Buffer
+		n, err := Write(&buf, in)
+		if err != nil {
+			t.Fatalf("Write failed on parsed inputs: %v", err)
+		}
+		if want := len(in.ReadPorts) + len(in.WritePorts) + len(in.StructAVF); n != want {
+			t.Fatalf("Write wrote %d lines for %d entries", n, want)
+		}
+		back, err := Parse("roundtrip", bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("re-parse of written table failed: %v\ntable:\n%s", err, buf.String())
+		}
+		comparePorts(t, "read", in.ReadPorts, back.ReadPorts)
+		comparePorts(t, "write", in.WritePorts, back.WritePorts)
+		if len(back.StructAVF) != len(in.StructAVF) {
+			t.Fatalf("struct AVFs: %d entries became %d", len(in.StructAVF), len(back.StructAVF))
+		}
+		for s, v := range in.StructAVF {
+			got, ok := back.StructAVF[s]
+			if !ok {
+				t.Fatalf("struct %q lost in round trip", s)
+			}
+			checkClose(t, "S "+s, v, got)
+		}
+	})
+}
+
+func comparePorts(t *testing.T, kind string, want, got map[core.StructPort]float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s ports: %d entries became %d", kind, len(want), len(got))
+	}
+	for sp, v := range want {
+		g, ok := got[sp]
+		if !ok {
+			t.Fatalf("%s port %v lost in round trip", kind, sp)
+		}
+		checkClose(t, kind+" "+sp.Struct+"."+sp.Port, v, g)
+	}
+}
+
+// checkClose compares a value against its %.6f-rendered round trip. All
+// accepted values are finite in [0,1], so six fractional digits bound the
+// absolute error.
+func checkClose(t *testing.T, what string, want, got float64) {
+	t.Helper()
+	if math.Abs(got-want) > 5e-7 {
+		t.Fatalf("%s: %v became %v after round trip", what, want, got)
+	}
 }
