@@ -438,10 +438,12 @@ func BenchmarkBatchSweep32(b *testing.B) {
 // tinycore: a 32-window workload swept as one interval batch through a
 // warm engine (every window a lane of one compiled plan) against the
 // same 32 windows swept independently, each through a fresh engine that
-// must compile the plan itself. The arithmetic is identical — the
-// interval property test pins the per-window results bit-for-bit
-// against Result.Reevaluate of each window — so the gap is pure plan-compile
-// amortization, expected to approach T× as the window count T grows
+// must compile the plan itself. The packed sweep reduces each window on
+// the summary sink while the independent sweeps materialize full
+// Results; the interval property test pins every window's chip AVF and
+// node AVFs bit-for-bit against Result.Reevaluate of that window. The
+// gap is plan-compile amortization plus the vectors the summary sink
+// never builds, expected to approach T× as the window count T grows
 // (EXPERIMENTS.md records the measured ratio).
 func BenchmarkIntervalSweep(b *testing.B) {
 	_, res, work := sweepSetup(b)

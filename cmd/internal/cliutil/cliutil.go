@@ -1,6 +1,8 @@
 // Package cliutil factors the boilerplate shared by the seqavf command
 // line tools: uniform error exits, the observability flag trio
-// (-metrics/-trace/-pprof), pAVF-table I/O, and named-workload loading.
+// (-metrics/-trace/-pprof), the artifact-store flags, checked output
+// files, and named-workload loading. pAVF tables are read and written by
+// internal/pavfio directly.
 package cliutil
 
 import (

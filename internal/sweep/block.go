@@ -21,11 +21,14 @@
 // tail.
 //
 // The kernel ends in per-(fwd, bwd)-pair values and feeds two sinks.
-// The materializing sink (EvalBlock, EvalBlockInto) broadcasts them out
-// to per-vertex AVF vectors. The summary sink (behind
-// Engine.SweepSummariesContext) reduces them straight into core.Summary
-// values and node maps through the plan's remapped core.SummaryLayout,
-// so no vector is ever built. The reductions equal Result.Summarize and
+// The materializing sink (EvalBlock, EvalBlockInto, and
+// Engine.SweepContext for the callers that need per-vertex AVFs:
+// hardening, the experiments.Symbolic study) broadcasts them out to
+// per-vertex AVF vectors. The summary sink (behind
+// Engine.SweepSummariesContext, which serves every sweep report and
+// every interval sweep) reduces them straight into core.Summary values
+// and node maps through the plan's remapped core.SummaryLayout, so no
+// vector is ever built. The reductions equal Result.Summarize and
 // SeqAVFByNode on the broadcast vector, bit for bit.
 
 package sweep
