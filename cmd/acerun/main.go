@@ -5,7 +5,7 @@
 // filtered; -json emits the full report.
 //
 // Observability: -metrics FILE writes a JSON snapshot (cycles simulated,
-// ACE reads/writes tallied, instructions retired/sec, per-run phase
+// instructions retired, ACE reads/writes tallied, IPC, per-run phase
 // spans, run manifest); -trace prints phase spans to stderr; -pprof ADDR
 // serves net/http/pprof.
 //

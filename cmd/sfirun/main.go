@@ -4,7 +4,7 @@
 //
 // Observability: -metrics FILE writes a JSON snapshot (injections run,
 // error/unknown/masked tallies, simulated cycles, node evaluations,
-// sims/sec, campaign phase spans, run manifest); -trace prints phase
+// campaign phase spans, run manifest); -trace prints phase
 // spans to stderr; -pprof ADDR serves net/http/pprof.
 //
 // Usage:

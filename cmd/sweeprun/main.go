@@ -197,12 +197,7 @@ func run(reg *obs.Registry, arts *cliutil.Artifacts, nlPath, dir, glob string, w
 func runIntervals(ctx context.Context, eng *sweep.Engine, res *core.Result, design string, ivs []pavfio.NamedIntervals, nodes bool, out string) error {
 	ws := make([]sweep.IntervalWorkload, len(ivs))
 	for i, ni := range ivs {
-		iw := sweep.IntervalWorkload{Name: ni.Name}
-		for _, win := range ni.Table.Windows {
-			iw.Windows = append(iw.Windows, sweep.WindowSpan{Start: win.Start, End: win.End})
-			iw.Inputs = append(iw.Inputs, win.Inputs)
-		}
-		ws[i] = iw
+		ws[i] = sweep.NewIntervalWorkload(ni.Name, ni.Table)
 	}
 	rep, err := eng.ReportIntervals(ctx, res, design, ws, nodes)
 	if err != nil {

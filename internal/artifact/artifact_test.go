@@ -11,6 +11,7 @@ import (
 
 	"seqavf/internal/core"
 	"seqavf/internal/graph/graphtest"
+	"seqavf/internal/obs"
 	"seqavf/internal/stats"
 	"seqavf/internal/sweep"
 )
@@ -197,7 +198,8 @@ func TestDecodeCorruptionDetected(t *testing.T) {
 
 func TestStoreGetPutMissHit(t *testing.T) {
 	dir := t.TempDir()
-	st, err := Open(dir, Options{})
+	reg := obs.New()
+	st, err := Open(dir, Options{Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,6 +237,16 @@ func TestStoreGetPutMissHit(t *testing.T) {
 	tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp"))
 	if len(tmps) != 0 {
 		t.Fatalf("staging files left behind: %v", tmps)
+	}
+	for name, want := range map[string]int64{
+		"artifact.store_misses": 2, "artifact.store_puts": 1, "artifact.store_hits": 1,
+	} {
+		if got := reg.Counter(name).Load(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if got := reg.FixedHistogram("artifact.restore_seconds", obs.LatencyBuckets).Count(); got != 1 {
+		t.Errorf("artifact.restore_seconds count = %d, want 1 (the hit)", got)
 	}
 }
 
@@ -281,7 +293,8 @@ func TestStoreEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := Open(dir, Options{MaxBytes: int64(len(probe)) * 5 / 2})
+	reg := obs.New()
+	st, err := Open(dir, Options{MaxBytes: int64(len(probe)) * 5 / 2, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,6 +318,9 @@ func TestStoreEviction(t *testing.T) {
 	}
 	if st.Len() >= 4 {
 		t.Fatalf("no eviction happened: %d artifacts for bound %d bytes", st.Len(), st.opts.MaxBytes)
+	}
+	if got := reg.Counter("artifact.evictions").Load(); got != int64(4-st.Len()) {
+		t.Fatalf("artifact.evictions = %d, want %d (4 puts, %d left)", got, 4-st.Len(), st.Len())
 	}
 	// The oldest (first) entry is the one evicted.
 	if got, _, err := st.Get(a0); err != nil || got != nil {

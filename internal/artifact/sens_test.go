@@ -11,7 +11,8 @@ import (
 )
 
 func TestSensRoundTripAndMiss(t *testing.T) {
-	st, err := Open(t.TempDir(), Options{Obs: obs.New()})
+	reg := obs.New()
+	st, err := Open(t.TempDir(), Options{Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,6 +40,9 @@ func TestSensRoundTripAndMiss(t *testing.T) {
 	}
 	if got, _ := st.GetSens(0xabc, 0xdef); string(got) != "v2" {
 		t.Fatalf("overwrite not visible: %q", got)
+	}
+	if got := reg.Counter("artifact.sens_puts").Load(); got != 2 {
+		t.Fatalf("artifact.sens_puts = %d, want 2", got)
 	}
 }
 

@@ -799,7 +799,7 @@ func TestSolveObservability(t *testing.T) {
 	}
 
 	for _, name := range []string{
-		"core.fwd_vertices", "core.bwd_vertices", "core.union_ops", "core.iterations",
+		"core.fwd_vertices", "core.bwd_vertices", "core.union_ops", "core.iterations", "core.top_shortcircuits",
 	} {
 		if snap.Counters[name] <= 0 {
 			t.Fatalf("counter %s = %d, want > 0 (all: %v)", name, snap.Counters[name], snap.Counters)
@@ -860,6 +860,15 @@ func TestSolveObservability(t *testing.T) {
 		if len(row) != len(ai.G.FubNames) {
 			t.Fatalf("incremental trace row %d has %d entries, want %d", i, len(row), len(ai.G.FubNames))
 		}
+	}
+	if got := isnap.Counters["solve.fubs_dirty"]; got != int64(st.FubsDirty) {
+		t.Fatalf("solve.fubs_dirty = %d, want %d", got, st.FubsDirty)
+	}
+	if got := isnap.Counters["solve.fubs_reused"]; got != int64(st.FubsReused) || st.FubsReused == 0 {
+		t.Fatalf("solve.fubs_reused = %d, want %d (> 0)", got, st.FubsReused)
+	}
+	if got := isnap.Histograms["solve.incremental_seconds"].Count; got != 1 {
+		t.Fatalf("solve.incremental_seconds observations = %d, want 1", got)
 	}
 }
 

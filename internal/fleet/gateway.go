@@ -126,12 +126,12 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("GET /metrics", g.handleMetrics)
 	mux.Handle("GET /metrics.json", g.reg.MetricsHandler())
 	mux.HandleFunc("GET /v1/designs", g.handleListDesigns)
-	g.proxy(mux, "POST /v1/designs", "upload", "design", uploadKey, true)
-	g.proxy(mux, "POST /v1/designs/{name}/edit", "edit", "design", pathKey("name"), true)
-	g.proxy(mux, "POST /v1/sweep", "sweep", "design", designKey, false)
-	g.proxy(mux, "POST /v1/sweep/intervals", "intervals", "design", designKey, false)
-	g.proxy(mux, "POST /v1/harden", "harden", "design", designKey, false)
-	g.proxy(mux, "GET /v1/artifacts/{fingerprint}", "artifact", "fingerprint", pathKey("fingerprint"), false)
+	g.proxy(mux, "POST /v1/designs", g.reg.Counter("gateway.upload_requests"), "design", uploadKey, true)
+	g.proxy(mux, "POST /v1/designs/{name}/edit", g.reg.Counter("gateway.edit_requests"), "design", pathKey("name"), true)
+	g.proxy(mux, "POST /v1/sweep", g.reg.Counter("gateway.sweep_requests"), "design", designKey, false)
+	g.proxy(mux, "POST /v1/sweep/intervals", g.reg.Counter("gateway.intervals_requests"), "design", designKey, false)
+	g.proxy(mux, "POST /v1/harden", g.reg.Counter("gateway.harden_requests"), "design", designKey, false)
+	g.proxy(mux, "GET /v1/artifacts/{fingerprint}", g.reg.Counter("gateway.artifact_requests"), "fingerprint", pathKey("fingerprint"), false)
 	return mux
 }
 
@@ -325,15 +325,14 @@ func pathKey(wildcard string) keyFunc {
 }
 
 // proxy registers one routed endpoint on mux. Every proxied request
-// runs the same steps: count gateway.<name>_requests, open the request
+// runs the same steps: count it on requests, open the request
 // span, buffer the body under MaxBodyBytes, derive the routing key
 // (recorded as the span attribute attr), and forward the client's
 // method, path and query to the key's rendezvous owner. With replicate
 // set, a design write the fleet accepted (2xx) is also copied to the
 // runner-up (replicateDesign).
-func (g *Gateway) proxy(mux *http.ServeMux, pattern, name, attr string, key keyFunc, replicate bool) {
+func (g *Gateway) proxy(mux *http.ServeMux, pattern string, requests *obs.Counter, attr string, key keyFunc, replicate bool) {
 	_, endpoint, _ := strings.Cut(pattern, " ")
-	requests := g.reg.Counter("gateway." + name + "_requests")
 	mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		requests.Inc()
 		sp, ctx := g.startRequest(w, r, endpoint)

@@ -23,6 +23,7 @@ type stubReplica struct {
 	id       string
 	hits     atomic.Int64
 	failWith atomic.Int64 // 0 = healthy, else HTTP status to return
+	badPage  atomic.Bool  // serve /metrics as an unparseable exposition
 	lastTP   atomic.Value // last traceparent header seen (string)
 
 	mu   sync.Mutex
@@ -67,6 +68,10 @@ func newStubReplica(t *testing.T, id string) *stubReplica {
 		fmt.Fprintf(w, `{"status":"ok","designs":1}`)
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+		if sr.badPage.Load() {
+			fmt.Fprintf(w, "# TYPE server_sweep_ok bogus\n")
+			return
+		}
 		fmt.Fprintf(w, "# TYPE server_sweep_ok counter\nserver_sweep_ok %d\n", sr.hits.Load())
 	})
 	mux.HandleFunc("GET /v1/designs", func(w http.ResponseWriter, r *http.Request) {
@@ -180,6 +185,9 @@ func TestGatewayFailover(t *testing.T) {
 	if got := gw.reg.Counter("gateway.retries").Load(); got == 0 {
 		t.Fatal("failover did not count a retry")
 	}
+	if got := gw.reg.Counter("gateway.replica_errors").Load(); got != 1 {
+		t.Fatalf("gateway.replica_errors = %d, want 1 (the dead owner's transport error)", got)
+	}
 	if got := gw.reg.Gauge("gateway.replica_unhealthy").Load(); got != 1 {
 		t.Fatalf("gateway.replica_unhealthy = %v, want 1", got)
 	}
@@ -211,6 +219,9 @@ func TestGatewayStatusHandling(t *testing.T) {
 	rr, servedBy := postSweep(t, h, design)
 	if rr.Code != http.StatusOK || servedBy != second.id {
 		t.Fatalf("503 fail-over: status %d served by %q, want 200 from %s", rr.Code, servedBy, second.id)
+	}
+	if got := gw.reg.Counter("gateway.replica_errors").Load(); got != 1 {
+		t.Fatalf("gateway.replica_errors = %d after a 503 fail-over, want 1", got)
 	}
 
 	// 429 must pass through, not fail over: wait out the quarantine the
@@ -294,6 +305,29 @@ func TestGatewayMergedMetrics(t *testing.T) {
 	}
 	if got, _ := lookup(fam, "gateway_route_total", ""); got != 6 {
 		t.Fatalf("gateway_route_total = %v, want 6", got)
+	}
+	if got := gw.reg.Counter("gateway.scrape_errors").Load(); got != 0 {
+		t.Fatalf("gateway.scrape_errors = %d with every replica up, want 0", got)
+	}
+
+	// A dead replica and one serving a garbled page are each skipped and
+	// counted; the page still merges what the rest served.
+	reps[0].ts.Close()
+	reps[1].badPage.Store(true)
+	rr = httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if rr.Code != http.StatusOK {
+		t.Fatalf("/metrics with two bad replicas: %d", rr.Code)
+	}
+	exp, err = ParseExposition(rr.Body.Bytes())
+	if err != nil {
+		t.Fatalf("degraded merged page does not parse: %v", err)
+	}
+	if got, _ := lookup(exp.byName["server_sweep_ok"], "server_sweep_ok", ""); got != float64(reps[2].hits.Load()) {
+		t.Fatalf("degraded server_sweep_ok = %v, want replica 2's %d", got, reps[2].hits.Load())
+	}
+	if got := gw.reg.Counter("gateway.scrape_errors").Load(); got != 2 {
+		t.Fatalf("gateway.scrape_errors = %d, want 2 (one dead, one unparseable)", got)
 	}
 }
 

@@ -74,9 +74,9 @@ func (g *Gauge) Load() float64 {
 
 // LatencyBuckets is the shared fixed-bucket layout for latency
 // histograms observed in seconds (server.request_seconds,
-// sweep.plan_compile_seconds, sweep.block_eval_seconds,
-// artifact.restore_seconds, solve.incremental_seconds): 500µs to 10s, roughly geometric — the
-// range a sweep stage can plausibly occupy. Fixed, identical bounds are
+// sweep.plan_compile_seconds, artifact.restore_seconds,
+// harden.optimize_seconds, solve.incremental_seconds): 500µs to 10s,
+// roughly geometric — the range a sweep stage can plausibly occupy. Fixed, identical bounds are
 // what let a fleet gateway sum per-replica Prometheus buckets.
 var LatencyBuckets = []float64{
 	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,

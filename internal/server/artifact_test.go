@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -87,6 +88,34 @@ func TestLoadNetlistWarmStart(t *testing.T) {
 	resp, b := postJSON(t, http.DefaultClient, ts.URL+"/v1/sweep", body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("sweep of warm-started design returned %d: %s", resp.StatusCode, b)
+	}
+
+	// A corrupt artifact is counted and solved around: the third load
+	// solves cold, to the same bits.
+	arts, err := filepath.Glob(filepath.Join(dir, "*.sart"))
+	if err != nil || len(arts) != 1 {
+		t.Fatalf("glob *.sart: %v (%d entries)", err, len(arts))
+	}
+	data, err := os.ReadFile(arts[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0xFF
+	if err := os.WriteFile(arts[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg3 := obs.New()
+	_, healed := load(reg3)
+	if got := reg3.Counter("server.artifact_errors").Load(); got != 1 {
+		t.Fatalf("corrupt artifact: server.artifact_errors = %d, want 1", got)
+	}
+	if got := reg3.Counter("artifact.cold_start").Load(); got != 1 {
+		t.Fatalf("corrupt artifact: cold_start = %d, want 1", got)
+	}
+	for v := range cold.Result.AVF {
+		if healed.Result.AVF[v] != cold.Result.AVF[v] {
+			t.Fatalf("vertex %d: AVF after corrupt artifact %v != cold AVF %v", v, healed.Result.AVF[v], cold.Result.AVF[v])
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -41,28 +42,8 @@ func TestEditDesignEndpoint(t *testing.T) {
 	before := s.Design(name)
 	designsBefore := reg.Gauge("server.designs").Load()
 
-	// The ECO: register one existing signal of the first FUB's module
-	// behind a fresh flop — the hierarchical form of graphtest's add-flop.
-	mod := gen.Design.Modules[gen.Design.Fubs[0].Module]
-	var src *netlist.Node
-	for _, n := range mod.Nodes {
-		if (n.Kind == netlist.KindComb || n.Kind == netlist.KindSeq) && n.Class != netlist.ClassDebug {
-			src = n
-			break
-		}
-	}
-	if src == nil {
-		t.Fatalf("module %s has no eligible source node", mod.Name)
-	}
-	mod.Nodes = append(mod.Nodes, &netlist.Node{
-		Name: "eco_q", Kind: netlist.KindSeq, Width: src.Width, Inputs: []string{src.Name},
-	})
-	var edited bytes.Buffer
-	if err := netlist.Write(&edited, gen.Design); err != nil {
-		t.Fatalf("netlist.Write (edited): %v", err)
-	}
-
-	resp, b = postJSON(t, http.DefaultClient, ts.URL+"/v1/designs/"+name+"/edit", edited.Bytes())
+	edited, width := addFlop(t, gen.Design)
+	resp, b = postJSON(t, http.DefaultClient, ts.URL+"/v1/designs/"+name+"/edit", edited)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("edit returned %d: %s", resp.StatusCode, b)
 	}
@@ -79,8 +60,8 @@ func TestEditDesignEndpoint(t *testing.T) {
 	if !er.Incremental.Converged {
 		t.Fatalf("incremental re-solve did not converge: %+v", er.Incremental)
 	}
-	if er.Vertices != before.Vertices+src.Width {
-		t.Fatalf("edited design has %d vertices, want %d + %d", er.Vertices, before.Vertices, src.Width)
+	if er.Vertices != before.Vertices+width {
+		t.Fatalf("edited design has %d vertices, want %d + %d", er.Vertices, before.Vertices, width)
 	}
 
 	// Replaced, not added: same design count, new registration.
@@ -93,7 +74,112 @@ func TestEditDesignEndpoint(t *testing.T) {
 	}
 
 	// The replacement must agree with a cold solve of the edited netlist.
-	parsed, err := netlist.Parse(bytes.NewReader(edited.Bytes()))
+	cold := coldSolve(t, edited)
+	if d := core.MaxAbsDiff(after.Result, cold); !(d <= cold.Analyzer.Opts.Epsilon) {
+		t.Fatalf("edited design diverges from cold solve by %v", d)
+	}
+
+	// And it still serves sweeps.
+	body := sweepBody(t, name, after.Result, 2, 500)
+	resp, b = postJSON(t, http.DefaultClient, ts.URL+"/v1/sweep", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sweep of edited design returned %d: %s", resp.StatusCode, b)
+	}
+
+	// Editing an unregistered name is 404, not a fresh registration.
+	resp, b = postJSON(t, http.DefaultClient, ts.URL+"/v1/designs/nonexistent/edit", edited)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("edit of unknown design returned %d: %s", resp.StatusCode, b)
+	}
+	if got := reg.Counter("server.edit_requests").Load(); got != 2 {
+		t.Fatalf("edit_requests counter = %v, want 2", got)
+	}
+}
+
+// TestEditColdFallback: when the live design's result cannot seed an
+// incremental re-solve, the edit still lands — 200, the cold solve's
+// exact bits — and the fallback is counted.
+func TestEditColdFallback(t *testing.T) {
+	s, reg, _ := newTestServer(t, Config{MaxBodyBytes: 64 << 20})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	cfg := design.DefaultConfig(9)
+	cfg.NumFubs = 3
+	gen, err := design.Generate(cfg)
+	if err != nil {
+		t.Fatalf("design.Generate: %v", err)
+	}
+	var nl bytes.Buffer
+	if err := netlist.Write(&nl, gen.Design); err != nil {
+		t.Fatalf("netlist.Write: %v", err)
+	}
+	// Register a result whose AVF vector is one short of its design:
+	// PriorState rejects it, so no incremental seed exists.
+	live := *coldSolve(t, nl.Bytes())
+	live.AVF = live.AVF[:len(live.AVF)-1]
+	name := gen.Design.Name
+	if _, err := s.AddResult(name, &live); err != nil {
+		t.Fatalf("AddResult: %v", err)
+	}
+
+	edited, _ := addFlop(t, gen.Design)
+	resp, b := postJSON(t, http.DefaultClient, ts.URL+"/v1/designs/"+name+"/edit", edited)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("edit returned %d: %s", resp.StatusCode, b)
+	}
+	var er EditResponse
+	if err := json.Unmarshal(b, &er); err != nil {
+		t.Fatalf("edit response: %v", err)
+	}
+	if er.Incremental != nil {
+		t.Fatalf("edit reports an incremental re-solve from an unusable prior: %s", b)
+	}
+	got, want := s.Design(name).Result, coldSolve(t, edited)
+	if len(got.AVF) != len(want.AVF) {
+		t.Fatalf("edited design has %d AVFs, cold solve %d", len(got.AVF), len(want.AVF))
+	}
+	for v, x := range want.AVF {
+		if math.Float64bits(got.AVF[v]) != math.Float64bits(x) {
+			t.Fatalf("vertex %d: AVF %v, cold solve %v", v, got.AVF[v], x)
+		}
+	}
+	if n := reg.Counter("server.edit_cold_fallbacks").Load(); n != 1 {
+		t.Fatalf("server.edit_cold_fallbacks = %d, want 1", n)
+	}
+}
+
+// addFlop returns d's netlist after the ECO the edit tests apply:
+// register one existing signal of the first FUB's module behind a fresh
+// flop — the hierarchical form of graphtest's add-flop — and the width
+// of that flop. d is edited in place.
+func addFlop(t *testing.T, d *netlist.Design) ([]byte, int) {
+	t.Helper()
+	mod := d.Modules[d.Fubs[0].Module]
+	var src *netlist.Node
+	for _, n := range mod.Nodes {
+		if (n.Kind == netlist.KindComb || n.Kind == netlist.KindSeq) && n.Class != netlist.ClassDebug {
+			src = n
+			break
+		}
+	}
+	if src == nil {
+		t.Fatalf("module %s has no eligible source node", mod.Name)
+	}
+	mod.Nodes = append(mod.Nodes, &netlist.Node{
+		Name: "eco_q", Kind: netlist.KindSeq, Width: src.Width, Inputs: []string{src.Name},
+	})
+	var edited bytes.Buffer
+	if err := netlist.Write(&edited, d); err != nil {
+		t.Fatalf("netlist.Write (edited): %v", err)
+	}
+	return edited.Bytes(), src.Width
+}
+
+// coldSolve solves a netlist from scratch the way an upload does.
+func coldSolve(t *testing.T, nl []byte) *core.Result {
+	t.Helper()
+	parsed, err := netlist.Parse(bytes.NewReader(nl))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,27 +195,9 @@ func TestEditDesignEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := a.Solve(neutralInputs(a))
+	res, err := a.Solve(neutralInputs(a))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := core.MaxAbsDiff(after.Result, cold); !(d <= a.Opts.Epsilon) {
-		t.Fatalf("edited design diverges from cold solve by %v", d)
-	}
-
-	// And it still serves sweeps.
-	body := sweepBody(t, name, after.Result, 2, 500)
-	resp, b = postJSON(t, http.DefaultClient, ts.URL+"/v1/sweep", body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sweep of edited design returned %d: %s", resp.StatusCode, b)
-	}
-
-	// Editing an unregistered name is 404, not a fresh registration.
-	resp, b = postJSON(t, http.DefaultClient, ts.URL+"/v1/designs/nonexistent/edit", edited.Bytes())
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("edit of unknown design returned %d: %s", resp.StatusCode, b)
-	}
-	if got := reg.Counter("server.edit_requests").Load(); got != 2 {
-		t.Fatalf("edit_requests counter = %v, want 2", got)
-	}
+	return res
 }

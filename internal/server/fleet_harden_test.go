@@ -261,4 +261,18 @@ func TestFleetDesignFanoutFailover(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-failover sweep: status %d: %s", resp.StatusCode, raw)
 	}
+
+	// An edit with the owner dead is served by the runner-up; its
+	// replication to the dead owner fails, is counted, and does not fail
+	// the acknowledged write.
+	resp, raw = postJSON(t, http.DefaultClient, gwTS.URL+"/v1/designs/"+name+"/edit", edited.Bytes())
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("post-failover edit: status %d: %s", resp.StatusCode, raw)
+	}
+	if got := gwReg.Counter("gateway.design_fanout_errors").Load(); got != 1 {
+		t.Errorf("gateway.design_fanout_errors = %d, want 1", got)
+	}
+	if got := gwReg.Counter("gateway.design_fanout_total").Load(); got != 2 {
+		t.Errorf("gateway.design_fanout_total = %d after a failed replication, want 2", got)
+	}
 }

@@ -381,6 +381,9 @@ func TestFleetRemoteWarmStart(t *testing.T) {
 	if got := regB.Counter("artifact.remote_hits").Load(); got != 1 {
 		t.Fatalf("artifact.remote_hits = %d, want 1 (warm start must come from the peer)", got)
 	}
+	if got := regA.Counter("server.artifact_requests").Load(); got != 1 {
+		t.Fatalf("peer served %d artifact requests, want 1", got)
+	}
 	if got := regB.Counter("artifact.warm_start").Load(); got != 1 {
 		t.Fatalf("artifact.warm_start = %d, want 1", got)
 	}

@@ -101,11 +101,7 @@ func TestSweepIntervalsEndpoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		iw := sweep.IntervalWorkload{Name: wr.Name}
-		for _, win := range tab.Windows {
-			iw.Windows = append(iw.Windows, sweep.WindowSpan{Start: win.Start, End: win.End})
-			iw.Inputs = append(iw.Inputs, win.Inputs)
-		}
+		iw := sweep.NewIntervalWorkload(wr.Name, tab)
 		rb, err := ref.SweepIntervals(results["alpha"], []sweep.IntervalWorkload{iw})
 		if err != nil {
 			t.Fatal(err)

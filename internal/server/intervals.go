@@ -75,12 +75,7 @@ func (s *Server) decodeIntervals(_ *http.Request, body io.Reader) (job, error) {
 			}
 			name = tab.Workload
 		}
-		iw := sweep.IntervalWorkload{Name: name}
-		for _, win := range tab.Windows {
-			iw.Windows = append(iw.Windows, sweep.WindowSpan{Start: win.Start, End: win.End})
-			iw.Inputs = append(iw.Inputs, win.Inputs)
-		}
-		ws[i] = iw
+		ws[i] = sweep.NewIntervalWorkload(name, tab)
 	}
 	j.run = func(ctx context.Context, d *Design) (any, *Design, error) {
 		rep, err := s.eng.ReportIntervals(ctx, d.Result, d.Name, ws, req.Nodes)

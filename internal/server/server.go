@@ -153,12 +153,13 @@ func New(cfg Config) *Server {
 		// make Sweep.Store a non-nil interface wrapping nil.
 		cfg.Sweep.Store = cfg.Artifacts
 	}
-	// Pre-register the pipeline latency histograms so /metrics exposes
-	// every stage's family — with identical fixed bucket layouts across
-	// replicas — from the first scrape, not the first request.
+	// Pre-register the latency histograms (request, plan compile,
+	// artifact restore, harden optimize) so /metrics exposes each family
+	// — with identical fixed bucket layouts across replicas — from the
+	// first scrape, not the first request. The kernel is timed by the
+	// sweep.eval span, not a histogram.
 	cfg.Obs.FixedHistogram("server.request_seconds", obs.LatencyBuckets)
 	cfg.Obs.FixedHistogram("sweep.plan_compile_seconds", obs.LatencyBuckets)
-	cfg.Obs.FixedHistogram("sweep.block_eval_seconds", obs.LatencyBuckets)
 	cfg.Obs.FixedHistogram("artifact.restore_seconds", obs.LatencyBuckets)
 	cfg.Obs.FixedHistogram("harden.optimize_seconds", obs.LatencyBuckets)
 	return &Server{

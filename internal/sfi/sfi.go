@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"seqavf/internal/obs"
 	"seqavf/internal/rtlsim"
@@ -66,8 +65,8 @@ type Config struct {
 	// designs and short programs; InjectionsPerBit is ignored.
 	Exhaustive bool
 	// Obs receives campaign telemetry: golden/inject spans, injection and
-	// outcome counters, simulated-cycle and node-eval tallies, and
-	// sims-per-second gauges. nil disables it.
+	// outcome counters, and simulated-cycle and node-eval tallies. nil
+	// disables it.
 	Obs *obs.Registry
 }
 
@@ -200,7 +199,6 @@ func Run(sim *rtlsim.Sim, obsPoints Observation, cfg Config) (*Result, error) {
 	reg := cfg.Obs
 	sp := reg.StartSpan("sfi.campaign")
 	defer sp.End()
-	start := time.Now()
 	gsp := sp.Child("golden")
 	g, err := runGolden(sim, obsPoints, cfg)
 	if err != nil {
@@ -314,10 +312,6 @@ func Run(sim *rtlsim.Sim, obsPoints Observation, cfg Config) (*Result, error) {
 		reg.Counter("rtlsim.cycles").Add(int64(res.SimulatedCycles + res.GoldenCycles))
 		evals := (res.SimulatedCycles + res.GoldenCycles) * uint64(sim.NumEvalNodes())
 		reg.Counter("rtlsim.node_evals").Add(int64(evals))
-		if elapsed := time.Since(start).Seconds(); elapsed > 0 {
-			reg.Gauge("sfi.sims_per_sec").Set(float64(res.Injections) / elapsed)
-			reg.Gauge("sfi.cycles_per_sec").Set(float64(res.SimulatedCycles) / elapsed)
-		}
 		sp.SetAttr("injections", res.Injections)
 		sp.SetAttr("avf", res.AVF())
 	}

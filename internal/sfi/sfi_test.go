@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"seqavf/internal/isa"
+	"seqavf/internal/obs"
 	"seqavf/internal/tinycore"
 	"seqavf/internal/workload"
 )
@@ -154,6 +155,41 @@ func TestParallelCampaignMatchesSerial(t *testing.T) {
 		a, b := serial.Nodes[i], parallel.Nodes[i]
 		if a != b {
 			t.Fatalf("node %s differs: %+v vs %+v", a.Node, a, b)
+		}
+	}
+}
+
+// TestCampaignMetrics pins the sfi.* and rtlsim.* telemetry a -metrics
+// run prints: every counter equals the campaign result's field, and
+// rtlsim.node_evals is rtlsim.cycles × NumEvalNodes.
+func TestCampaignMetrics(t *testing.T) {
+	m, err := tinycore.New(workload.MD5Like(15))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.New()
+	cfg := DefaultConfig()
+	cfg.InjectionsPerBit = 1
+	cfg.Window = 500
+	cfg.Obs = reg
+	res, err := Run(m.Sim, tinyObs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	cycles := int64(res.SimulatedCycles + res.GoldenCycles)
+	for name, want := range map[string]int64{
+		"sfi.campaigns":     1,
+		"sfi.injections":    int64(res.Injections),
+		"sfi.errors":        int64(res.Errors),
+		"sfi.unknown":       int64(res.Unknown),
+		"sfi.masked":        int64(res.Masked),
+		"sfi.sim_cycles":    int64(res.SimulatedCycles),
+		"rtlsim.cycles":     cycles,
+		"rtlsim.node_evals": cycles * int64(m.Sim.NumEvalNodes()),
+	} {
+		if got := snap.Counters[name]; got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
 }

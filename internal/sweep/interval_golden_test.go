@@ -81,11 +81,7 @@ func TestTinycoreGoldenIntervals(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
-	iw := IntervalWorkload{Name: back.Workload}
-	for _, win := range back.Windows {
-		iw.Windows = append(iw.Windows, WindowSpan{Start: win.Start, End: win.End})
-		iw.Inputs = append(iw.Inputs, win.Inputs)
-	}
+	iw := NewIntervalWorkload(back.Workload, back)
 	// Block width 4 over 6 window lanes: one full block and one ragged.
 	eng := newWidth(Options{Workers: 1}, 4)
 	b, err := eng.sweepIntervals(context.Background(), res, []IntervalWorkload{iw}, true)

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"seqavf/internal/core"
+	"seqavf/internal/pavfio"
 )
 
 // WindowSpan is a half-open cycle range [Start, End).
@@ -33,6 +34,18 @@ type IntervalWorkload struct {
 	Name    string
 	Windows []WindowSpan
 	Inputs  []*core.Inputs
+}
+
+// NewIntervalWorkload returns the interval workload named name whose
+// windows and per-window inputs are tab's.
+func NewIntervalWorkload(name string, tab *pavfio.IntervalTable) IntervalWorkload {
+	n := len(tab.Windows)
+	w := IntervalWorkload{Name: name, Windows: make([]WindowSpan, n), Inputs: make([]*core.Inputs, n)}
+	for i, win := range tab.Windows {
+		w.Windows[i] = WindowSpan{Start: win.Start, End: win.End}
+		w.Inputs[i] = win.Inputs
+	}
+	return w
 }
 
 // validate checks the window geometry the rest of the pipeline assumes:

@@ -22,8 +22,8 @@ type Options struct {
 	// 0 means 8.
 	CacheSize int
 	// Obs receives engine telemetry: compile/eval spans, plan cache
-	// hit/miss counters, workload counters, and a workloads/sec gauge.
-	// nil disables instrumentation.
+	// and store counters, and workload counters. nil disables
+	// instrumentation.
 	Obs *obs.Registry
 	// Store is an optional second-level plan store behind the in-memory
 	// LRU (typically an *artifact.Store): a memory miss consults it
@@ -231,10 +231,6 @@ func (e *Engine) sweep(ctx context.Context, res *core.Result, workloads []Worklo
 	sp.SetAttr("chunk", chunk)
 	sp.SetAttr("block", block)
 	sp.SetAttr("output", output)
-	// Resolved once per batch (one registry-map lookup), observed once
-	// per kernel invocation — the per-block cost inside the worker loop
-	// is two clock reads and one histogram mutex.
-	blockHist := e.opts.Obs.FixedHistogram("sweep.block_eval_seconds", obs.LatencyBuckets)
 	start := time.Now()
 
 	batch := &Batch{
@@ -277,14 +273,12 @@ func (e *Engine) sweep(ctx context.Context, res *core.Result, workloads []Worklo
 			hi := min(lo+chunk, n)
 			for b := lo; b < hi; b += block {
 				be := min(b+block, hi)
-				bstart := time.Now()
 				// A nil output slice turns that sink off.
 				if err := plan.evalBlock(workloads[b:be], &m, scratch,
 					sliceOut(batch.Results, b, be), batch.Summaries[b:be], sliceOut(batch.Nodes, b, be)); err != nil {
 					firstErr.CompareAndSwap(nil, err)
 					return
 				}
-				blockHist.Observe(time.Since(bstart).Seconds())
 				blocks.Add(1)
 			}
 		}
@@ -312,8 +306,6 @@ func (e *Engine) sweep(ctx context.Context, res *core.Result, workloads []Worklo
 		return nil, err
 	}
 	e.opts.Obs.Counter("sweep.workloads").Add(int64(n))
-	e.opts.Obs.Counter("sweep.batches").Inc()
-	e.opts.Obs.Gauge("sweep.workloads_per_sec").Set(batch.WorkloadsPerSec())
 	e.opts.Obs.Counter("sweep.block_evals").Add(blocks.Load())
 	if !vectors {
 		// Workloads served by the summary sink (no per-vertex vectors).

@@ -280,6 +280,85 @@ func TestPlanCacheLRU(t *testing.T) {
 	}
 }
 
+// fakePlanStore is an in-memory PlanStore keyed by design fingerprint
+// that fails GetPlan / PutPlan with getErr / putErr when set.
+type fakePlanStore struct {
+	plans          map[uint64]*Plan
+	getErr, putErr error
+}
+
+func (f *fakePlanStore) GetPlan(_ context.Context, res *core.Result) (*Plan, error) {
+	if f.getErr != nil {
+		return nil, f.getErr
+	}
+	return f.plans[res.Analyzer.Fingerprint()], nil
+}
+
+func (f *fakePlanStore) PutPlan(res *core.Result, p *Plan) error {
+	if f.putErr != nil {
+		return f.putErr
+	}
+	f.plans[res.Analyzer.Fingerprint()] = p
+	return nil
+}
+
+// TestPlanStoreOutcomes: every second-level store outcome is counted,
+// and none of them — a corrupt entry, a failed write — fails the sweep
+// or changes its bits against a store-less engine.
+func TestPlanStoreOutcomes(t *testing.T) {
+	a, res, _ := solved(t, graphtest.Small(31), 1)
+	ws := []Workload{{Name: "a", Inputs: randomInputs(a, 7)}, {Name: "b", Inputs: randomInputs(a, 8)}}
+	want, err := New(Options{}).Sweep(res, ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, err := Compile(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	broken := errors.New("injected store fault")
+	counters := []string{"sweep.plan_store_hits", "sweep.plan_store_misses", "sweep.plan_store_errors",
+		"sweep.plan_compiles", "sweep.plan_store_put_errors"}
+	for _, tc := range []struct {
+		name  string
+		store *fakePlanStore
+		want  []int64 // index-aligned with counters
+		saved bool    // the compiled plan was written back
+	}{
+		{"miss", &fakePlanStore{plans: map[uint64]*Plan{}}, []int64{0, 1, 0, 1, 0}, true},
+		{"hit", &fakePlanStore{plans: map[uint64]*Plan{a.Fingerprint(): stored}}, []int64{1, 0, 0, 0, 0}, true},
+		{"get-error", &fakePlanStore{plans: map[uint64]*Plan{}, getErr: broken}, []int64{0, 0, 1, 1, 0}, true},
+		{"put-error", &fakePlanStore{plans: map[uint64]*Plan{}, putErr: broken}, []int64{0, 1, 0, 1, 1}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.New()
+			batch, err := New(Options{Obs: reg, Store: tc.store}).Sweep(res, ws)
+			if err != nil {
+				t.Fatalf("store fault failed the sweep: %v", err)
+			}
+			for i := range ws {
+				for v, x := range want.Results[i].AVF {
+					if math.Float64bits(batch.Results[i].AVF[v]) != math.Float64bits(x) {
+						t.Fatalf("workload %d vertex %d: %v, store-less engine %v", i, v, batch.Results[i].AVF[v], x)
+					}
+				}
+			}
+			for i, name := range counters {
+				if got := reg.Counter(name).Load(); got != tc.want[i] {
+					t.Errorf("%s = %d, want %d", name, got, tc.want[i])
+				}
+			}
+			compiles := uint64(tc.want[3])
+			if got := reg.FixedHistogram("sweep.plan_compile_seconds", obs.LatencyBuckets).Count(); got != compiles {
+				t.Errorf("sweep.plan_compile_seconds count = %d, want %d", got, compiles)
+			}
+			if saved := tc.store.plans[a.Fingerprint()] != nil; saved != tc.saved {
+				t.Errorf("plan saved to store = %v, want %v", saved, tc.saved)
+			}
+		})
+	}
+}
+
 // TestSweepSpeedup: on tinycore at 32 workloads the compiled batch sweep
 // must beat 32 per-workload full solves by >= 5x (the ISSUE acceptance
 // bar; in practice it is orders of magnitude).

@@ -24,7 +24,6 @@ package uarch
 
 import (
 	"fmt"
-	"time"
 
 	"seqavf/internal/ace"
 	"seqavf/internal/isa"
@@ -60,7 +59,7 @@ type Config struct {
 	MaxInstrs int // trace budget (0 = isa.DefaultMaxSteps)
 	// Obs receives performance-model telemetry: per-run spans
 	// (arch_exec/replay/ace_finish), cycle and instruction counters, ACE
-	// read/write tallies, and retirement-rate gauges. nil disables it.
+	// read/write tallies, and an IPC gauge. nil disables it.
 	Obs *obs.Registry
 }
 
@@ -116,7 +115,6 @@ func Run(p *isa.Program, cfg Config) (*Result, error) {
 	sp := cfg.Obs.StartSpan("uarch.run")
 	defer sp.End()
 	sp.SetAttr("program", p.Name)
-	start := time.Now()
 	maxSteps := cfg.MaxInstrs
 	if maxSteps <= 0 {
 		maxSteps = p.MaxCycles
@@ -367,10 +365,6 @@ func Run(p *isa.Program, cfg Config) (*Result, error) {
 		reg.Counter("ace.ace_writes").Add(int64(report.ACEWrites))
 		reg.Counter("ace.tag_lookups").Add(int64(report.Lookups))
 		reg.Gauge("uarch.ipc").Set(res.IPC)
-		if elapsed := time.Since(start).Seconds(); elapsed > 0 {
-			reg.Gauge("uarch.instrs_per_sec").Set(float64(len(arch.Trace)) / elapsed)
-			reg.Gauge("uarch.cycles_per_sec").Set(float64(endCycle) / elapsed)
-		}
 	}
 	return res, nil
 }

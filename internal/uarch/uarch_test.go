@@ -1,9 +1,11 @@
 package uarch
 
 import (
+	"math"
 	"testing"
 
 	"seqavf/internal/isa"
+	"seqavf/internal/obs"
 	"seqavf/internal/workload"
 )
 
@@ -372,4 +374,37 @@ func TestBitFieldAblation(t *testing.T) {
 	t.Logf("IQ AVF: fields %.4f vs whole-entry %.4f (%.0f%% lower)",
 		fields.Report.StructAVF[StructIQ], coarse.Report.StructAVF[StructIQ],
 		100*(1-fields.Report.StructAVF[StructIQ]/coarse.Report.StructAVF[StructIQ]))
+}
+
+// TestRunMetrics pins the uarch.* and ace.* telemetry a -metrics run
+// prints: every counter equals the Result or ACE report field it was
+// copied from.
+func TestRunMetrics(t *testing.T) {
+	reg := obs.New()
+	cfg := DefaultConfig()
+	cfg.Obs = reg
+	res, err := Run(workload.Lattice(6), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	r := res.Report
+	for name, want := range map[string]int64{
+		"uarch.runs":       1,
+		"uarch.cycles":     int64(res.Cycles),
+		"uarch.instrs":     int64(res.Instrs),
+		"uarch.ace_instrs": int64(math.Round(res.ACEInstrFraction * float64(res.Instrs))),
+		"ace.read_events":  int64(r.ReadEvents),
+		"ace.write_events": int64(r.WriteEvents),
+		"ace.ace_reads":    int64(r.ACEReads),
+		"ace.ace_writes":   int64(r.ACEWrites),
+		"ace.tag_lookups":  int64(r.Lookups),
+	} {
+		if got := snap.Counters[name]; got != want || want == 0 {
+			t.Errorf("%s = %d, want %d (> 0)", name, got, want)
+		}
+	}
+	if got := snap.Gauges["uarch.ipc"]; got != res.IPC {
+		t.Errorf("uarch.ipc = %v, want %v", got, res.IPC)
+	}
 }
