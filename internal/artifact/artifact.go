@@ -62,15 +62,17 @@ import (
 // pins the current bytes so an unbumped layout change fails in CI).
 //
 // Version 2 added the fubstate section (term dictionary + per-FUB
-// fingerprints) for incremental re-solves. Version 1 artifacts are
-// refused with the usual "regenerate" error; the store overwrites them
-// on the next Put.
-const FormatVersion = 2
+// fingerprints) for incremental re-solves. Version 3 keeps the byte
+// layout but changes the fingerprints it carries — in the header, the
+// file name and the fubstate entries — to the word hash core now
+// computes. Older artifacts are refused with the usual "regenerate"
+// error; the store overwrites them on the next Put.
+const FormatVersion = 3
 
 // magic opens every artifact file.
 const magic = "SQAVFART"
 
-// Section IDs. Version 2 requires exactly these five, in this order.
+// Section IDs. Versions 2 and 3 require exactly these five, in this order.
 const (
 	secMeta     = 1
 	secInputs   = 2
@@ -127,15 +129,21 @@ func Encode(res *core.Result, plan *sweep.Plan) ([]byte, error) {
 	}
 	fubSec := encodeFubState(a)
 
+	sections := []struct {
+		id      uint32
+		payload []byte
+	}{{secMeta, meta}, {secInputs, inputs}, {secPlan, planSec}, {secAVF, avfSec}, {secFubState, fubSec}}
+	size := len(magic) + 4 + 8 + 4
+	for _, sec := range sections {
+		size += 4 + 8 + 4 + len(sec.payload)
+	}
 	var buf bytes.Buffer
+	buf.Grow(size)
 	buf.WriteString(magic)
 	writeU32(&buf, FormatVersion)
 	writeU64(&buf, a.Fingerprint())
-	writeU32(&buf, 5)
-	for _, sec := range []struct {
-		id      uint32
-		payload []byte
-	}{{secMeta, meta}, {secInputs, inputs}, {secPlan, planSec}, {secAVF, avfSec}, {secFubState, fubSec}} {
+	writeU32(&buf, uint32(len(sections)))
+	for _, sec := range sections {
 		writeU32(&buf, sec.id)
 		writeU64(&buf, uint64(len(sec.payload)))
 		writeU32(&buf, crc32.Checksum(sec.payload, castagnoli))
@@ -172,7 +180,7 @@ func Decode(data []byte, a *core.Analyzer) (*core.Result, *sweep.Plan, error) {
 			ErrFingerprint, fp, a.G.Design.Name, a.Fingerprint())
 	}
 	if nSec != 5 {
-		return nil, nil, fmt.Errorf("%w: version 2 carries 5 sections, found %d", ErrCorrupt, nSec)
+		return nil, nil, fmt.Errorf("%w: version %d carries 5 sections, found %d", ErrCorrupt, FormatVersion, nSec)
 	}
 
 	var meta *metaSection
@@ -441,6 +449,7 @@ func decodeInputs(payload []byte) (*core.Inputs, error) {
 
 func encodePlan(raw sweep.Raw) []byte {
 	var buf bytes.Buffer
+	buf.Grow(4 * (2 + len(raw.SetOff) + len(raw.SetIDs) + len(raw.FwdIdx) + len(raw.BwdIdx)))
 	writeU32(&buf, uint32(len(raw.SetOff)-1))
 	for _, off := range raw.SetOff {
 		writeU32(&buf, uint32(off))
@@ -546,8 +555,16 @@ func decodeAVF(payload []byte, numVerts int) ([]float64, error) {
 // name, structural fingerprint, vertex count — in FUB declaration order,
 // which is also the vertex-array order the plan and avf sections use.
 func encodeFubState(a *core.Analyzer) []byte {
-	var buf bytes.Buffer
 	u := a.Universe()
+	size := 4 + 4
+	for t := 0; t < u.Len(); t++ {
+		size += 1 + 4 + len(u.Term(pavf.TermID(t)).Name)
+	}
+	for _, name := range a.G.FubNames {
+		size += 4 + len(name) + 8 + 4
+	}
+	var buf bytes.Buffer
+	buf.Grow(size)
 	writeU32(&buf, uint32(u.Len()))
 	for t := 0; t < u.Len(); t++ {
 		term := u.Term(pavf.TermID(t))
@@ -660,7 +677,7 @@ func DecodePrior(data []byte) (*core.PriorState, error) {
 			ErrFormatVersion, version, FormatVersion)
 	}
 	if nSec != 5 {
-		return nil, fmt.Errorf("%w: version 2 carries 5 sections, found %d", ErrCorrupt, nSec)
+		return nil, fmt.Errorf("%w: version %d carries 5 sections, found %d", ErrCorrupt, FormatVersion, nSec)
 	}
 	var meta *metaSection
 	var in *core.Inputs

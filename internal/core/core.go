@@ -26,9 +26,7 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strings"
 	"sync"
@@ -236,12 +234,12 @@ type Analyzer struct {
 
 	topo []graph.VertexID // topological order of normal vertices
 
-	fingerprint uint64 // design-identity hash, see Fingerprint
-
-	// Per-FUB identity hashes, built lazily on first FubFingerprints call
-	// (only the incremental re-solve path needs them).
-	fubFpOnce sync.Once
-	fubFps    []uint64
+	// exts is each FUB's contiguous vertex range, indexed like G.FubNames.
+	exts []fubExtent
+	// fubFps are the per-FUB identity hashes (FubFingerprints), and
+	// fingerprint the design hash derived from them (Fingerprint).
+	fubFps      []uint64
+	fingerprint uint64
 
 	// buildEnv's precomputed shape, built lazily on first use: the
 	// workload-independent terms (Top, control, loop, pseudo) prefilled in
@@ -256,12 +254,10 @@ type Analyzer struct {
 	// Per-FUB topological schedules and the visited bitmap are
 	// structural properties of the graph — independent of inputs — so
 	// they are computed once and shared by every subsequent solve on
-	// this analyzer. An incremental (ECO) re-solve in particular must
-	// not pay O(V+E) schedule construction for work proportional to the
-	// dirty region.
-	topoOnce           sync.Once
-	fwdTopos, bwdTopos [][]graph.VertexID
-	topoErr            error
+	// this analyzer. A FUB's schedule is built the first time that FUB
+	// is walked: an incremental (ECO) re-solve must not pay O(V+E)
+	// schedule construction for FUBs it never walks.
+	scheds []fubSchedule
 
 	visitedOnce sync.Once
 	visitedBits []bool
@@ -306,6 +302,9 @@ func NewAnalyzer(g *graph.Graph, opts Options) (*Analyzer, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	a.topo = topo
+	a.exts = a.fubExtents()
+	a.scheds = make([]fubSchedule, len(a.exts))
+	a.fubFps = a.computeFubFingerprints()
 	a.fingerprint = a.computeFingerprint()
 	return a, nil
 }
@@ -320,51 +319,6 @@ func (a *Analyzer) Universe() *pavf.Universe { return a.universe }
 // keys compiled-plan caches (internal/sweep) and guards Reevaluate against
 // cross-design misuse.
 func (a *Analyzer) Fingerprint() uint64 { return a.fingerprint }
-
-func (a *Analyzer) computeFingerprint() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	wInt := func(v int) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
-	}
-	wStr := func(s string) {
-		wInt(len(s))
-		h.Write([]byte(s))
-	}
-	wStr(a.G.Design.Name)
-	wInt(len(a.G.FubNames))
-	for _, f := range a.G.FubNames {
-		wStr(f)
-	}
-	for _, p := range a.Opts.ControlRegPrefixes {
-		wStr(p)
-	}
-	for _, c := range a.Opts.ControlRegClocks {
-		wStr(c)
-	}
-	n := a.G.NumVerts()
-	wInt(n)
-	for v := 0; v < n; v++ {
-		vx := &a.G.Verts[v]
-		wStr(vx.Node.Name)
-		wInt(int(vx.Fub))
-		wInt(int(vx.Bit))
-		wInt(int(vx.Node.Kind))
-		wInt(int(vx.Node.Class))
-		wInt(int(a.roles[v]))
-		// Structure binding and clock determine the vertex's terms and
-		// control-register detection: a port rebound to a different
-		// structure changes the equations even with identical edges.
-		wStr(vx.Node.Struct)
-		wStr(vx.Node.Port)
-		wStr(vx.Node.Clock)
-		for _, s := range a.G.Succs(graph.VertexID(v)) {
-			wInt(int(s))
-		}
-	}
-	return h.Sum64()
-}
 
 // BuildEnv maps Inputs onto the term universe, producing the numeric
 // environment the closed forms evaluate under. Exposed for the batch sweep

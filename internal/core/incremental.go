@@ -4,8 +4,6 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
-	"sort"
 	"time"
 
 	"seqavf/internal/graph"
@@ -61,72 +59,9 @@ func (a *Analyzer) fubExtents() []fubExtent {
 // peer bit by stable labels rather than graph-global vertex IDs. Two
 // designs assigning a FUB equal fingerprints produce identical equations
 // for that FUB's vertices given identical boundary values, which is what
-// lets ResolveIncremental reuse a prior solve's per-FUB state.
-func (a *Analyzer) FubFingerprints() []uint64 {
-	a.fubFpOnce.Do(func() { a.fubFps = a.computeFubFingerprints() })
-	return a.fubFps
-}
-
-func (a *Analyzer) computeFubFingerprints() []uint64 {
-	exts := a.fubExtents()
-	out := make([]uint64, len(exts))
-	var cross []string
-	for f := range exts {
-		h := fnv.New64a()
-		var buf [8]byte
-		wInt := func(v int) {
-			binary.LittleEndian.PutUint64(buf[:], uint64(v))
-			h.Write(buf[:])
-		}
-		wStr := func(s string) {
-			wInt(len(s))
-			h.Write([]byte(s))
-		}
-		wStr(a.G.FubNames[f])
-		for _, p := range a.Opts.ControlRegPrefixes {
-			wStr(p)
-		}
-		for _, c := range a.Opts.ControlRegClocks {
-			wStr(c)
-		}
-		ext := exts[f]
-		wInt(ext.end - ext.start)
-		for v := ext.start; v < ext.end; v++ {
-			vx := &a.G.Verts[v]
-			wStr(vx.Node.Name)
-			wInt(int(vx.Bit))
-			wInt(int(vx.Node.Kind))
-			wInt(int(vx.Node.Class))
-			wInt(int(a.roles[v]))
-			wStr(vx.Node.Struct)
-			wStr(vx.Node.Port)
-			wStr(vx.Node.Clock)
-			// Intra-FUB successors in local indices; cross edges in both
-			// directions by peer label, sorted so the signature does not
-			// depend on global connect declaration order.
-			cross = cross[:0]
-			for _, s := range a.G.Succs(graph.VertexID(v)) {
-				if a.G.Verts[s].Fub == vx.Fub {
-					wInt(int(s) - ext.start)
-				} else {
-					cross = append(cross, ">"+a.G.Name(s))
-				}
-			}
-			wInt(-1)
-			for _, p := range a.G.Preds(graph.VertexID(v)) {
-				if a.G.Verts[p].Fub != vx.Fub {
-					cross = append(cross, "<"+a.G.Name(p))
-				}
-			}
-			sort.Strings(cross)
-			for _, c := range cross {
-				wStr(c)
-			}
-		}
-		out[f] = h.Sum64()
-	}
-	return out
-}
+// lets ResolveIncremental reuse a prior solve's per-FUB state. They are
+// computed once, in NewAnalyzer; callers must not modify the slice.
+func (a *Analyzer) FubFingerprints() []uint64 { return a.fubFps }
 
 // FubPrior is one FUB's slice of a prior solve: its fingerprint at solve
 // time plus, per local vertex, indices into PriorState.Sets for the
@@ -164,10 +99,30 @@ func setKey(s pavf.Set) string {
 	return string(b)
 }
 
+// setIdentity names a set's backing array: its first element and its
+// length. Sets are immutable, so two sets with one identity hold the
+// same terms; the converse fails (equal sets built apart), which is why
+// identity is only the first lookup in PriorState.
+type setIdentity struct {
+	first *pavf.TermID
+	n     int
+}
+
+func identityOf(s pavf.Set) setIdentity {
+	ids := s.IDs()
+	if len(ids) == 0 {
+		return setIdentity{}
+	}
+	return setIdentity{&ids[0], len(ids)}
+}
+
 // PriorState distills this result into the seed form ResolveIncremental
 // consumes. The set table is deduplicated: expression propagation shares
 // set objects heavily, so the table is typically orders of magnitude
-// smaller than two sets per vertex.
+// smaller than two sets per vertex. A set is looked up by the identity
+// of its backing array first; only the first sighting of an array builds
+// its content key. Sets and their indices come out exactly as content
+// deduplication alone, in first-sighting order, would give them.
 func (r *Result) PriorState() (*PriorState, error) {
 	a := r.Analyzer
 	n := a.G.NumVerts()
@@ -176,20 +131,39 @@ func (r *Result) PriorState() (*PriorState, error) {
 			len(r.Exprs), len(r.AVF), a.G.Design.Name, n)
 	}
 	fps := a.FubFingerprints()
-	exts := a.fubExtents()
+	exts := a.exts
 	ps := &PriorState{Design: a.G.Design.Name, Universe: a.universe, Inputs: r.Inputs}
-	intern := make(map[string]int32)
-	add := func(s pavf.Set, known bool) int32 {
+	// Sized from XeonLike, where a cold solve's 23k known sides share
+	// about 4.5k backing arrays: n/4 skips the early growth steps.
+	byIdentity := make(map[setIdentity]int32, n/4)
+	byContent := make(map[string]int32)
+	// Neighbouring vertices often hold the very same set on one side
+	// (above all in FUBs a re-solve reused), so each side remembers its
+	// last lookup before asking the maps.
+	type lookup struct {
+		ident setIdentity
+		id    int32
+	}
+	lastFwd, lastBwd := lookup{id: -1}, lookup{id: -1}
+	add := func(s pavf.Set, known bool, last *lookup) int32 {
 		if !known {
 			return -1
 		}
-		key := setKey(s)
-		if id, ok := intern[key]; ok {
-			return id
+		ident := identityOf(s)
+		if last.id >= 0 && last.ident == ident {
+			return last.id
 		}
-		id := int32(len(ps.Sets))
-		ps.Sets = append(ps.Sets, s)
-		intern[key] = id
+		id, ok := byIdentity[ident]
+		if !ok {
+			key := setKey(s)
+			if id, ok = byContent[key]; !ok {
+				id = int32(len(ps.Sets))
+				ps.Sets = append(ps.Sets, s)
+				byContent[key] = id
+			}
+			byIdentity[ident] = id
+		}
+		*last = lookup{ident, id}
 		return id
 	}
 	for f := range exts {
@@ -203,8 +177,8 @@ func (r *Result) PriorState() (*PriorState, error) {
 		}
 		for v := exts[f].start; v < exts[f].end; v++ {
 			x := r.Exprs[v]
-			fp.FwdIdx = append(fp.FwdIdx, add(x.Fwd, x.KnownFwd))
-			fp.BwdIdx = append(fp.BwdIdx, add(x.Bwd, x.KnownBwd))
+			fp.FwdIdx = append(fp.FwdIdx, add(x.Fwd, x.KnownFwd, &lastFwd))
+			fp.BwdIdx = append(fp.BwdIdx, add(x.Bwd, x.KnownBwd, &lastBwd))
 			fp.AVF = append(fp.AVF, r.AVF[v])
 		}
 		ps.Fubs = append(ps.Fubs, fp)
@@ -264,7 +238,7 @@ func (a *Analyzer) ResolveIncrementalContext(ctx context.Context, in *Inputs, pr
 	}
 	n := a.G.NumVerts()
 	numFubs := len(a.G.FubNames)
-	exts := a.fubExtents()
+	exts := a.exts
 	fps := a.FubFingerprints()
 	sp.SetAttr("vertices", n)
 	sp.SetAttr("fubs", numFubs)

@@ -2,11 +2,15 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
+	"seqavf/internal/graph"
 	"seqavf/internal/graph/graphtest"
 	"seqavf/internal/netlist"
+	"seqavf/internal/pavf"
 	"seqavf/internal/stats"
 )
 
@@ -333,5 +337,226 @@ func TestFrontierWalksOnlyMovedBoundaries(t *testing.T) {
 		if d := MaxAbsDiff(incr, cold); math.IsNaN(d) || d > edited.Opts.Epsilon {
 			t.Fatalf("cForwards=%v: incremental diverges from cold by %v", tc.cForwards, d)
 		}
+	}
+}
+
+// TestActivatedFubsBoundaryMovement checks whether ResolveIncremental's
+// initial active set is over-eager on one add-flop edit: graphtest
+// Small(3) at four FUBs, EditAddFlop seed 5, one dirty FUB, and every
+// FUB activated — the dirty one and each FUBIO neighbour. For each
+// activated FUB it compares the values it reads across its boundary
+// (a cross predecessor's forward value, a cross successor's backward
+// value) between the prior solve and the edited design's fixpoint. A
+// neighbour none of whose boundary values moved by more than Epsilon
+// was walked for nothing.
+func TestActivatedFubsBoundaryMovement(t *testing.T) {
+	cfg := graphtest.Small(3)
+	cfg.Fubs = 4
+	base, err := graphtest.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, g2, _, err := base.ApplyEdit(graphtest.EditAddFlop, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := func(a *Analyzer) *Inputs {
+		in := NewInputs()
+		for _, sp := range a.ReadPortTerms() {
+			in.ReadPorts[sp] = 0.5
+		}
+		for _, sp := range a.WritePortTerms() {
+			in.WritePorts[sp] = 0.5
+		}
+		return in
+	}
+	aOld := mustAnalyzer(t, base.Graph, DefaultOptions())
+	aNew := mustAnalyzer(t, g2, DefaultOptions())
+	old, err := aOld.Solve(half(aOld))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prior, err := old.PriorState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, st, err := aNew.ResolveIncremental(half(aNew), prior)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := aNew.Solve(half(aNew))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The set vertex v contributes across a boundary, read the way
+	// fwdUnion and bwdUnion read it, named in its own design's terms.
+	fwdOut := func(r *Result, v graph.VertexID) pavf.Set {
+		if a := r.Analyzer; a.fwdFixed[v] {
+			return a.fwdSrc[v]
+		}
+		return r.Exprs[v].Fwd
+	}
+	bwdOut := func(r *Result, v graph.VertexID) pavf.Set {
+		a := r.Analyzer
+		switch {
+		case a.bwdFixed[v]:
+			return a.bwdSrc[v]
+		case r.Exprs[v].KnownBwd:
+			return r.Exprs[v].Bwd
+		}
+		return pavf.TopSet()
+	}
+	// oldVertex finds v's counterpart in the prior design by name.
+	oldVertex := func(v graph.VertexID) graph.VertexID {
+		vx := &aNew.G.Verts[v]
+		b, _, ok := aOld.G.VertexBase(aNew.G.FubNames[vx.Fub], vx.Node.Name)
+		if !ok {
+			t.Fatalf("%s has no counterpart in the prior design", aNew.G.Name(v))
+		}
+		return b + graph.VertexID(vx.Bit)
+	}
+	// compare reports whether the value read across one boundary moved
+	// by more than Epsilon, and whether its term set changed at all.
+	compare := func(x, y pavf.Set) (value, set bool) {
+		value = math.Abs(x.Eval(cur.Env)-y.Eval(old.Env)) > aNew.Opts.Epsilon
+		set = x.Format(aNew.Universe()) != y.Format(aOld.Universe())
+		return value, set
+	}
+	numFubs := len(aNew.G.FubNames)
+	dirty := make([]bool, numFubs)
+	for f := range dirty {
+		dirty[f] = prior.Fubs[f].Name != aNew.G.FubNames[f] || prior.Fubs[f].Fingerprint != aNew.FubFingerprints()[f]
+	}
+	active := append([]bool(nil), dirty...)
+	valueMoved := make([]bool, numFubs)
+	setMoved := make([]bool, numFubs)
+	for _, e := range aNew.G.CrossEdges {
+		ff, tf := aNew.G.Verts[e.From].Fub, aNew.G.Verts[e.To].Fub
+		if dirty[ff] {
+			active[tf] = true
+		}
+		if dirty[tf] {
+			active[ff] = true
+		}
+		v, s := compare(fwdOut(cur, e.From), fwdOut(old, oldVertex(e.From)))
+		valueMoved[tf], setMoved[tf] = valueMoved[tf] || v, setMoved[tf] || s
+		v, s = compare(bwdOut(cur, e.To), bwdOut(old, oldVertex(e.To)))
+		valueMoved[ff], setMoved[ff] = valueMoved[ff] || v, setMoved[ff] || s
+	}
+	nActive := 0
+	var idle []string
+	for f, name := range aNew.G.FubNames {
+		if !active[f] {
+			continue
+		}
+		nActive++
+		t.Logf("FUB %s: dirty=%v, a boundary value moved=%v, a boundary set moved=%v", name, dirty[f], valueMoved[f], setMoved[f])
+		if !dirty[f] && !valueMoved[f] && !setMoved[f] {
+			idle = append(idle, name)
+		}
+	}
+	if nActive != st.FubsActive {
+		t.Fatalf("reconstructed %d active FUBs, ResolveIncremental reports %d", nActive, st.FubsActive)
+	}
+	// The answer on this edit: the flop changes nothing any neighbour
+	// reads, so all three neighbours are walked for nothing. An
+	// activation rule that waits for a moved boundary would walk F01
+	// alone; when one lands, this expectation changes with it.
+	if want := []string{"F00", "F02", "F03"}; !slices.Equal(idle, want) {
+		t.Fatalf("activated FUBs with no moved boundary: %v, want %v", idle, want)
+	}
+}
+
+// TestPriorStateMatchesContentDedup pins PriorState's set table to plain
+// content deduplication: identity lookups may only skip work, never
+// change which sets are listed, in which order, or which index a vertex
+// side gets. Results from a cold solve and from an incremental re-solve
+// (whose reused FUBs share remapped sets) are both checked.
+func TestPriorStateMatchesContentDedup(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		h := buildEditHarness(t, seed, graphtest.EditAddFlop)
+		incr, _, err := h.aNew.ResolveIncremental(randPortInputs(h.aNew, h.inSeed), h.prior)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for _, r := range []*Result{h.baseRes, incr} {
+			got, err := r.PriorState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sets []pavf.Set
+			ids := make(map[string]int32)
+			index := func(s pavf.Set, known bool) int32 {
+				if !known {
+					return -1
+				}
+				id, ok := ids[setKey(s)]
+				if !ok {
+					id = int32(len(sets))
+					sets = append(sets, s)
+					ids[setKey(s)] = id
+				}
+				return id
+			}
+			v := 0
+			for _, fp := range got.Fubs {
+				for i := range fp.FwdIdx {
+					x := r.Exprs[v]
+					if want := index(x.Fwd, x.KnownFwd); fp.FwdIdx[i] != want {
+						t.Fatalf("seed %d: vertex %d forward index %d, want %d", seed, v, fp.FwdIdx[i], want)
+					}
+					if want := index(x.Bwd, x.KnownBwd); fp.BwdIdx[i] != want {
+						t.Fatalf("seed %d: vertex %d backward index %d, want %d", seed, v, fp.BwdIdx[i], want)
+					}
+					v++
+				}
+			}
+			if len(got.Sets) != len(sets) {
+				t.Fatalf("seed %d: %d sets, want %d", seed, len(got.Sets), len(sets))
+			}
+			for i := range sets {
+				if !got.Sets[i].Equal(sets[i]) {
+					t.Fatalf("seed %d: set %d differs", seed, i)
+				}
+			}
+		}
+	}
+}
+
+// TestIntraFubCycleErrorsWhenWalked: a FUB's schedule is built the first
+// time the FUB is walked, so a cycle left inside one FUB fails its own
+// schedule — every time it is asked for — and the relaxation that walks
+// it, while the other FUBs' schedules build cleanly.
+func TestIntraFubCycleErrorsWhenWalked(t *testing.T) {
+	d, err := graphtest.Generate(graphtest.Small(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := mustAnalyzer(t, d.Graph, DefaultOptions())
+	var loop graph.VertexID = -1
+	for v := 0; v < a.G.NumVerts(); v++ {
+		if a.Role(graph.VertexID(v)) == RoleLoop {
+			loop = graph.VertexID(v)
+			break
+		}
+	}
+	if loop < 0 {
+		t.Fatal("design has no loop-boundary vertex")
+	}
+	// Un-cut the loop boundary: its FUB's down-walk now has a cycle.
+	a.fwdFixed[loop] = false
+	cyclic := int(a.G.Verts[loop].Fub)
+	isCycle := func(err error) bool {
+		return err != nil && strings.Contains(err.Error(), "core: intra-FUB cycle remains")
+	}
+	for f := range a.G.FubNames {
+		for range 2 { // the second call reads the cached schedule
+			if _, _, err := a.schedule(f); isCycle(err) != (f == cyclic) {
+				t.Fatalf("FUB %d schedule: error %v (the cycle is in FUB %d)", f, err, cyclic)
+			}
+		}
+	}
+	if _, err := a.SolvePartitioned(randPortInputs(a, 1)); !isCycle(err) {
+		t.Fatalf("cold relaxation: error %v, want an intra-FUB cycle", err)
 	}
 }

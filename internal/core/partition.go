@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"seqavf/internal/graph"
 	"seqavf/internal/netlist"
@@ -111,12 +112,8 @@ func (a *Analyzer) newRelaxation() *relaxation {
 // On return every never-walked FUB's seed is copied into the cur arrays,
 // so they hold the whole design's state.
 func (a *Analyzer) relax(sp *obs.Span, env pavf.Env, rx *relaxation, active []bool) error {
-	fwdTopo, bwdTopo, err := a.localTopos()
-	if err != nil {
-		return err
-	}
 	reg := a.Opts.Obs
-	exts := a.fubExtents()
+	exts := a.exts
 	// fubAvg is the running trace row. An entry is refreshed whenever its
 	// FUB is merged, so only FUBs the first iteration leaves unwalked need
 	// their seeded average up front.
@@ -135,13 +132,16 @@ func (a *Analyzer) relax(sp *obs.Span, env pavf.Env, rx *relaxation, active []bo
 			if !active[f] {
 				continue
 			}
+			fwd, bwd, err := a.schedule(f)
+			if err != nil {
+				return err
+			}
 			rx.walked[f] = true
-			for _, v := range fwdTopo[f] {
+			for _, v := range fwd {
 				rx.fwdCur[v] = a.fwdUnion(v, int32(f), rx.fwdCur, rx.fwdPrev, rx.fwdPrevKnown, &ws)
 			}
-			lt := bwdTopo[f]
-			for i := len(lt) - 1; i >= 0; i-- {
-				v := lt[i]
+			for i := len(bwd) - 1; i >= 0; i-- {
+				v := bwd[i]
 				rx.bwdCur[v], rx.bwdCurKnown[v] = a.bwdUnion(v, int32(f), rx.bwdCur, rx.bwdCurKnown, rx.bwdPrev, rx.bwdPrevKnown, &ws)
 			}
 		}
@@ -333,74 +333,69 @@ func (a *Analyzer) bwdUnion(v graph.VertexID, fub int32, cur []pavf.Set, curKnow
 	return acc, true
 }
 
-// localTopos returns per-FUB topological orders over intra-FUB edges
-// only: the schedule for one down-walk (and, reversed, one up-walk) per
-// FUB. The schedules are built once per analyzer and shared — callers
-// must not mutate the returned slices.
-func (a *Analyzer) localTopos() ([][]graph.VertexID, [][]graph.VertexID, error) {
-	a.topoOnce.Do(func() {
-		a.fwdTopos, a.bwdTopos, a.topoErr = a.buildLocalTopos()
-	})
-	return a.fwdTopos, a.bwdTopos, a.topoErr
+// fubSchedule is one FUB's walk schedule: topological orders of its
+// non-fixed vertices over intra-FUB edges only, forward for the
+// down-walk and (read in reverse) backward for the up-walk.
+type fubSchedule struct {
+	once     sync.Once
+	fwd, bwd []graph.VertexID
+	err      error
 }
 
-func (a *Analyzer) buildLocalTopos() (fwd [][]graph.VertexID, bwd [][]graph.VertexID, err error) {
-	numFubs := len(a.G.FubNames)
-	fwd = make([][]graph.VertexID, numFubs)
-	bwd = make([][]graph.VertexID, numFubs)
-	n := a.G.NumVerts()
+// schedule returns FUB f's walk schedule, building it the first time f
+// is walked. The schedule is shared by every later solve on this
+// analyzer — callers must not mutate the returned slices.
+func (a *Analyzer) schedule(f int) (fwd, bwd []graph.VertexID, err error) {
+	s := &a.scheds[f]
+	s.once.Do(func() {
+		ext := a.exts[f]
+		if s.fwd, s.err = a.localTopo(ext, a.fwdFixed); s.err == nil {
+			s.bwd, s.err = a.localTopo(ext, a.bwdFixed)
+		}
+	})
+	return s.fwd, s.bwd, s.err
+}
 
-	order := func(fixed []bool) ([][]graph.VertexID, error) {
-		indeg := make([]int32, n)
-		for v := 0; v < n; v++ {
-			if fixed[v] {
+// localTopo orders ext's vertices not marked fixed so that every
+// intra-FUB edge between two of them runs forward (Kahn's algorithm).
+func (a *Analyzer) localTopo(ext fubExtent, fixed []bool) ([]graph.VertexID, error) {
+	in := func(v graph.VertexID) bool { return int(v) >= ext.start && int(v) < ext.end }
+	indeg := make([]int32, ext.end-ext.start)
+	want := 0
+	for v := ext.start; v < ext.end; v++ {
+		if fixed[v] {
+			continue
+		}
+		want++
+		for _, p := range a.G.Preds(graph.VertexID(v)) {
+			if !fixed[p] && in(p) {
+				indeg[v-ext.start]++
+			}
+		}
+	}
+	out := make([]graph.VertexID, 0, want)
+	var queue []graph.VertexID
+	for v := ext.start; v < ext.end; v++ {
+		if !fixed[v] && indeg[v-ext.start] == 0 {
+			queue = append(queue, graph.VertexID(v))
+		}
+	}
+	for len(queue) > 0 {
+		v := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		out = append(out, v)
+		for _, s := range a.G.Succs(v) {
+			if fixed[s] || !in(s) {
 				continue
 			}
-			for _, p := range a.G.Preds(graph.VertexID(v)) {
-				if !fixed[p] && a.G.Verts[p].Fub == a.G.Verts[v].Fub {
-					indeg[v]++
-				}
+			indeg[int(s)-ext.start]--
+			if indeg[int(s)-ext.start] == 0 {
+				queue = append(queue, s)
 			}
 		}
-		out := make([][]graph.VertexID, numFubs)
-		var queue []graph.VertexID
-		done := 0
-		want := 0
-		for v := 0; v < n; v++ {
-			if fixed[v] {
-				continue
-			}
-			want++
-			if indeg[v] == 0 {
-				queue = append(queue, graph.VertexID(v))
-			}
-		}
-		for len(queue) > 0 {
-			v := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			f := a.G.Verts[v].Fub
-			out[f] = append(out[f], v)
-			done++
-			for _, s := range a.G.Succs(v) {
-				if fixed[s] || a.G.Verts[s].Fub != f {
-					continue
-				}
-				indeg[s]--
-				if indeg[s] == 0 {
-					queue = append(queue, s)
-				}
-			}
-		}
-		if done != want {
-			return nil, fmt.Errorf("core: intra-FUB cycle remains (%d of %d ordered)", done, want)
-		}
-		return out, nil
 	}
-	if fwd, err = order(a.fwdFixed); err != nil {
-		return nil, nil, err
+	if len(out) != want {
+		return nil, fmt.Errorf("core: intra-FUB cycle remains (%d of %d ordered)", len(out), want)
 	}
-	if bwd, err = order(a.bwdFixed); err != nil {
-		return nil, nil, err
-	}
-	return fwd, bwd, nil
+	return out, nil
 }

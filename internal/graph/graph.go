@@ -73,7 +73,16 @@ func Build(fd *netlist.FlatDesign) (*Graph, error) {
 		DrivenInputs:    make(map[VertexID]bool),
 		ConsumedOutputs: make(map[VertexID]bool),
 	}
-	// Create vertices, FUB-contiguous.
+	// Create vertices, FUB-contiguous, in one allocation of the final
+	// size.
+	nv := 0
+	for _, fub := range fd.Fubs {
+		for _, n := range fub.Nodes {
+			nv += n.Width
+		}
+	}
+	g.Verts = make([]Vertex, 0, nv)
+	g.FubNames = make([]string, 0, len(fd.Fubs))
 	for fi, fub := range fd.Fubs {
 		g.FubNames = append(g.FubNames, fub.Name)
 		for _, n := range fub.Nodes {
@@ -83,11 +92,19 @@ func Build(fd *netlist.FlatDesign) (*Graph, error) {
 			}
 		}
 	}
-	var edges []Edge
-	addEdge := func(from, to VertexID) { edges = append(edges, Edge{From: from, To: to}) }
+	// Edges go straight into CSR form, with no intermediate edge list:
+	// a first pass over the emission order (every node's in-edges, FUB
+	// by FUB, then the connects) counts each vertex's degrees, and a
+	// second pass over the same order fills the rows.
+	g.succOff = make([]int32, nv+1)
+	g.predOff = make([]int32, nv+1)
+	degree := func(from, to VertexID) {
+		g.succOff[from+1]++
+		g.predOff[to+1]++
+	}
 	for _, fub := range fd.Fubs {
 		for _, n := range fub.Nodes {
-			if err := g.nodeEdges(fub, n, addEdge); err != nil {
+			if err := g.nodeEdges(fub, n, degree); err != nil {
 				return nil, err
 			}
 		}
@@ -108,13 +125,35 @@ func Build(fd *netlist.FlatDesign) (*Graph, error) {
 		tb := g.base[c.To.Fub+"/"+c.To.Port]
 		for b := 0; b < fn.Width; b++ {
 			e := Edge{From: fb + VertexID(b), To: tb + VertexID(b)}
-			edges = append(edges, e)
 			g.CrossEdges = append(g.CrossEdges, e)
 			g.DrivenInputs[e.To] = true
 			g.ConsumedOutputs[e.From] = true
+			degree(e.From, e.To)
 		}
 	}
-	g.buildCSR(edges)
+	for i := 0; i < nv; i++ {
+		g.succOff[i+1] += g.succOff[i]
+		g.predOff[i+1] += g.predOff[i]
+	}
+	g.succs = make([]VertexID, g.succOff[nv])
+	g.preds = make([]VertexID, g.predOff[nv])
+	sNext := append([]int32(nil), g.succOff[:nv]...)
+	pNext := append([]int32(nil), g.predOff[:nv]...)
+	fill := func(from, to VertexID) {
+		g.succs[sNext[from]] = to
+		sNext[from]++
+		g.preds[pNext[to]] = from
+		pNext[to]++
+	}
+	for _, fub := range fd.Fubs {
+		for _, n := range fub.Nodes {
+			// Cannot fail: the counting pass accepted every node.
+			_ = g.nodeEdges(fub, n, fill)
+		}
+	}
+	for _, e := range g.CrossEdges {
+		fill(e.From, e.To)
+	}
 	g.markLoops()
 	if err := g.checkCombLoops(); err != nil {
 		return nil, err
@@ -242,30 +281,6 @@ func (g *Graph) nodeEdges(fub *netlist.FlatFub, n *netlist.Node, add func(from, 
 	return nil
 }
 
-func (g *Graph) buildCSR(edges []Edge) {
-	nv := len(g.Verts)
-	g.succOff = make([]int32, nv+1)
-	g.predOff = make([]int32, nv+1)
-	for _, e := range edges {
-		g.succOff[e.From+1]++
-		g.predOff[e.To+1]++
-	}
-	for i := 0; i < nv; i++ {
-		g.succOff[i+1] += g.succOff[i]
-		g.predOff[i+1] += g.predOff[i]
-	}
-	g.succs = make([]VertexID, len(edges))
-	g.preds = make([]VertexID, len(edges))
-	sFill := make([]int32, nv)
-	pFill := make([]int32, nv)
-	for _, e := range edges {
-		g.succs[g.succOff[e.From]+sFill[e.From]] = e.To
-		sFill[e.From]++
-		g.preds[g.predOff[e.To]+pFill[e.To]] = e.From
-		pFill[e.To]++
-	}
-}
-
 // NumVerts returns the vertex count.
 func (g *Graph) NumVerts() int { return len(g.Verts) }
 
@@ -302,7 +317,7 @@ func (g *Graph) markLoops() {
 	for i := range index {
 		index[i] = -1
 	}
-	var stack []VertexID
+	var stack, comp []VertexID
 	next := int32(0)
 
 	type frame struct {
@@ -349,7 +364,7 @@ func (g *Graph) markLoops() {
 			}
 			if low[v] == index[v] {
 				// v is an SCC root; pop the component.
-				var comp []VertexID
+				comp = comp[:0]
 				for {
 					w := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]

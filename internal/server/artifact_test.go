@@ -2,7 +2,9 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -135,5 +137,76 @@ func TestDuplicateDesignErrorType(t *testing.T) {
 		if dup.Name != "alpha" {
 			t.Fatalf("DuplicateDesignError.Name = %q, want alpha", dup.Name)
 		}
+	}
+}
+
+// TestLoadNetlistOldFormatArtifact is the state a deployed store is in
+// after a FormatVersion bump: the design's artifact, with its head
+// pointer, was written by the previous format. An upload must count one
+// decode error, solve cold to the bits a store-less solve gives, and
+// overwrite the artifact in the current format.
+func TestLoadNetlistOldFormatArtifact(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "artifacts")
+	nl, _ := genNetlist(t, 7)
+	load := func(reg *obs.Registry) *Design {
+		st, err := artifact.Open(dir, artifact.Options{Obs: reg})
+		if err != nil {
+			t.Fatalf("artifact.Open: %v", err)
+		}
+		s := New(Config{Obs: reg, Artifacts: st, Sweep: sweep.Options{Workers: 1}})
+		d, err := s.LoadNetlist("", strings.NewReader(nl), core.DefaultOptions())
+		if err != nil {
+			t.Fatalf("LoadNetlist: %v", err)
+		}
+		return d
+	}
+	d := load(obs.New())
+
+	// Downgrade the version word, which follows the 8-byte magic. Only
+	// the sections carry checksums, so nothing else needs rewriting.
+	fp := d.fingerprint()
+	path := filepath.Join(dir, fp+".sart")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(data[8:], artifact.FormatVersion-1)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	heads, err := filepath.Glob(filepath.Join(dir, "*.head"))
+	if err != nil || len(heads) != 1 {
+		t.Fatalf("glob *.head: %v (%d entries)", err, len(heads))
+	}
+	if head, err := os.ReadFile(heads[0]); err != nil || strings.TrimSpace(string(head)) != fp {
+		t.Fatalf("head pointer reads %q (%v), want the artifact %s", head, err, fp)
+	}
+
+	reg := obs.New()
+	healed := load(reg)
+	for name, want := range map[string]int64{
+		"artifact.decode_errors": 1,
+		"server.artifact_errors": 1,
+		"artifact.cold_start":    1,
+		"artifact.warm_start":    0,
+	} {
+		if got := reg.Counter(name).Load(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	want := coldSolve(t, []byte(nl))
+	if len(healed.Result.AVF) != len(want.AVF) {
+		t.Fatalf("%d AVFs, store-less solve %d", len(healed.Result.AVF), len(want.AVF))
+	}
+	for v, x := range want.AVF {
+		if math.Float64bits(healed.Result.AVF[v]) != math.Float64bits(x) {
+			t.Fatalf("vertex %d: AVF %v, store-less solve %v", v, healed.Result.AVF[v], x)
+		}
+	}
+	if data, err = os.ReadFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(data[8:]); v != artifact.FormatVersion {
+		t.Fatalf("artifact left at version %d, want it rewritten at %d", v, artifact.FormatVersion)
 	}
 }

@@ -2,16 +2,21 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
+	"seqavf/internal/artifact"
 	"seqavf/internal/core"
 	"seqavf/internal/design"
 	"seqavf/internal/graph"
 	"seqavf/internal/netlist"
+	"seqavf/internal/obs"
+	"seqavf/internal/sweep"
 )
 
 // TestEditDesignEndpoint drives the ECO path end to end over HTTP: upload
@@ -200,4 +205,76 @@ func coldSolve(t *testing.T, nl []byte) *core.Result {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// BenchmarkEditNetlist times the ECO edit in process, shaped like
+// seqavfbench's eco_loop: the XeonLike design (seed 2027) behind an
+// artifact store bounded like seqavfd's default, then one-flop edits
+// that rotate over the FUBs. Edit i registers a signal of FUB i's module
+// behind a fresh flop eco_<i> and drops edit i-1's flop, so every edit
+// carries a never-seen fingerprint and pays the plan compile and the
+// artifact write. Rendering the edited netlist is not timed; parse,
+// analysis, prior state, incremental re-solve, compile and store are.
+func BenchmarkEditNetlist(b *testing.B) {
+	gen, err := design.Generate(design.DefaultConfig(2027))
+	if err != nil {
+		b.Fatal(err)
+	}
+	reg := obs.New()
+	st, err := artifact.Open(b.TempDir(), artifact.Options{MaxBytes: 1 << 30, Obs: reg})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := New(Config{Obs: reg, Artifacts: st, Sweep: sweep.Options{Workers: 1}})
+	var nl bytes.Buffer
+	if err := netlist.Write(&nl, gen.Design); err != nil {
+		b.Fatal(err)
+	}
+	d, err := s.LoadNetlist("", &nl, core.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	// One eligible source signal per FUB, as the edit tests pick it.
+	srcs := make([]*netlist.Node, len(gen.Design.Fubs))
+	for f, fi := range gen.Design.Fubs {
+		for _, n := range gen.Design.Modules[fi.Module].Nodes {
+			if (n.Kind == netlist.KindComb || n.Kind == netlist.KindSeq) && n.Class != netlist.ClassDebug {
+				srcs[f] = n
+				break
+			}
+		}
+		if srcs[f] == nil {
+			b.Fatalf("FUB %s has no signal to register", fi.Name)
+		}
+	}
+	edited := func(i int) []byte {
+		f := i % len(srcs)
+		mod := gen.Design.Modules[gen.Design.Fubs[f].Module]
+		mod.Nodes = append(mod.Nodes, &netlist.Node{
+			Name: fmt.Sprintf("eco_%d", i), Kind: netlist.KindSeq, Width: srcs[f].Width, Inputs: []string{srcs[f].Name},
+		})
+		var out bytes.Buffer
+		err := netlist.Write(&out, gen.Design)
+		mod.Nodes = mod.Nodes[:len(mod.Nodes)-1]
+		if err != nil {
+			b.Fatal(err)
+		}
+		return out.Bytes()
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		body := edited(i)
+		b.StartTimer()
+		next, inc, err := s.EditNetlistContext(ctx, d, bytes.NewReader(body), core.DefaultOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if inc == nil {
+			b.Fatalf("edit %d fell back to a cold solve", i)
+		}
+		d = next
+	}
 }

@@ -195,21 +195,24 @@ func (e *DuplicateDesignError) Error() string {
 // replacing a live design would make concurrent requests to one name
 // answer from two different circuits.
 func (s *Server) AddResult(name string, res *core.Result) (*Design, error) {
-	return s.register(name, res, false)
+	return s.register(name, res, nil, false)
 }
 
-// register compiles res's plan and installs it under name (the design's
-// own name when empty). Without replace, a taken name is a
+// register installs res and its compiled plan under name (the design's
+// own name when empty); a nil plan is obtained through the engine's
+// cache, store and compile. Without replace, a taken name is a
 // DuplicateDesignError. With replace — the ECO path — any live design is
 // swapped atomically under the registry lock: requests in flight keep
 // sweeping the result they resolved, new requests see the replacement.
-func (s *Server) register(name string, res *core.Result, replace bool) (*Design, error) {
+func (s *Server) register(name string, res *core.Result, plan *sweep.Plan, replace bool) (*Design, error) {
 	if name == "" {
 		name = res.Analyzer.G.Design.Name
 	}
-	plan, err := s.eng.Plan(res)
-	if err != nil {
-		return nil, fmt.Errorf("server: compiling plan for %q: %w", name, err)
+	if plan == nil {
+		var err error
+		if plan, err = s.eng.Plan(res); err != nil {
+			return nil, fmt.Errorf("server: compiling plan for %q: %w", name, err)
+		}
 	}
 	seq := 0
 	for v := 0; v < res.Analyzer.G.NumVerts(); v++ {
@@ -284,14 +287,20 @@ func (s *Server) LoadNetlistContext(ctx context.Context, name string, r io.Reade
 	if err != nil {
 		return nil, fmt.Errorf("server: solving %q: %w", a.G.Design.Name, err)
 	}
-	if s.cfg.Artifacts != nil {
-		// AddResult compiles the plan through the sweep engine, whose
-		// second-level store (wired in New) persists the artifact —
-		// result and plan together — so the next restart warm-starts.
-		s.reg.Counter("artifact.cold_start").Inc()
-		obs.SpanFromContext(ctx).SetAttr("artifact", "cold")
+	if s.cfg.Artifacts == nil {
+		return s.AddResult(name, res)
 	}
-	return s.AddResult(name, res)
+	// Compile through the sweep engine, whose second-level store (wired
+	// in New) persists the artifact — result and plan together — so the
+	// next restart warm-starts. The store already missed (or failed)
+	// above, so the engine skips its own lookup.
+	s.reg.Counter("artifact.cold_start").Inc()
+	obs.SpanFromContext(ctx).SetAttr("artifact", "cold")
+	plan, err := s.eng.CompileContext(ctx, res)
+	if err != nil {
+		return nil, fmt.Errorf("server: compiling plan for %q: %w", a.G.Design.Name, err)
+	}
+	return s.register(name, res, plan, false)
 }
 
 // analyzeNetlist runs the shared upload prelude: parse, validate,
@@ -358,7 +367,7 @@ func (s *Server) EditNetlistContext(ctx context.Context, old *Design, r io.Reade
 		disp = "incremental"
 	}
 	obs.SpanFromContext(ctx).SetAttr("artifact", disp)
-	d, err := s.register(old.Name, res, true)
+	d, err := s.register(old.Name, res, nil, true)
 	if err != nil {
 		return nil, nil, err
 	}

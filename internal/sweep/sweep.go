@@ -137,6 +137,22 @@ func (e *Engine) PlanContext(ctx context.Context, res *core.Result) (*Plan, erro
 			e.opts.Obs.Counter("sweep.plan_store_misses").Inc()
 		}
 	}
+	return e.compile(sp, res)
+}
+
+// CompileContext compiles res's plan into the cache and the store
+// without looking it up in either first: for a caller that has just
+// missed in the store itself (a cold upload), where a second lookup
+// would read the same missing or unreadable entry again.
+func (e *Engine) CompileContext(ctx context.Context, res *core.Result) (*Plan, error) {
+	sp := e.opts.Obs.StartSpanContext(ctx, "sweep.plan")
+	defer sp.End()
+	return e.compile(sp, res)
+}
+
+// compile is the miss path shared by PlanContext and CompileContext:
+// compile under a "compile" child of sp, then cache and persist.
+func (e *Engine) compile(sp *obs.Span, res *core.Result) (*Plan, error) {
 	csp := sp.Child("compile")
 	start := time.Now()
 	p, err := Compile(res)

@@ -359,6 +359,33 @@ func TestPlanStoreOutcomes(t *testing.T) {
 	}
 }
 
+// TestCompileContextSkipsStoreRead: CompileContext never reads the
+// store — a failing GetPlan is not even counted — yet the compiled plan
+// is cached, written back, and served from the cache afterwards.
+func TestCompileContextSkipsStoreRead(t *testing.T) {
+	_, res, _ := solved(t, graphtest.Small(31), 1)
+	reg := obs.New()
+	store := &fakePlanStore{plans: map[uint64]*Plan{}, getErr: errors.New("must not be read")}
+	eng := New(Options{Obs: reg, Store: store})
+	p, err := eng.CompileContext(context.Background(), res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if store.plans[res.Analyzer.Fingerprint()] != p {
+		t.Error("compiled plan was not written to the store")
+	}
+	if got, err := eng.Plan(res); err != nil || got != p {
+		t.Errorf("Plan after CompileContext = (%p, %v), want the cached %p", got, err, p)
+	}
+	for name, want := range map[string]int64{
+		"sweep.plan_compiles": 1, "sweep.plan_store_errors": 0, "sweep.plan_cache_hits": 1, "sweep.plan_cache_misses": 0,
+	} {
+		if got := reg.Counter(name).Load(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+}
+
 // TestSweepSpeedup: on tinycore at 32 workloads the compiled batch sweep
 // must beat 32 per-workload full solves by >= 5x (the ISSUE acceptance
 // bar; in practice it is orders of magnitude).
