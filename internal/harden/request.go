@@ -53,7 +53,8 @@ type Request struct {
 	TopTerms int `json:"top_terms,omitempty"`
 }
 
-// ParseRequest decodes and validates a harden request body.
+// ParseRequest decodes a harden request body and validates it (see
+// Validate).
 func ParseRequest(data []byte) (*Request, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -64,40 +65,52 @@ func ParseRequest(data []byte) (*Request, error) {
 	if dec.More() {
 		return nil, fmt.Errorf("harden: parse request: trailing data after JSON object")
 	}
+	if err := r.Validate(); err != nil {
+		return nil, err
+	}
+	return &r, nil
+}
+
+// Validate applies ParseRequest's checks to a decoded request: a design
+// name, 1..MaxBudgets finite positive budgets, a known solver, finite
+// positive costs, top_terms in [0, MaxTopTerms], and a name and a table
+// for every workload. A decoder other than ParseRequest's must call it
+// to accept exactly what ParseRequest accepts.
+func (r *Request) Validate() error {
 	if r.Design == "" {
-		return nil, fmt.Errorf("harden: request missing design name")
+		return fmt.Errorf("harden: request missing design name")
 	}
 	if len(r.Budgets) == 0 {
-		return nil, fmt.Errorf("harden: request has no budgets")
+		return fmt.Errorf("harden: request has no budgets")
 	}
 	if len(r.Budgets) > MaxBudgets {
-		return nil, fmt.Errorf("harden: request has %d budgets, cap is %d", len(r.Budgets), MaxBudgets)
+		return fmt.Errorf("harden: request has %d budgets, cap is %d", len(r.Budgets), MaxBudgets)
 	}
 	for i, b := range r.Budgets {
 		if math.IsNaN(b) || math.IsInf(b, 0) || b <= 0 {
-			return nil, fmt.Errorf("harden: budget[%d] is %v, must be finite and positive", i, b)
+			return fmt.Errorf("harden: budget[%d] is %v, must be finite and positive", i, b)
 		}
 	}
 	if !ValidSolver(r.Solver) {
-		return nil, fmt.Errorf("harden: unknown solver %q (want auto, greedy, dp, or exhaustive)", r.Solver)
+		return fmt.Errorf("harden: unknown solver %q (want auto, greedy, dp, or exhaustive)", r.Solver)
 	}
 	for key, c := range r.Costs {
 		if math.IsNaN(c) || math.IsInf(c, 0) || c <= 0 {
-			return nil, fmt.Errorf("harden: cost for %q is %v, must be finite and positive", key, c)
+			return fmt.Errorf("harden: cost for %q is %v, must be finite and positive", key, c)
 		}
 	}
 	if r.TopTerms < 0 || r.TopTerms > MaxTopTerms {
-		return nil, fmt.Errorf("harden: top_terms %d out of range [0, %d]", r.TopTerms, MaxTopTerms)
+		return fmt.Errorf("harden: top_terms %d out of range [0, %d]", r.TopTerms, MaxTopTerms)
 	}
 	for i, w := range r.Workloads {
 		if w.Name == "" {
-			return nil, fmt.Errorf("harden: workload[%d] missing name", i)
+			return fmt.Errorf("harden: workload[%d] missing name", i)
 		}
 		if w.PAVF == "" {
-			return nil, fmt.Errorf("harden: workload %q has an empty pavf table", w.Name)
+			return fmt.Errorf("harden: workload %q has an empty pavf table", w.Name)
 		}
 	}
-	return &r, nil
+	return nil
 }
 
 // Response is the body returned by POST /v1/harden.

@@ -74,6 +74,11 @@ func TestLoadNetlistWarmStart(t *testing.T) {
 	if got := reg2.Counter("artifact.cold_start").Load(); got != 0 {
 		t.Fatalf("second load: cold_start = %d, want 0", got)
 	}
+	// One read of the artifact restores the result and the plan: the
+	// plan is installed, not fetched from the store a second time.
+	if got := reg2.Counter("artifact.store_hits").Load(); got != 1 {
+		t.Fatalf("second load: artifact.store_hits = %d, want 1", got)
+	}
 	if warm.Name != name || warm.Name != cold.Name {
 		t.Fatalf("warm-started design named %q, cold %q, want %q", warm.Name, cold.Name, name)
 	}
@@ -90,6 +95,9 @@ func TestLoadNetlistWarmStart(t *testing.T) {
 	resp, b := postJSON(t, http.DefaultClient, ts.URL+"/v1/sweep", body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("sweep of warm-started design returned %d: %s", resp.StatusCode, b)
+	}
+	if recs := s2.flight.Snapshot(); len(recs) != 1 || recs[0].PlanSource != "cache" {
+		t.Fatalf("first sweep after a warm load: flight records %+v, want one with plan source cache", recs)
 	}
 
 	// A corrupt artifact is counted and solved around: the third load

@@ -190,12 +190,12 @@ func (s *Server) handleGetArtifact(w http.ResponseWriter, r *http.Request) {
 // hardened parser — the ingestion choke-point where a NaN, an
 // out-of-range value, or a duplicate record fails the request before
 // anything reaches the long-lived engine.
-func (s *Server) decodeSweep(_ *http.Request, body io.Reader) (job, error) {
-	var req SweepRequest
-	if err := decodeJSON(body, &req); err != nil {
-		return job{}, err
+func (s *Server) decodeSweep(r *http.Request, body io.Reader) (job, error) {
+	req, how, err := decodeRequest[SweepRequest](body, r.ContentLength)
+	if err != nil {
+		return job{decode: how}, err
 	}
-	j := job{design: req.Design, workloads: len(req.Workloads)}
+	j := job{design: req.Design, workloads: len(req.Workloads), decode: how}
 	if len(req.Workloads) == 0 {
 		return j, errorf(http.StatusBadRequest, "no workloads in request")
 	}

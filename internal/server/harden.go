@@ -16,20 +16,17 @@ import (
 // store's .sens cache when one is configured, keyed by (fingerprint, env
 // hash).
 //
-// Ingest: the strict request parser rejects NaN/Inf/negative budgets
-// and malformed cost tables with field-level errors; workload pAVF
-// tables then run through the same hardened parser /v1/sweep uses.
-func (s *Server) decodeHarden(_ *http.Request, body io.Reader) (job, error) {
+// Ingest: the request decoder (decodeRequest, then harden's Validate)
+// rejects NaN/Inf/negative budgets and malformed cost tables with
+// field-level errors; workload pAVF tables then run through the same
+// hardened parser /v1/sweep uses.
+func (s *Server) decodeHarden(r *http.Request, body io.Reader) (job, error) {
 	start := time.Now()
-	data, err := readBody(body)
+	req, how, err := decodeRequest[harden.Request](body, r.ContentLength)
 	if err != nil {
-		return job{}, err
+		return job{decode: how}, err
 	}
-	req, err := harden.ParseRequest(data)
-	if err != nil {
-		return job{}, errorf(http.StatusBadRequest, "%v", err)
-	}
-	j := job{design: req.Design, workloads: len(req.Workloads)}
+	j := job{design: req.Design, workloads: len(req.Workloads), decode: how}
 	ws, err := parseTables(len(req.Workloads), func(i int) (string, string) {
 		return req.Workloads[i].Name, req.Workloads[i].PAVF
 	})

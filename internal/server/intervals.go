@@ -49,12 +49,12 @@ type (
 // through the strict multi-window parser — malformed geometry or a
 // single out-of-range value fails the request here, before anything
 // reaches the engine.
-func (s *Server) decodeIntervals(_ *http.Request, body io.Reader) (job, error) {
-	var req IntervalSweepRequest
-	if err := decodeJSON(body, &req); err != nil {
-		return job{}, err
+func (s *Server) decodeIntervals(r *http.Request, body io.Reader) (job, error) {
+	req, how, err := decodeRequest[IntervalSweepRequest](body, r.ContentLength)
+	if err != nil {
+		return job{decode: how}, err
 	}
-	j := job{design: req.Design, workloads: len(req.Workloads)}
+	j := job{design: req.Design, workloads: len(req.Workloads), decode: how}
 	if len(req.Workloads) == 0 {
 		return j, errorf(http.StatusBadRequest, "no workloads in request")
 	}

@@ -28,6 +28,9 @@ type job struct {
 	// upload marks a request that registers a new design instead of
 	// naming one; its run step gets a nil design.
 	upload bool
+	// decode is how decodeRequest decoded the body (decodeFast or
+	// decodeFallback); empty for routes whose body is not JSON.
+	decode string
 	// run executes the request against the resolved design d and returns
 	// the response body plus the design it describes (the flight record
 	// names that one: uploads and edits produce a new design).
@@ -65,6 +68,12 @@ func (s *Server) serve(path string, requests *obs.Counter, status int, decode de
 			}
 		}
 		isp.SetAttr("workloads", j.workloads)
+		if j.decode != "" {
+			isp.SetAttr("decode", j.decode)
+			if j.decode == decodeFallback {
+				s.reg.Counter("server.decode_fallbacks").Inc()
+			}
+		}
 		isp.End()
 		if err != nil {
 			s.fail(w, &rec, err)
@@ -132,17 +141,7 @@ func (s *Server) fail(w http.ResponseWriter, rec *obs.RequestRecord, err error) 
 	s.writeErr(w, rec.Status, "%s", rec.Outcome)
 }
 
-// decodeJSON streams a JSON envelope into v, rejecting unknown fields.
-func decodeJSON(body io.Reader, v any) error {
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return errorf(http.StatusBadRequest, "decoding request: %w", err)
-	}
-	return nil
-}
-
-// readBody reads a whole non-JSON (or separately parsed) body.
+// readBody reads a whole non-JSON body.
 func readBody(body io.Reader) ([]byte, error) {
 	b, err := io.ReadAll(body)
 	if err != nil {

@@ -200,7 +200,8 @@ func (s *Server) AddResult(name string, res *core.Result) (*Design, error) {
 
 // register installs res and its compiled plan under name (the design's
 // own name when empty); a nil plan is obtained through the engine's
-// cache, store and compile. Without replace, a taken name is a
+// cache, store and compile, and a given one is installed in the
+// engine's plan cache. Without replace, a taken name is a
 // DuplicateDesignError. With replace — the ECO path — any live design is
 // swapped atomically under the registry lock: requests in flight keep
 // sweeping the result they resolved, new requests see the replacement.
@@ -213,6 +214,8 @@ func (s *Server) register(name string, res *core.Result, plan *sweep.Plan, repla
 		if plan, err = s.eng.Plan(res); err != nil {
 			return nil, fmt.Errorf("server: compiling plan for %q: %w", name, err)
 		}
+	} else {
+		s.eng.Install(plan)
 	}
 	seq := 0
 	for v := 0; v < res.Analyzer.G.NumVerts(); v++ {
@@ -262,7 +265,7 @@ func (s *Server) LoadNetlistContext(ctx context.Context, name string, r io.Reade
 		return nil, err
 	}
 	if st := s.cfg.Artifacts; st != nil {
-		res, _, err := st.GetContext(ctx, a)
+		res, plan, err := st.GetContext(ctx, a)
 		if err != nil {
 			// A stale or corrupt artifact is never fatal: fall through to
 			// the cold solve and regenerate it.
@@ -280,7 +283,9 @@ func (s *Server) LoadNetlistContext(ctx context.Context, name string, r io.Reade
 			}
 			s.reg.Counter("artifact.warm_start").Inc()
 			obs.SpanFromContext(ctx).SetAttr("artifact", "warm")
-			return s.AddResult(name, res)
+			// The artifact held the compiled plan too: registering it
+			// spares the engine a second store read and decode.
+			return s.register(name, res, plan, false)
 		}
 	}
 	res, err := a.SolveContext(ctx, neutralInputs(a))

@@ -105,33 +105,42 @@ func Compile(res *core.Result) (*Plan, error) {
 	}
 	index := make(map[string]int32)
 	var key []byte
-	intern := func(s pavf.Set) int32 {
+	// Neighbouring vertices (above all the bits of one node) usually
+	// hold equal sets on one side, so each side first compares its set
+	// with the last one it interned; only a different set packs its
+	// term IDs into a content key. The sets are short (two terms on
+	// average on XeonLike), so the comparison costs less than the key.
+	type lookup struct {
+		set  pavf.Set
+		slot int32
+	}
+	lastFwd, lastBwd := lookup{slot: -1}, lookup{slot: -1}
+	intern := func(s pavf.Set, known bool, last *lookup) int32 {
+		if !known {
+			return -1
+		}
+		if last.slot >= 0 && last.set.Equal(s) {
+			return last.slot
+		}
 		ids := s.IDs()
 		key = key[:0]
 		for _, id := range ids {
 			key = append(key, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
 		}
-		if i, ok := index[string(key)]; ok {
-			return i
+		i, ok := index[string(key)]
+		if !ok {
+			i = int32(len(p.setOff) - 1)
+			index[string(key)] = i
+			p.setIDs = append(p.setIDs, ids...)
+			p.setOff = append(p.setOff, int32(len(p.setIDs)))
 		}
-		i := int32(len(p.setOff) - 1)
-		index[string(key)] = i
-		p.setIDs = append(p.setIDs, ids...)
-		p.setOff = append(p.setOff, int32(len(p.setIDs)))
+		*last = lookup{s, i}
 		return i
 	}
 	for v := 0; v < n; v++ {
 		x := &res.Exprs[v]
-		if x.KnownFwd {
-			p.fwdIdx[v] = intern(x.Fwd)
-		} else {
-			p.fwdIdx[v] = -1
-		}
-		if x.KnownBwd {
-			p.bwdIdx[v] = intern(x.Bwd)
-		} else {
-			p.bwdIdx[v] = -1
-		}
+		p.fwdIdx[v] = intern(x.Fwd, x.KnownFwd, &lastFwd)
+		p.bwdIdx[v] = intern(x.Bwd, x.KnownBwd, &lastBwd)
 	}
 	p.buildPairs()
 	return p, nil

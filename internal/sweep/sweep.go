@@ -178,6 +178,11 @@ func (e *Engine) compile(sp *obs.Span, res *core.Result) (*Plan, error) {
 	return p, nil
 }
 
+// Install puts a plan obtained outside the engine — one an artifact
+// restore decoded along with its result — in the plan cache, so the
+// next lookup for its design is a cache hit.
+func (e *Engine) Install(p *Plan) { e.cache.put(p) }
+
 // CachedPlans reports the number of plans currently cached.
 func (e *Engine) CachedPlans() int { return e.cache.len() }
 
