@@ -49,6 +49,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzParseMatchesOracle -fuzztime=10s ./internal/pavfio/
 	$(GO) test -run=^$$ -fuzz=FuzzCompilePlan -fuzztime=10s ./internal/sweep/
 	$(GO) test -run=^$$ -fuzz=FuzzEnvMatrix -fuzztime=10s ./internal/sweep/
+	$(GO) test -run=^$$ -fuzz=FuzzReportJSON -fuzztime=10s ./internal/sweep/
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeArtifact -fuzztime=10s ./internal/artifact/
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeFUBState -fuzztime=10s ./internal/artifact/
 	$(GO) test -run=^$$ -fuzz=FuzzParseReplicaList -fuzztime=10s ./internal/fleet/

@@ -31,7 +31,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -180,7 +179,7 @@ func run(reg *obs.Registry, arts *cliutil.Artifacts, nlPath, dir, glob string, w
 	if err != nil {
 		return err
 	}
-	if err := emitReport(out, rep); err != nil {
+	if err := emitReport(out, rep.AppendJSON); err != nil {
 		return err
 	}
 	if out != "" {
@@ -203,7 +202,7 @@ func runIntervals(ctx context.Context, eng *sweep.Engine, res *core.Result, desi
 	if err != nil {
 		return err
 	}
-	if err := emitReport(out, rep); err != nil {
+	if err := emitReport(out, rep.AppendJSON); err != nil {
 		return err
 	}
 	if out != "" {
@@ -213,12 +212,16 @@ func runIntervals(ctx context.Context, eng *sweep.Engine, res *core.Result, desi
 	return nil
 }
 
-// emitReport writes v as indented JSON to path, or to stdout when path
-// is empty.
-func emitReport(path string, v any) error {
+// emitReport writes the report appendJSON renders (a report's
+// AppendJSON, the writer seqavfd answers with) to path, or to stdout
+// when path is empty.
+func emitReport(path string, appendJSON func([]byte) ([]byte, error)) error {
+	b, err := appendJSON(nil)
+	if err != nil {
+		return err
+	}
 	return cliutil.WriteOutput(path, func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(v)
+		_, err := w.Write(b)
+		return err
 	})
 }

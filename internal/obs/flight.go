@@ -25,10 +25,11 @@ type RequestRecord struct {
 	Workloads int `json:"workloads,omitempty"`
 	// Per-stage durations: ingest (decode + table validation), plan
 	// (cache/store/compile, including any artifact restore), eval (the
-	// kernel).
+	// kernel), encode (rendering and writing the success response).
 	IngestSeconds float64 `json:"ingest_seconds"`
 	PlanSeconds   float64 `json:"plan_seconds"`
 	EvalSeconds   float64 `json:"eval_seconds"`
+	EncodeSeconds float64 `json:"encode_seconds"`
 	// PlanSource tells how the plan/result was obtained: "cache",
 	// "store", or "compile" for sweeps; "warm" or "cold" for uploads.
 	PlanSource string `json:"plan_source,omitempty"`

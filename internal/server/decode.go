@@ -30,9 +30,9 @@ const (
 	decodeFallback = "fallback"
 )
 
-// maxPooledBody bounds the body buffers kept for reuse: a buffer that
-// grew past it (an unusually large request) is dropped, so the pool
-// never pins the memory of one outlier.
+// maxPooledBody bounds the request and response body buffers kept for
+// reuse: a buffer that grew past it (an unusually large request or
+// response) is dropped, so a pool never pins the memory of one outlier.
 const maxPooledBody = 1 << 20
 
 // bodyBufs pools raw request bodies. Only the raw bytes are pooled:

@@ -102,7 +102,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	n := len(s.designs)
 	s.mu.RUnlock()
-	writeJSON(w, http.StatusOK, map[string]any{
+	_ = writeJSON(w, http.StatusOK, map[string]any{
 		"status":    "ok",
 		"designs":   n,
 		"in_flight": len(s.sem),
@@ -118,7 +118,7 @@ func (s *Server) handleListDesigns(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.RUnlock()
 	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
-	writeJSON(w, http.StatusOK, infos)
+	_ = writeJSON(w, http.StatusOK, infos)
 }
 
 // decodeUpload reads a textual netlist; the run step solves it (or

@@ -8,6 +8,7 @@ package server
 // one mapping from errors to HTTP statuses.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -15,6 +16,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"seqavf/internal/obs"
@@ -96,7 +98,13 @@ func (s *Server) serve(path string, requests *obs.Counter, status int, decode de
 		if out != d {
 			rec.Design, rec.Fingerprint = out.Name, out.fingerprint()
 		}
-		writeJSON(w, status, resp)
+		esp := sp.Child("encode")
+		err = writeJSON(w, status, resp)
+		esp.End()
+		if err != nil {
+			s.reg.Counter("server.encode_errors").Inc()
+			s.fail(w, &rec, errorf(http.StatusInternalServerError, "encoding response: %w", err))
+		}
 	}
 }
 
@@ -176,6 +184,8 @@ func (s *Server) finishRequest(sp *obs.Span, start time.Time, rec obs.RequestRec
 			}
 		case "sweep.eval":
 			rec.EvalSeconds += d
+		case "encode":
+			rec.EncodeSeconds += d
 		case "solve", "artifact.restore":
 			// Upload solves and restores count as the plan stage: they
 			// are the "how do I get evaluable closed forms" phase.
@@ -210,19 +220,58 @@ func (s *Server) logSlowRequest(sp *obs.Span, rec obs.RequestRecord) {
 	s.slowMu.Unlock()
 }
 
-// writeJSON encodes v with status code.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+// respBufs pools encoded responses; a buffer is back in the pool once
+// its one Write has returned.
+var respBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeJSON encodes v as indented JSON into a pooled buffer, then sends
+// status, Content-Length and the body in one Write. The sweep reports
+// render themselves; every other value goes through encoding/json.
+// When v cannot be encoded nothing is sent and the error is returned,
+// so the caller can still answer with an error status; callers whose
+// values hold only strings and integers ignore it.
+func writeJSON(w http.ResponseWriter, status int, v any) error {
+	p := respBufs.Get().(*[]byte)
+	b, err := encodeJSON((*p)[:0], v)
+	if err != nil {
+		respBufs.Put(p)
+		return err
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(b)))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
+	_, _ = w.Write(b)
+	if cap(b) <= maxPooledBody {
+		*p = b[:0]
+		respBufs.Put(p)
+	}
+	return nil
+}
+
+// jsonAppender is a response that renders itself: the two sweep
+// reports (internal/sweep/reportjson.go).
+type jsonAppender interface {
+	AppendJSON(dst []byte) ([]byte, error)
+}
+
+// encodeJSON appends v's indented JSON, trailing newline included, to
+// dst.
+func encodeJSON(dst []byte, v any) ([]byte, error) {
+	if rep, ok := v.(jsonAppender); ok {
+		return rep.AppendJSON(dst)
+	}
+	buf := bytes.NewBuffer(dst)
+	enc := json.NewEncoder(buf)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	err := enc.Encode(v)
+	return buf.Bytes(), err
 }
 
 // writeErr emits the uniform {"error": ...} body.
 func (s *Server) writeErr(w http.ResponseWriter, status int, format string, args ...any) {
 	s.reg.Counter("server.errors").Inc()
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+	_ = writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
 // rejectBusy emits the backpressure response: 429 plus a Retry-After
@@ -230,7 +279,7 @@ func (s *Server) writeErr(w http.ResponseWriter, status int, format string, args
 func (s *Server) rejectBusy(w http.ResponseWriter) {
 	s.reg.Counter("server.rejected_busy").Inc()
 	w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
-	writeJSON(w, http.StatusTooManyRequests, map[string]string{
+	_ = writeJSON(w, http.StatusTooManyRequests, map[string]string{
 		"error": "server at concurrency limit, retry later",
 	})
 }
