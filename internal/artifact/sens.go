@@ -14,7 +14,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"time"
 )
 
 // sensExt names sensitivity-vector files; the key is the design
@@ -22,18 +21,18 @@ import (
 // under.
 const sensExt = ".sens"
 
-func (s *Store) sensPath(fp, envHash uint64) string {
-	return filepath.Join(s.dir, fmt.Sprintf("%016x-%016x%s", fp, envHash, sensExt))
+func sensName(fp, envHash uint64) string {
+	return fmt.Sprintf("%016x-%016x%s", fp, envHash, sensExt)
 }
 
 // GetSens returns the cached sensitivity vector for (fp, envHash), or
 // (nil, nil) on a clean miss. Payload integrity is the caller's job
 // (harden.DecodeVector is CRC-checked); a corrupt file surfaces there
-// and the recompute's PutSens overwrites it.
+// and the recompute's PutSens overwrites it. The read holds no lock, so
+// it never waits on a concurrent Put's write or eviction.
 func (s *Store) GetSens(fp, envHash uint64) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	data, err := os.ReadFile(s.sensPath(fp, envHash))
+	name := sensName(fp, envHash)
+	data, err := os.ReadFile(filepath.Join(s.dir, name))
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, nil
 	}
@@ -41,10 +40,9 @@ func (s *Store) GetSens(fp, envHash uint64) ([]byte, error) {
 		s.opts.Obs.Counter("artifact.store_errors").Inc()
 		return nil, fmt.Errorf("artifact: reading sensitivity vector: %w", err)
 	}
-	// Freshen mtime so a hot vector survives LRU eviction, mirroring how
-	// artifact reads keep warm entries alive.
-	now := time.Now()
-	_ = os.Chtimes(s.sensPath(fp, envHash), now, now)
+	// Freshen the entry so a hot vector survives LRU eviction, mirroring
+	// how artifact reads keep warm entries alive.
+	s.touch(name, len(data))
 	return data, nil
 }
 
@@ -52,32 +50,15 @@ func (s *Store) GetSens(fp, envHash uint64) ([]byte, error) {
 // temp+rename protocol, then re-evicts: .sens files count against
 // MaxBytes and age out of the same LRU as artifacts.
 func (s *Store) PutSens(fp, envHash uint64, data []byte) error {
+	name := sensName(fp, envHash)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	path := s.sensPath(fp, envHash)
-	tmp, err := os.CreateTemp(s.dir, "put-*.tmp")
-	if err != nil {
-		return fmt.Errorf("artifact: staging sensitivity write: %w", err)
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Chmod(tmp.Name(), 0o644)
-	}
-	if werr == nil {
-		werr = os.Rename(tmp.Name(), path)
-	}
-	if werr != nil {
-		os.Remove(tmp.Name())
+	if err := s.writeAtomic(name, data); err != nil {
 		s.opts.Obs.Counter("artifact.store_errors").Inc()
-		return fmt.Errorf("artifact: writing %s: %w", path, werr)
+		return fmt.Errorf("artifact: writing %s: %w", filepath.Join(s.dir, name), err)
 	}
+	s.idx.use(name, int64(len(data)))
 	s.opts.Obs.Counter("artifact.sens_puts").Inc()
-	if s.opts.MaxBytes > 0 {
-		s.evictLocked(filepath.Base(path))
-	}
+	s.evictLocked(name)
 	return nil
 }

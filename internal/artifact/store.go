@@ -1,7 +1,9 @@
 package artifact
 
 import (
+	"container/list"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -83,21 +85,90 @@ type Options struct {
 // design fingerprint, written atomically (temp file + rename), decoded
 // with full integrity checking on every Get. Multiple processes may
 // share a directory — rename is atomic within a filesystem, and readers
-// only ever observe complete files. The in-process mutex serializes
-// eviction bookkeeping.
+// only ever observe complete files. The in-process mutex guards the
+// index and serializes writes and eviction; reads do their file I/O
+// outside it.
 type Store struct {
 	dir  string
 	opts Options
 
 	mu     sync.Mutex
 	remote *Remote // guarded by mu; set at Open or via SetRemote
+	idx    index   // guarded by mu
 }
 
-// Open returns a Store rooted at dir, creating the directory if needed.
-// Staging files stranded by a crashed writer (put-*.tmp older than an
-// hour) are swept here so they cannot silently eat the disk budget
-// forever; a concurrent writer's fresh tmp is age-gated out of the
-// sweep.
+// index is the store's in-memory view of its directory, so eviction
+// pops the LRU front instead of listing, stat-ing and sorting every
+// file. One scan builds it (at Open, and again on a write once
+// max(1, entries/8) writes have passed since the last scan — that
+// rescan is what picks up another process's files, out-of-band
+// deletions and mtimes changed behind the store's back); this handle's
+// own writes, touches and removals keep it current in between.
+type index struct {
+	lru    list.List                // *fileEntry, least recently used at Front
+	files  map[string]*list.Element // .sart / .sens name → its LRU element
+	heads  map[string]headEntry     // .head name → size and the artifact it names
+	bytes  int64                    // every indexed size: the set MaxBytes bounds
+	writes int                      // writes since the last scan
+}
+
+// fileEntry is one LRU member: an artifact or a sensitivity vector.
+type fileEntry struct {
+	name string
+	size int64
+}
+
+type headEntry struct {
+	size   int64
+	target string // artifact file name; "" when the head is unreadable
+}
+
+func (ix *index) reset() {
+	ix.lru.Init()
+	ix.files = make(map[string]*list.Element)
+	ix.heads = make(map[string]headEntry)
+	ix.bytes, ix.writes = 0, 0
+}
+
+func (ix *index) entries() int { return len(ix.files) + len(ix.heads) }
+
+// use records name (size bytes) as the most recently used entry,
+// adding it if absent.
+func (ix *index) use(name string, size int64) {
+	if el, ok := ix.files[name]; ok {
+		fe := el.Value.(*fileEntry)
+		ix.bytes += size - fe.size
+		fe.size = size
+		ix.lru.MoveToBack(el)
+		return
+	}
+	ix.files[name] = ix.lru.PushBack(&fileEntry{name: name, size: size})
+	ix.bytes += size
+}
+
+// setHead records head (size bytes) as naming the artifact target.
+func (ix *index) setHead(head string, size int64, target string) {
+	ix.bytes += size - ix.heads[head].size
+	ix.heads[head] = headEntry{size: size, target: target}
+}
+
+func (ix *index) dropHead(head string) {
+	ix.bytes -= ix.heads[head].size
+	delete(ix.heads, head)
+}
+
+func (ix *index) drop(el *list.Element) {
+	fe := el.Value.(*fileEntry)
+	ix.lru.Remove(el)
+	delete(ix.files, fe.name)
+	ix.bytes -= fe.size
+}
+
+// Open returns a Store rooted at dir, creating the directory if needed,
+// and builds its index with one scan of the directory. That scan also
+// sweeps staging files stranded by a crashed writer (put-*.tmp older
+// than an hour) so they cannot silently eat the disk budget forever; a
+// concurrent writer's fresh tmp is age-gated out of the sweep.
 func Open(dir string, opts Options) (*Store, error) {
 	if dir == "" {
 		return nil, errors.New("artifact: empty store directory")
@@ -106,7 +177,10 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("artifact: creating store: %w", err)
 	}
 	s := &Store{dir: dir, opts: opts, remote: opts.Remote}
-	s.sweepStaleTmp()
+	s.idx.reset()
+	s.mu.Lock()
+	s.scanLocked()
+	s.mu.Unlock()
 	return s, nil
 }
 
@@ -122,18 +196,22 @@ func (s *Store) SetRemote(rem *Remote) {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-func (s *Store) path(fp uint64) string {
-	return filepath.Join(s.dir, fmt.Sprintf("%016x%s", fp, ext))
-}
+func artifactName(fp uint64) string { return fmt.Sprintf("%016x%s", fp, ext) }
 
-// headPath names the head-pointer file for a design name. The name is
+func (s *Store) path(fp uint64) string { return filepath.Join(s.dir, artifactName(fp)) }
+
+// headName names the head-pointer file for a design name. The name is
 // hashed rather than embedded: design names are arbitrary strings, file
 // names are not. Prior re-checks the decoded artifact's design name, so
 // a hash collision degrades to a miss, never to wrong state.
-func (s *Store) headPath(designName string) string {
+func headName(designName string) string {
 	h := fnv.New64a()
 	h.Write([]byte(designName))
-	return filepath.Join(s.dir, fmt.Sprintf("%016x%s", h.Sum64(), headExt))
+	return fmt.Sprintf("%016x%s", h.Sum64(), headExt)
+}
+
+func (s *Store) headPath(designName string) string {
+	return filepath.Join(s.dir, headName(designName))
 }
 
 // parseHead validates a head-pointer payload: exactly one 16-hex-digit
@@ -154,24 +232,79 @@ func parseHead(b []byte) (uint64, bool) {
 	return fp, err == nil
 }
 
-// sweepStaleTmp removes staging files stranded by crashed writers.
-func (s *Store) sweepStaleTmp() {
-	ents, err := os.ReadDir(s.dir)
+// scanLocked rebuilds the index from one listing of the directory:
+// artifacts and sensitivity vectors ordered by mtime (oldest first),
+// heads resolved to the artifacts they name. It removes stale staging
+// files and, in a bounded store, orphaned heads: those whose artifact
+// was evicted by another process or deleted, or whose bytes do not
+// parse, which would otherwise accumulate one per design name forever.
+// A failed listing keeps the old index. Requires s.mu held.
+func (s *Store) scanLocked() {
+	d, err := os.Open(s.dir)
 	if err != nil {
 		return
 	}
+	ents, err := d.ReadDir(-1) // unsorted: the entries are sorted by mtime below
+	d.Close()
+	if err != nil {
+		return
+	}
+	s.opts.Obs.Counter("artifact.dir_scans").Inc()
+	type stamped struct {
+		name  string
+		size  int64
+		mtime time.Time
+	}
+	var files []stamped
+	var heads []stamped
 	cutoff := time.Now().Add(-tmpMaxAge)
 	for _, de := range ents {
 		name := de.Name()
-		if de.IsDir() || !strings.HasPrefix(name, "put-") || !strings.HasSuffix(name, ".tmp") {
+		if de.IsDir() {
+			continue
+		}
+		kind := filepath.Ext(name)
+		tmp := strings.HasPrefix(name, "put-") && kind == ".tmp"
+		if kind != ext && kind != sensExt && kind != headExt && !tmp {
 			continue
 		}
 		info, err := de.Info()
-		if err != nil || info.ModTime().After(cutoff) {
+		if err != nil {
 			continue
 		}
-		if os.Remove(filepath.Join(s.dir, name)) == nil {
-			s.opts.Obs.Counter("artifact.tmp_sweeps").Inc()
+		switch {
+		case tmp:
+			if info.ModTime().Before(cutoff) && os.Remove(filepath.Join(s.dir, name)) == nil {
+				s.opts.Obs.Counter("artifact.tmp_sweeps").Inc()
+			}
+		case kind == headExt:
+			heads = append(heads, stamped{name: name, size: info.Size()})
+		default:
+			// Sensitivity vectors join the same LRU as artifacts: counted
+			// against MaxBytes, evicted by age, no head bookkeeping.
+			files = append(files, stamped{name: name, size: info.Size(), mtime: info.ModTime()})
+		}
+	}
+	sort.Slice(files, func(i, j int) bool {
+		if !files[i].mtime.Equal(files[j].mtime) {
+			return files[i].mtime.Before(files[j].mtime)
+		}
+		return files[i].name < files[j].name
+	})
+	s.idx.reset()
+	for _, f := range files {
+		s.idx.use(f.name, f.size)
+	}
+	for _, h := range heads {
+		target := ""
+		if data, err := os.ReadFile(filepath.Join(s.dir, h.name)); err == nil {
+			if fp, ok := parseHead(data); ok {
+				target = artifactName(fp)
+			}
+		}
+		s.idx.setHead(h.name, h.size, target)
+		if _, ok := s.idx.files[target]; !ok && s.opts.MaxBytes > 0 {
+			s.removeHeadLocked(h.name)
 		}
 	}
 }
@@ -222,11 +355,7 @@ func (s *Store) GetContext(ctx context.Context, a *core.Analyzer) (*core.Result,
 		sp.SetAttr("outcome", "error")
 		return nil, nil, fmt.Errorf("artifact: %s: %w", path, err)
 	}
-	// Touch for LRU: eviction orders by mtime, and a freshly served
-	// artifact is the one to keep. Best-effort — a racing eviction or a
-	// read-only store must not fail the hit.
-	now := time.Now()
-	_ = os.Chtimes(path, now, now)
+	s.touch(artifactName(fp), len(data))
 	s.opts.Obs.Counter("artifact.store_hits").Inc()
 	s.opts.Obs.FixedHistogram("artifact.restore_seconds", obs.LatencyBuckets).
 		Observe(time.Since(start).Seconds())
@@ -315,14 +444,28 @@ func (s *Store) fetchRemote(ctx context.Context, a *core.Analyzer, fp uint64) (*
 // The read counts as an access for LRU purposes. Missing entries
 // return an error satisfying errors.Is(err, fs.ErrNotExist).
 func (s *Store) Raw(fp uint64) ([]byte, error) {
-	path := s.path(fp)
-	data, err := os.ReadFile(path)
+	data, err := os.ReadFile(s.path(fp))
 	if err != nil {
 		return nil, err
 	}
-	now := time.Now()
-	_ = os.Chtimes(path, now, now)
+	s.touch(artifactName(fp), len(data))
 	return data, nil
+}
+
+// touch marks a just-read file as the most recently used: its mtime
+// (which orders the next scan, here and in any process sharing the
+// directory) and its LRU position. The read itself happened outside
+// s.mu; the mtime update happens under it so a racing eviction by this
+// handle cannot be undone by re-indexing a removed file. Best-effort —
+// a read-only store must not fail the hit.
+func (s *Store) touch(name string, size int) {
+	now := time.Now()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := os.Chtimes(filepath.Join(s.dir, name), now, now); errors.Is(err, fs.ErrNotExist) {
+		return
+	}
+	s.idx.use(name, int64(size))
 }
 
 // Put encodes res (compiling its plan when plan is nil) and installs it
@@ -344,10 +487,35 @@ func (s *Store) Put(res *core.Result, plan *sweep.Plan) error {
 // MaxBytes. Requires s.mu held. Shared by Put and the remote tier's
 // pull-through install.
 func (s *Store) installLocked(data []byte, fp uint64, designName string) error {
-	path := s.path(fp)
+	name := artifactName(fp)
+	if err := s.writeAtomic(name, data); err != nil {
+		return fmt.Errorf("artifact: writing %s: %w", filepath.Join(s.dir, name), err)
+	}
+	s.idx.use(name, int64(len(data)))
+	s.opts.Obs.Counter("artifact.store_puts").Inc()
+	// Leave the name-keyed head pointer for incremental re-solves — also
+	// temp + rename, so a racing Prior (possibly in another process
+	// sharing the directory) never reads a torn pointer. Best-effort: the
+	// pointer is an optimization, and a stale or missing one only costs a
+	// cold solve.
+	head := headName(designName)
+	ptr := fmt.Sprintf("%016x", fp)
+	if err := s.writeAtomic(head, []byte(ptr)); err != nil {
+		s.opts.Obs.Counter("artifact.store_errors").Inc()
+	} else {
+		s.idx.setHead(head, int64(len(ptr)), name)
+	}
+	s.evictLocked(name)
+	return nil
+}
+
+// writeAtomic installs data as the store file name via temp file +
+// rename, so no reader — in this process or another sharing the
+// directory — ever observes a partial file.
+func (s *Store) writeAtomic(name string, data []byte) error {
 	tmp, err := os.CreateTemp(s.dir, "put-*.tmp")
 	if err != nil {
-		return fmt.Errorf("artifact: staging write: %w", err)
+		return fmt.Errorf("staging write: %w", err)
 	}
 	_, werr := tmp.Write(data)
 	cerr := tmp.Close()
@@ -358,44 +526,7 @@ func (s *Store) installLocked(data []byte, fp uint64, designName string) error {
 		werr = os.Chmod(tmp.Name(), 0o644)
 	}
 	if werr == nil {
-		werr = os.Rename(tmp.Name(), path)
-	}
-	if werr != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("artifact: writing %s: %w", path, werr)
-	}
-	s.opts.Obs.Counter("artifact.store_puts").Inc()
-	// Leave the name-keyed head pointer for incremental re-solves — also
-	// temp + rename, so a racing Prior (possibly in another process
-	// sharing the directory) never reads a torn pointer. Best-effort: the
-	// pointer is an optimization, and a stale or missing one only costs a
-	// cold solve.
-	if werr := s.writeHeadAtomic(designName, fp); werr != nil {
-		s.opts.Obs.Counter("artifact.store_errors").Inc()
-	}
-	if s.opts.MaxBytes > 0 {
-		s.evictLocked(filepath.Base(path))
-	}
-	return nil
-}
-
-// writeHeadAtomic installs the head pointer for designName via the same
-// temp + rename protocol artifacts use.
-func (s *Store) writeHeadAtomic(designName string, fp uint64) error {
-	tmp, err := os.CreateTemp(s.dir, "put-*.tmp")
-	if err != nil {
-		return err
-	}
-	_, werr := fmt.Fprintf(tmp, "%016x", fp)
-	cerr := tmp.Close()
-	if werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Chmod(tmp.Name(), 0o644)
-	}
-	if werr == nil {
-		werr = os.Rename(tmp.Name(), s.headPath(designName))
+		werr = os.Rename(tmp.Name(), filepath.Join(s.dir, name))
 	}
 	if werr != nil {
 		os.Remove(tmp.Name())
@@ -439,7 +570,7 @@ func (s *Store) Prior(ctx context.Context, designName string) (*core.PriorState,
 		sp.SetAttr("outcome", "error")
 		return nil, fmt.Errorf("artifact: reading %s: %w", path, err)
 	}
-	ps, err := DecodePrior(data)
+	ps, err := decodeHeadTarget(data, fp)
 	if err != nil {
 		s.opts.Obs.Counter("artifact.decode_errors").Inc()
 		sp.SetAttr("outcome", "error")
@@ -450,100 +581,81 @@ func (s *Store) Prior(ctx context.Context, designName string) (*core.PriorState,
 		sp.SetAttr("outcome", "miss")
 		return nil, nil
 	}
-	now := time.Now()
-	_ = os.Chtimes(path, now, now)
+	s.touch(artifactName(fp), len(data))
 	sp.SetAttr("outcome", "hit")
 	sp.SetAttr("fingerprint", fmt.Sprintf("%016x", fp))
 	return ps, nil
 }
 
-// evictLocked brings the store under MaxBytes and sweeps head-pointer
-// debris. Requires s.mu held.
+// decodeHeadTarget is DecodePrior for the artifact a head pointer led
+// to. DecodePrior skips the header fingerprint (an edited design's
+// differs by construction) and no section CRC covers the header, so a
+// damaged fingerprint would otherwise go unseen; here the head names the
+// fingerprint the bytes must carry, and a mismatch is corruption.
+func decodeHeadTarget(data []byte, fp uint64) (*core.PriorState, error) {
+	const at = len(magic) + 4 // fingerprint follows magic and version
+	if len(data) >= at+8 {
+		if got := binary.LittleEndian.Uint64(data[at:]); got != fp {
+			return nil, fmt.Errorf("%w: header fingerprint %016x, head names %016x", ErrCorrupt, got, fp)
+		}
+	}
+	return DecodePrior(data)
+}
+
+// evictLocked runs after every write: it counts the write, rescans
+// the directory when the index is due (see index), then pops
+// least-recently-used entries until the store fits MaxBytes, never
+// evicting keep, the entry just written. Unbounded stores skip it all.
+// Requires s.mu held.
 //
 // Accounting covers everything the store writes: artifact bytes,
 // sensitivity-vector bytes, AND head-pointer bytes (SizeBytes reports
-// the same set). The pass first
-// removes orphaned heads — pointers whose target artifact no longer
-// exists, stranded by an earlier eviction or crash; left alone they
-// accumulate one per design name forever. Then least-recently-used
-// artifacts go (never keep, the entry just written), and each evicted
-// artifact takes its now-dangling head pointers with it.
+// the same set). Each evicted artifact takes its now-dangling head
+// pointers with it.
 func (s *Store) evictLocked(keep string) {
-	type entry struct {
-		name  string
-		size  int64
-		mtime time.Time
-	}
-	ents, err := os.ReadDir(s.dir)
-	if err != nil {
+	if s.opts.MaxBytes <= 0 {
 		return
 	}
-	var files []entry
-	var total int64
-	live := make(map[string]bool)         // artifact file names present
-	headsFor := make(map[string][]string) // artifact file name → head file names
-	headSize := make(map[string]int64)
-	for _, de := range ents {
-		if de.IsDir() {
-			continue
+	s.idx.writes++
+	if s.idx.writes >= max(1, s.idx.entries()/8) {
+		s.scanLocked()
+	}
+	for el := s.idx.lru.Front(); el != nil && s.idx.bytes > s.opts.MaxBytes; {
+		next := el.Next()
+		if fe := el.Value.(*fileEntry); fe.name != keep {
+			s.removeLocked(el)
 		}
-		info, err := de.Info()
-		if err != nil {
-			continue
-		}
-		switch filepath.Ext(de.Name()) {
-		case ext:
-			files = append(files, entry{name: de.Name(), size: info.Size(), mtime: info.ModTime()})
-			live[de.Name()] = true
-			total += info.Size()
-		case sensExt:
-			// Sensitivity vectors join the same LRU as artifacts: counted
-			// against MaxBytes, evicted by age, no head bookkeeping.
-			files = append(files, entry{name: de.Name(), size: info.Size(), mtime: info.ModTime()})
-			total += info.Size()
-		case headExt:
-			headSize[de.Name()] = info.Size()
-			total += info.Size()
+		el = next
+	}
+}
+
+// removeLocked evicts one LRU entry and the heads naming it. A file
+// already gone (another process evicted it) just leaves the index; one
+// that cannot be removed stays indexed and is skipped.
+func (s *Store) removeLocked(el *list.Element) {
+	fe := el.Value.(*fileEntry)
+	err := os.Remove(filepath.Join(s.dir, fe.name))
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return
+	}
+	if err == nil {
+		s.opts.Obs.Counter("artifact.evictions").Inc()
+	}
+	s.idx.drop(el)
+	for head, he := range s.idx.heads {
+		if he.target == fe.name {
+			s.removeHeadLocked(head)
 		}
 	}
-	for head := range headSize {
-		target := ""
-		if data, err := os.ReadFile(filepath.Join(s.dir, head)); err == nil {
-			if fp, ok := parseHead(data); ok {
-				target = fmt.Sprintf("%016x%s", fp, ext)
-			}
-		}
-		if target == "" || !live[target] {
-			// Orphaned (dangling or unreadable) head: its artifact is gone,
-			// so the breadcrumb leads nowhere. Sweep it.
-			if os.Remove(filepath.Join(s.dir, head)) == nil {
-				total -= headSize[head]
-				s.opts.Obs.Counter("artifact.head_evictions").Inc()
-			}
-			continue
-		}
-		headsFor[target] = append(headsFor[target], head)
+}
+
+func (s *Store) removeHeadLocked(head string) {
+	err := os.Remove(filepath.Join(s.dir, head))
+	if err == nil {
+		s.opts.Obs.Counter("artifact.head_evictions").Inc()
 	}
-	sort.Slice(files, func(i, j int) bool { return files[i].mtime.Before(files[j].mtime) })
-	for _, f := range files {
-		if total <= s.opts.MaxBytes {
-			break
-		}
-		if f.name == keep {
-			continue
-		}
-		if os.Remove(filepath.Join(s.dir, f.name)) == nil {
-			total -= f.size
-			s.opts.Obs.Counter("artifact.evictions").Inc()
-			// The artifact is gone; its heads now dangle. Take them too so
-			// the next pass (and SizeBytes) never sees them.
-			for _, head := range headsFor[f.name] {
-				if os.Remove(filepath.Join(s.dir, head)) == nil {
-					total -= headSize[head]
-					s.opts.Obs.Counter("artifact.head_evictions").Inc()
-				}
-			}
-		}
+	if err == nil || errors.Is(err, fs.ErrNotExist) {
+		s.idx.dropHead(head)
 	}
 }
 

@@ -11,6 +11,7 @@ package harden
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -68,6 +69,14 @@ const (
 
 var sensTable = crc32.MakeTable(crc32.Castagnoli)
 
+// Damaged-vector errors are preallocated: a rejected vector must cost
+// no more than a clean decode, which for a small design allocates only
+// a few hundred bytes.
+var (
+	errSensMagic    = errors.New("harden: bad sensitivity vector magic")
+	errSensChecksum = errors.New("harden: sensitivity vector checksum mismatch")
+)
+
 // Encode serializes the vector.
 func (v *Vector) Encode() []byte {
 	buf := make([]byte, 0, len(sensMagic)+4+8+8+8+8+8+8*len(v.Deriv)+4)
@@ -92,11 +101,11 @@ func DecodeVector(data []byte) (*Vector, error) {
 		return nil, fmt.Errorf("harden: sensitivity vector truncated (%d bytes)", len(data))
 	}
 	if string(data[:len(sensMagic)]) != sensMagic {
-		return nil, fmt.Errorf("harden: bad sensitivity vector magic")
+		return nil, errSensMagic
 	}
 	body, sum := data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
 	if crc32.Checksum(body, sensTable) != sum {
-		return nil, fmt.Errorf("harden: sensitivity vector checksum mismatch")
+		return nil, errSensChecksum
 	}
 	off := len(sensMagic)
 	if ver := binary.LittleEndian.Uint32(data[off:]); ver != sensVersion {

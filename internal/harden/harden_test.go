@@ -2,6 +2,7 @@ package harden
 
 import (
 	"math"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -468,4 +469,50 @@ func TestCachedTermDerivs(t *testing.T) {
 	if _, err := DecodeVector(st.m[key]); err != nil {
 		t.Errorf("corrupt entry not overwritten by recompute: %v", err)
 	}
+}
+
+// Every single-bit flip of an encoded tinycore sensitivity vector must
+// be rejected by DecodeVector, without a panic and without allocating
+// more than a clean decode of the same bytes: the CRC covers the whole
+// body, so no flipped vector may reach the harden cache as a hit.
+func TestVectorBitFlipsRejected(t *testing.T) {
+	a, res, in := tinycoreSolved(t)
+	p, err := sweep.Compile(res)
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	env, err := a.CheckedEnv(in)
+	if err != nil {
+		t.Fatalf("CheckedEnv: %v", err)
+	}
+	v, _, err := CachedTermDerivs(p, env, nil)
+	if err != nil {
+		t.Fatalf("CachedTermDerivs: %v", err)
+	}
+	clean := v.Encode()
+	allocBytes := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	if _, err := DecodeVector(clean); err != nil {
+		t.Fatalf("clean vector rejected: %v", err)
+	}
+	budget := allocBytes(func() { DecodeVector(clean) })
+	buf := append([]byte(nil), clean...)
+	for b := 0; b < len(buf)*8; b++ {
+		buf[b/8] ^= 1 << (b % 8)
+		var err error
+		got := allocBytes(func() { _, err = DecodeVector(buf) })
+		if err == nil {
+			t.Fatalf("flip of bit %d (byte %d) accepted", b, b/8)
+		}
+		if got > budget {
+			t.Fatalf("flip of bit %d allocated %d bytes, clean decode %d", b, got, budget)
+		}
+		buf[b/8] ^= 1 << (b % 8)
+	}
+	t.Logf("%d flips of a %d-term vector rejected", len(buf)*8, len(v.Deriv))
 }

@@ -114,6 +114,7 @@ type Server struct {
 	eng    *sweep.Engine
 	reg    *obs.Registry
 	sem    chan struct{}
+	semMu  sync.Mutex // orders server.in_flight updates with the slot count they read
 	start  time.Time
 	flight *obs.FlightRecorder
 	slowMu sync.Mutex // serializes SlowLog writes
@@ -422,7 +423,7 @@ func (s *Server) Abort() {
 func (s *Server) acquire() bool {
 	select {
 	case s.sem <- struct{}{}:
-		s.reg.Gauge("server.in_flight").Set(float64(len(s.sem)))
+		s.setInFlight()
 		if s.onSlotAcquired != nil {
 			s.onSlotAcquired()
 		}
@@ -434,7 +435,17 @@ func (s *Server) acquire() bool {
 
 func (s *Server) release() {
 	<-s.sem
+	s.setInFlight()
+}
+
+// setInFlight publishes the slot count. Reading it and setting the
+// gauge happen under one lock: unordered, a release that read 1 could
+// land its Set after a later release's 0 and leave a drained server
+// reporting a request in flight.
+func (s *Server) setInFlight() {
+	s.semMu.Lock()
 	s.reg.Gauge("server.in_flight").Set(float64(len(s.sem)))
+	s.semMu.Unlock()
 }
 
 // requestCtx derives the evaluation context for one request: the given

@@ -13,10 +13,12 @@
 # encode buffers) the ECO edit runs on every request, and whose bytes and
 # fingerprints key every stored artifact. Floors are set below current
 # coverage (core ~93%, sweep ~89%, pavf ~91%, harden ~90%, ace ~93%,
-# pavfio ~95%, fleet ~90%, graph ~92%, artifact ~85%, hardentool ~69%
+# pavfio ~95%, fleet ~90%, graph ~92%, artifact ~87%, hardentool ~69%
 # and sweeprun ~70%, whose mains are untested) so routine changes pass,
 # but a change that lands substantial untested code trips the gate. The sweeprun floor sits 5
-# points under the 71.1% its pin test measured on landing. The core floor sits about 5 points under its measurement:
+# points under the 71.1% its pin test measured on landing. The artifact floor sits
+# 3 points under the 86.6% measured when the store gained its in-memory
+# index, so the eviction and rescan paths stay covered. The core floor sits about 5 points under its measurement:
 # the solver's one relaxation loop serves both the cold and the
 # incremental solve, so an untested branch in it is untested in both.
 # Exits non-zero naming every package under its floor.
@@ -34,7 +36,7 @@ internal/ace 75.0
 internal/harden 78.0
 internal/fleet 85.0
 internal/graph 86.0
-internal/artifact 79.0
+internal/artifact 83.6
 cmd/hardentool 61.5
 cmd/sweeprun 66.1
 "
