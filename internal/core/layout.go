@@ -27,21 +27,24 @@ type SummaryLayout struct {
 	seqBits, nodeBits, loopBits, ctrlBits int
 }
 
-// slotRun is n slot references in order: first, first+step, ...
-type slotRun struct{ first, n int32 }
+// SlotRun is N slot references in order: First, First+step, ... In the
+// analyzer's layout (step 1) a run is the consecutive vertices
+// [First, First+N); in a remapped one (step 0) it is N references to
+// slot First.
+type SlotRun struct{ First, N int32 }
 
 // slotList is an ordered run-length list of value slots.
 type slotList struct {
-	runs []slotRun
+	runs []SlotRun
 	n    int // total slots
 }
 
 // add appends slot s, extending the last run when s continues it.
 func (sl *slotList) add(s, step int32) {
-	if k := len(sl.runs) - 1; k >= 0 && sl.runs[k].first+sl.runs[k].n*step == s {
-		sl.runs[k].n++
+	if k := len(sl.runs) - 1; k >= 0 && sl.runs[k].First+sl.runs[k].N*step == s {
+		sl.runs[k].N++
 	} else {
-		sl.runs = append(sl.runs, slotRun{s, 1})
+		sl.runs = append(sl.runs, SlotRun{s, 1})
 	}
 	sl.n++
 }
@@ -50,7 +53,7 @@ func (sl *slotList) add(s, step int32) {
 // dropping append's growth slack from a layout that lives as long as
 // its analyzer or plan.
 func (sl slotList) trimmed() slotList {
-	sl.runs = append([]slotRun(nil), sl.runs...)
+	sl.runs = append([]SlotRun(nil), sl.runs...)
 	return sl
 }
 
@@ -145,8 +148,8 @@ func (l *SummaryLayout) Remap(slot []int32) *SummaryLayout {
 	remap := func(src slotList) slotList {
 		var dst slotList
 		for _, r := range src.runs {
-			for j := int32(0); j < r.n; j++ {
-				dst.add(slot[r.first+j*l.step], 0)
+			for j := int32(0); j < r.N; j++ {
+				dst.add(slot[r.First+j*l.step], 0)
 			}
 		}
 		return dst.trimmed()
@@ -165,6 +168,19 @@ func (l *SummaryLayout) Remap(slot []int32) *SummaryLayout {
 	return &m
 }
 
+// NumNodes returns the number of sequential "fub/node" keys: one per
+// key a non-debug sequential bit carries (SeqAVFByNode's key set).
+func (l *SummaryLayout) NumNodes() int { return len(l.nodes) }
+
+// Node returns node k's "fub/node" key, its bit count, and its bits as
+// runs in vertex order (see SlotRun). Nodes are numbered in order of
+// their key's first sighting in vertex order. The runs alias the layout
+// and are read-only.
+func (l *SummaryLayout) Node(k int) (key string, bits int, runs []SlotRun) {
+	nb := &l.nodes[k]
+	return nb.key, nb.bits.n, nb.bits.runs
+}
+
 // sum adds the values of list's slots to acc lane by lane, in slot
 // order. vals is slot-major and lane-minor: slot s's value in lane w is
 // vals[s*lanes+w], lanes = len(acc).
@@ -175,16 +191,16 @@ func (l *SummaryLayout) sum(acc, vals []float64, list slotList) {
 		// the adds and their order are the same.
 		sum := acc[0]
 		for _, r := range list.runs {
-			for j := int32(0); j < r.n; j++ {
-				sum += vals[r.first+j*step]
+			for j := int32(0); j < r.N; j++ {
+				sum += vals[r.First+j*step]
 			}
 		}
 		acc[0] = sum
 		return
 	}
 	for _, r := range list.runs {
-		for j := int32(0); j < r.n; j++ {
-			s := int(r.first+j*step) * lanes
+		for j := int32(0); j < r.N; j++ {
+			s := int(r.First+j*step) * lanes
 			col := vals[s : s+lanes]
 			col = col[:len(acc)]
 			for w := range acc {

@@ -356,22 +356,28 @@ func Symbolic(env *Env) (*SymbolicResult, error) {
 	}
 	out.ReevalTime = time.Since(t0)
 
-	// Batched sweep through the compiled plan.
-	eng := sweep.New(sweep.Options{})
+	// Batched evaluation through the compiled plan, one kernel pass per
+	// block of DefaultBlockSize workloads.
 	t0 = time.Now()
-	plan, err := eng.Plan(base)
+	plan, err := sweep.Compile(base)
 	if err != nil {
 		return nil, err
 	}
 	out.CompileTime = time.Since(t0)
 	out.Plan = plan.Stats()
-	batch, err := eng.Sweep(base, ws)
-	if err != nil {
-		return nil, err
+	t0 = time.Now()
+	swept := make([]*core.Result, len(ws))
+	var m sweep.EnvMatrix
+	scratch := make([]float64, plan.ScratchLen(sweep.DefaultBlockSize))
+	for lo := 0; lo < len(ws); lo += sweep.DefaultBlockSize {
+		hi := min(lo+sweep.DefaultBlockSize, len(ws))
+		if err := plan.EvalBlockInto(ws[lo:hi], &m, scratch, swept[lo:hi]); err != nil {
+			return nil, err
+		}
 	}
-	out.SweepTime = batch.Elapsed
+	out.SweepTime = time.Since(t0)
 	for i := range ws {
-		if d := core.MaxAbsDiff(batch.Results[i], fresh[i]); d > out.MaxDeviation {
+		if d := core.MaxAbsDiff(swept[i], fresh[i]); d > out.MaxDeviation {
 			out.MaxDeviation = d
 		}
 	}

@@ -159,16 +159,15 @@ func CachedTermDerivs(p *sweep.Plan, env pavf.Env, store SensStore) (*Vector, bo
 	if err != nil {
 		return nil, false, err
 	}
-	seq := seqVerts(p.Analyzer)
-	avf, err := evalEnvOnce(p, env)
+	chip, seq, err := seqMeanAt(p, env)
 	if err != nil {
 		return nil, false, err
 	}
 	v := &Vector{
 		Fingerprint: fp,
 		EnvHash:     eh,
-		SeqBits:     len(seq),
-		ChipAVF:     chipAVF(avf, seq),
+		SeqBits:     seq,
+		ChipAVF:     chip,
 		Deriv:       deriv,
 	}
 	if store != nil {

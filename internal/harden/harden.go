@@ -37,7 +37,6 @@ import (
 	"sort"
 
 	"seqavf/internal/core"
-	"seqavf/internal/graph"
 )
 
 // Candidate is one protectable sequential node.
@@ -65,61 +64,82 @@ func (c Candidate) Density() float64 {
 }
 
 // Model holds the budgeted-protection problem for one solved design: the
-// candidate set with gains and costs, plus the vertex index needed to
-// compute residual summaries.
+// candidate set with gains and costs, plus each candidate's bits, needed
+// to compute residual summaries. A Model is not safe for concurrent use:
+// the solvers and Residual reuse model-owned buffers.
 type Model struct {
 	res   *core.Result
 	cands []Candidate
-	verts [][]graph.VertexID // per candidate, its sequential bit vertices
-	index map[string]int     // key → candidate index
-	base  core.Summary
+	// runs holds each candidate's sequential bits as vertex runs; they
+	// alias the analyzer's summary layout.
+	runs [][]core.SlotRun
+	base core.Summary
+	// order is greedy's density ranking of the positive-gain
+	// candidates, built on first use; it does not depend on the budget.
+	order []int
+	// masked is Residual's AVF buffer.
+	masked []float64
 }
 
 // NewModel builds the protection model from a solved (or swept) result.
+// The candidates are the sequential nodes of the analyzer's summary
+// layout, in order of first sighting in vertex order, each node's gain
+// summed over its bits in vertex order.
 // costs overrides per-node hardening costs by "fub/node" key; a key that
 // names no sequential node of the design is an error (a silently ignored
 // typo would mis-price the plan), as is a non-positive or non-finite
-// cost.
+// cost. Keys are checked in sorted order, so a table with several bad
+// keys always reports the same one.
 func NewModel(res *core.Result, costs map[string]float64) (*Model, error) {
 	a := res.Analyzer
-	n := a.G.NumVerts()
-	if len(res.AVF) != n {
+	if n := a.G.NumVerts(); len(res.AVF) != n {
 		return nil, fmt.Errorf("harden: result holds %d AVFs but design %q has %d vertices",
 			len(res.AVF), a.G.Design.Name, n)
 	}
-	m := &Model{res: res, index: make(map[string]int)}
-	for v := 0; v < n; v++ {
-		if !res.IsSequentialBit(graph.VertexID(v)) {
-			continue
+	l := a.SummaryLayout()
+	k := l.NumNodes()
+	m := &Model{res: res, cands: make([]Candidate, k), runs: make([][]core.SlotRun, k)}
+	for ci := range m.cands {
+		key, bits, runs := l.Node(ci)
+		gain := 0.0
+		for _, r := range runs {
+			for _, x := range res.AVF[r.First : r.First+r.N] {
+				gain += x
+			}
 		}
-		vx := &a.G.Verts[v]
-		key := a.G.FubNames[vx.Fub] + "/" + vx.Node.Name
-		ci, ok := m.index[key]
-		if !ok {
-			ci = len(m.cands)
-			m.index[key] = ci
-			m.cands = append(m.cands, Candidate{Key: key})
-			m.verts = append(m.verts, nil)
-		}
-		m.cands[ci].Bits++
-		m.cands[ci].Gain += res.AVF[v]
-		m.verts[ci] = append(m.verts[ci], graph.VertexID(v))
+		m.cands[ci] = Candidate{Key: key, Bits: bits, Gain: gain, Cost: float64(bits)}
+		m.runs[ci] = runs
 	}
-	for i := range m.cands {
-		m.cands[i].Cost = float64(m.cands[i].Bits)
-	}
-	for key, c := range costs {
-		ci, ok := m.index[key]
-		if !ok {
-			return nil, fmt.Errorf("harden: cost table names unknown sequential node %q", key)
+	if len(costs) > 0 {
+		index := make(map[string]int, len(m.cands))
+		for ci, c := range m.cands {
+			index[c.Key] = ci
 		}
-		if !(c > 0) || math.IsInf(c, 0) {
-			return nil, fmt.Errorf("harden: cost for %q is %v, must be finite and positive", key, c)
+		for _, key := range sortedKeys(costs) {
+			ci, ok := index[key]
+			if !ok {
+				return nil, fmt.Errorf("harden: cost table names unknown sequential node %q", key)
+			}
+			c := costs[key]
+			if !(c > 0) || math.IsInf(c, 0) {
+				return nil, fmt.Errorf("harden: cost for %q is %v, must be finite and positive", key, c)
+			}
+			m.cands[ci].Cost = c
 		}
-		m.cands[ci].Cost = c
 	}
 	m.base = res.Summarize()
 	return m, nil
+}
+
+// sortedKeys returns a cost table's keys in ascending order: the order
+// its entries are checked in.
+func sortedKeys(costs map[string]float64) []string {
+	keys := make([]string, 0, len(costs))
+	for key := range costs {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // Candidates returns the candidate set in vertex order (FUB-contiguous,
@@ -142,15 +162,17 @@ func (m *Model) SeqBits() int { return m.base.SeqBits }
 // both, and the summary below is core.Result.Summarize itself — the same
 // accumulation order over the same values.
 func (m *Model) Residual(chosen []int) core.Summary {
-	avf := make([]float64, len(m.res.AVF))
-	copy(avf, m.res.AVF)
+	if m.masked == nil {
+		m.masked = make([]float64, len(m.res.AVF))
+	}
+	copy(m.masked, m.res.AVF)
 	for _, ci := range chosen {
-		for _, v := range m.verts[ci] {
-			avf[v] = 0
+		for _, r := range m.runs[ci] {
+			clear(m.masked[r.First : r.First+r.N])
 		}
 	}
 	masked := *m.res
-	masked.AVF = avf
+	masked.AVF = m.masked
 	return masked.Summarize()
 }
 

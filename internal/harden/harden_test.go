@@ -301,9 +301,10 @@ func TestResidualBitConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatalf("evalEnvOnce: %v", err)
 	}
+	index, verts := keyWalk(res)
 	for _, c := range plan.Chosen {
-		ci := m.index[c.Key]
-		for _, v := range m.verts[ci] {
+		ci := index[c.Key]
+		for _, v := range verts[ci] {
 			avf[v] = 0
 		}
 	}

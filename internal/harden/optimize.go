@@ -101,30 +101,19 @@ func (m *Model) Sweep(budgets []float64, solver string) ([]*Protection, error) {
 // each one that still fits the remaining budget and skipping the rest.
 // The best single affordable item is kept as a fallback — the
 // refinement that upgrades density-greedy to the standard knapsack
-// 1/2-approximation.
+// 1/2-approximation. The ranking does not depend on the budget, so it
+// is sorted once per model (densityOrder) and each budget walks it,
+// skipping the unaffordable.
 func (m *Model) greedy(budget float64) []int {
-	order := make([]int, 0, len(m.cands))
 	bestSingle, bestSingleGain := -1, 0.0
 	for i, c := range m.cands {
-		if c.Gain <= 0 || c.Cost > budget {
-			continue
-		}
-		order = append(order, i)
-		if c.Gain > bestSingleGain {
+		if c.Gain > bestSingleGain && c.Cost <= budget {
 			bestSingle, bestSingleGain = i, c.Gain
 		}
 	}
-	sort.Slice(order, func(a, b int) bool {
-		da, db := m.cands[order[a]].Density(), m.cands[order[b]].Density()
-		if da != db {
-			return da > db
-		}
-		return order[a] < order[b]
-	})
-
 	var chosen []int
 	total, remaining := 0.0, budget
-	for _, ci := range order {
+	for _, ci := range m.densityOrder() {
 		c := m.cands[ci]
 		if c.Cost > remaining {
 			continue
@@ -137,6 +126,30 @@ func (m *Model) greedy(budget float64) []int {
 		return []int{bestSingle}
 	}
 	return chosen
+}
+
+// densityOrder returns the positive-gain candidates in descending
+// gain/cost density, ties broken by candidate index, sorting them on
+// first use.
+func (m *Model) densityOrder() []int {
+	if m.order != nil {
+		return m.order
+	}
+	order := make([]int, 0, len(m.cands))
+	for i, c := range m.cands {
+		if c.Gain > 0 {
+			order = append(order, i)
+		}
+	}
+	sort.Slice(order, func(a, b int) bool {
+		da, db := m.cands[order[a]].Density(), m.cands[order[b]].Density()
+		if da != db {
+			return da > db
+		}
+		return order[a] < order[b]
+	})
+	m.order = order
+	return order
 }
 
 // dpScale finds an integer quantization for the DP knapsack: the

@@ -201,9 +201,10 @@ func TestPropertySolversMatchExhaustive(t *testing.T) {
 }
 
 func chosenIdx(m *Model, p *Protection) []int {
+	index, _ := keyWalk(m.res)
 	out := make([]int, len(p.Chosen))
 	for i, c := range p.Chosen {
-		out[i] = m.index[c.Key]
+		out[i] = index[c.Key]
 	}
 	return out
 }

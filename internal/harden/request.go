@@ -15,7 +15,6 @@ import (
 
 	"seqavf/internal/core"
 	"seqavf/internal/obs"
-	"seqavf/internal/pavf"
 	"seqavf/internal/sweep"
 )
 
@@ -94,8 +93,8 @@ func (r *Request) Validate() error {
 	if !ValidSolver(r.Solver) {
 		return fmt.Errorf("harden: unknown solver %q (want auto, greedy, dp, or exhaustive)", r.Solver)
 	}
-	for key, c := range r.Costs {
-		if math.IsNaN(c) || math.IsInf(c, 0) || c <= 0 {
+	for _, key := range sortedKeys(r.Costs) {
+		if c := r.Costs[key]; math.IsNaN(c) || math.IsInf(c, 0) || c <= 0 {
 			return fmt.Errorf("harden: cost for %q is %v, must be finite and positive", key, c)
 		}
 	}
@@ -136,11 +135,11 @@ type Response struct {
 // Run answers one harden request on the solved design res.
 //
 // With workloads, node gains are computed on the mean AVF across them —
-// one blocked sweep through eng; gains are linear in AVF, so the
-// mean-AVF plan minimizes the mean residual chip AVF over the workload
-// set — and term sensitivities at their mean environment. Without, both
-// use res itself. ws are the request's workloads already parsed;
-// req.Workloads is not read.
+// one blocked sweep through eng's mean sink; gains are linear in AVF, so
+// the mean-AVF plan minimizes the mean residual chip AVF over the
+// workload set — and term sensitivities at their mean environment.
+// Without, both use res itself. ws are the request's workloads already
+// parsed; req.Workloads is not read.
 //
 // Term sensitivities (req.TopTerms > 0) come from the analytical
 // gradient over eng's compiled plan for res, consulting sens first when
@@ -152,33 +151,16 @@ func Run(ctx context.Context, eng *sweep.Engine, res *core.Result, ws []sweep.Wo
 	resp := &Response{Design: req.Design}
 	agg, env := res, res.Env
 	if len(ws) > 0 {
-		batch, err := eng.SweepContext(ctx, res, ws)
+		mean, menv, err := eng.MeanContext(ctx, res, ws)
 		if err != nil {
 			return nil, err
 		}
-		// Each result carries the environment the sweep built and
-		// validated for its workload; both means sum in workload order.
-		mean := make([]float64, len(res.AVF))
-		env = make(pavf.Env, len(res.Env))
-		for i, r := range batch.Results {
-			resp.Workloads = append(resp.Workloads, ws[i].Name)
-			for v, x := range r.AVF {
-				mean[v] += x
-			}
-			for t, x := range r.Env {
-				env[t] += x
-			}
-		}
-		n := float64(len(ws))
-		for v := range mean {
-			mean[v] /= n
-		}
-		for t := range env {
-			env[t] /= n
+		for _, w := range ws {
+			resp.Workloads = append(resp.Workloads, w.Name)
 		}
 		cp := *res
 		cp.AVF = mean
-		agg = &cp
+		agg, env = &cp, menv
 	}
 
 	model, err := NewModel(agg, req.Costs)

@@ -44,13 +44,17 @@ type TermSensitivity struct {
 	Deriv float64     `json:"deriv"`
 }
 
-// seqVerts lists the sequential bit vertices of a design (the chip-AVF
-// denominator's population).
+// isSeqBit reports whether vertex v is a sequential bit of a design:
+// the chip-AVF denominator's population (core.Result.IsSequentialBit).
+func isSeqBit(a *core.Analyzer, v graph.VertexID) bool {
+	return a.G.Verts[v].Node.Kind == netlist.KindSeq && a.Role(v) != core.RoleDebug
+}
+
+// seqVerts lists the sequential bit vertices of a design.
 func seqVerts(a *core.Analyzer) []graph.VertexID {
 	var out []graph.VertexID
 	for v := 0; v < a.G.NumVerts(); v++ {
-		vx := &a.G.Verts[v]
-		if vx.Node.Kind == netlist.KindSeq && a.Role(graph.VertexID(v)) != core.RoleDebug {
+		if isSeqBit(a, graph.VertexID(v)) {
 			out = append(out, graph.VertexID(v))
 		}
 	}
@@ -107,9 +111,13 @@ func TermDerivs(p *sweep.Plan, env pavf.Env) ([]float64, error) {
 	}
 
 	// Count, per set, the sequential bits whose MIN it wins uncapped.
-	seq := seqVerts(a)
 	wins := make([]int64, nSets)
-	for _, v := range seq {
+	seq := 0
+	for v := range raw.FwdIdx {
+		if !isSeqBit(a, graph.VertexID(v)) {
+			continue
+		}
+		seq++
 		fi, bi := raw.FwdIdx[v], raw.BwdIdx[v]
 		f, b := 1.0, 1.0
 		if fi >= 0 {
@@ -129,10 +137,10 @@ func TermDerivs(p *sweep.Plan, env pavf.Env) ([]float64, error) {
 	}
 
 	deriv := make([]float64, len(env))
-	if len(seq) == 0 {
+	if seq == 0 {
 		return deriv, nil
 	}
-	n := float64(len(seq))
+	n := float64(seq)
 	for s := 0; s < nSets; s++ {
 		if wins[s] == 0 {
 			continue
@@ -178,19 +186,35 @@ func RankDerivs(u *pavf.Universe, deriv []float64) []TermSensitivity {
 	return out
 }
 
-// evalEnvOnce runs the blocked kernel with a single lane — the raw AVF
-// vector of one environment.
-func evalEnvOnce(p *sweep.Plan, env pavf.Env) ([]float64, error) {
+// seqMeanAt is chipAVF of the AVF vector env yields, with the
+// sequential bit count, computed from the kernel's one-lane pair values
+// over the plan's vertex->pair runs: the same adds in the same (vertex)
+// order, without building the per-vertex vector.
+func seqMeanAt(p *sweep.Plan, env pavf.Env) (float64, int, error) {
 	var m sweep.EnvMatrix
 	if err := m.ResetEnvs([]pavf.Env{env}); err != nil {
-		return nil, err
+		return 0, 0, err
 	}
-	avf := make([]float64, p.NumVerts())
-	scratch := make([]float64, p.ScratchLen(1))
-	if err := p.EvalBlock(&m, scratch, [][]float64{avf}); err != nil {
-		return nil, err
+	pv, err := p.EvalPairs(&m, make([]float64, p.ScratchLen(1)))
+	if err != nil {
+		return 0, 0, err
 	}
-	return avf, nil
+	a := p.Analyzer
+	off, pair := p.VertexRuns()
+	sum, n := 0.0, 0
+	for r, pi := range pair {
+		x := pv[pi]
+		for v := off[r]; v < off[r+1]; v++ {
+			if isSeqBit(a, graph.VertexID(v)) {
+				sum += x
+				n++
+			}
+		}
+	}
+	if n == 0 {
+		return 0, 0, nil
+	}
+	return sum / float64(n), n, nil
 }
 
 // FDTermDerivs estimates ∂chipAVF/∂env[t] for the given terms by central

@@ -20,16 +20,19 @@
 // (pavf.Expr.Eval per vertex) for every block width and every ragged
 // tail.
 //
-// The kernel ends in per-(fwd, bwd)-pair values and feeds two sinks.
-// The materializing sink (EvalBlock, EvalBlockInto, and
-// Engine.SweepContext for the callers that need per-vertex AVFs:
-// hardening, the experiments.Symbolic study) broadcasts them out to
-// per-vertex AVF vectors. The summary sink (behind
-// Engine.SweepSummariesContext, which serves every sweep report and
-// every interval sweep) reduces them straight into core.Summary values
-// and node maps through the plan's remapped core.SummaryLayout, so no
-// vector is ever built. The reductions equal Result.Summarize and
-// SeqAVFByNode on the broadcast vector, bit for bit.
+// The kernel ends in per-(fwd, bwd)-pair values and feeds three sinks.
+// The materializing sink (EvalBlock and EvalBlockInto, which the
+// experiments.Symbolic study calls block by block, and
+// Engine.SweepContext, whose one caller outside tests is the benchmark
+// module's replay) broadcasts them out to per-vertex AVF vectors. The
+// summary sink (behind Engine.SweepSummariesContext, which serves every
+// sweep report and every interval sweep) reduces them straight into
+// core.Summary values and node maps through the plan's remapped
+// core.SummaryLayout, so no vector is ever built. The mean sink (behind
+// Engine.MeanContext, which serves hardening) keeps one row of pair
+// values per workload and broadcasts only their workload-order mean.
+// The reductions equal Result.Summarize, SeqAVFByNode and the
+// workload-order mean on the broadcast vectors, bit for bit.
 
 package sweep
 
@@ -158,10 +161,6 @@ func (p *Plan) EvalBlock(m *EnvMatrix, scratch []float64, out [][]float64) error
 	if m.lanes == 0 {
 		return nil
 	}
-	if want := p.Analyzer.Universe().Len(); m.terms != want {
-		return fmt.Errorf("sweep: env matrix has %d terms but design %q has a universe of %d",
-			m.terms, p.Analyzer.G.Design.Name, want)
-	}
 	if len(out) != m.lanes {
 		return fmt.Errorf("sweep: %d output vectors for %d lanes", len(out), m.lanes)
 	}
@@ -171,12 +170,41 @@ func (p *Plan) EvalBlock(m *EnvMatrix, scratch []float64, out [][]float64) error
 			return fmt.Errorf("sweep: output vector %d has %d entries, plan has %d vertices", w, len(o), nv)
 		}
 	}
-	if need := p.ScratchLen(m.lanes); len(scratch) < need {
-		return fmt.Errorf("sweep: scratch has %d entries, block kernel needs %d", len(scratch), need)
+	pv, err := p.EvalPairs(m, scratch)
+	if err != nil {
+		return err
 	}
-	p.broadcast(p.pairValues(m, scratch), out)
+	p.broadcast(pv, out)
 	return nil
 }
+
+// EvalPairs runs the kernel on every lane of m and returns the per-pair
+// values, SoA (pair pi's value in lane w at [pi*Lanes()+w]), as a view
+// into scratch, which needs ScratchLen(Lanes()) entries. Vertex v's AVF
+// in lane w is its pair's value (see VertexRuns), bit-identical to
+// EvalBlock's. Shape mismatches are errors; an empty matrix yields nil.
+func (p *Plan) EvalPairs(m *EnvMatrix, scratch []float64) ([]float64, error) {
+	if m.lanes == 0 {
+		return nil, nil
+	}
+	if want := p.Analyzer.Universe().Len(); m.terms != want {
+		return nil, fmt.Errorf("sweep: env matrix has %d terms but design %q has a universe of %d",
+			m.terms, p.Analyzer.G.Design.Name, want)
+	}
+	if need := p.ScratchLen(m.lanes); len(scratch) < need {
+		return nil, fmt.Errorf("sweep: scratch has %d entries, block kernel needs %d", len(scratch), need)
+	}
+	return p.pairValues(m, scratch), nil
+}
+
+// NumPairs returns the number of unique (fwd, bwd) slot pairs: the
+// values per lane the kernel computes before any sink.
+func (p *Plan) NumPairs() int { return len(p.pairFwd) }
+
+// VertexRuns returns the run-length-encoded vertex->pair map: run r
+// covers vertices [off[r], off[r+1]), every one resolving to pair
+// pair[r]. The slices alias the plan and are read-only.
+func (p *Plan) VertexRuns() (off, pair []int32) { return p.runOff, p.runPair }
 
 // pairValues is the blocked kernel proper; it returns the per-pair
 // values, SoA (pair pi's value in lane w at [pi*lanes+w]), in scratch.
@@ -285,17 +313,11 @@ func (p *Plan) evalBlock(ws []Workload, m *EnvMatrix, scratch []float64, dst []*
 	if m == nil {
 		m = new(EnvMatrix)
 	}
-	if err := m.Reset(p.Analyzer, ws); err != nil {
+	pv, err := p.kernel(ws, m, scratch)
+	if err != nil || pv == nil {
 		return err
 	}
 	lanes := len(ws)
-	if lanes == 0 {
-		return nil
-	}
-	if need := p.ScratchLen(lanes); len(scratch) < need {
-		scratch = make([]float64, need)
-	}
-	pv := p.pairValues(m, scratch)
 	if dst != nil {
 		nv := p.NumVerts()
 		buf := make([]float64, lanes*nv)
@@ -324,4 +346,80 @@ func (p *Plan) evalBlock(ws []Workload, m *EnvMatrix, scratch []float64, dst []*
 		p.layout.NodeAVFs(pv, nodes)
 	}
 	return nil
+}
+
+// kernel resets m for ws and runs the blocked kernel once, returning
+// the block's pair values (see pairValues); nil for an empty block.
+// scratch is grown when too short.
+func (p *Plan) kernel(ws []Workload, m *EnvMatrix, scratch []float64) ([]float64, error) {
+	if err := m.Reset(p.Analyzer, ws); err != nil {
+		return nil, err
+	}
+	if len(ws) == 0 {
+		return nil, nil
+	}
+	if need := p.ScratchLen(len(ws)); len(scratch) < need {
+		scratch = make([]float64, need)
+	}
+	return p.pairValues(m, scratch), nil
+}
+
+// meanRows is the mean sink's per-workload state: row i of pairs holds
+// workload i's NumPairs pair values, and envs[i] its environment. Rows
+// are indexed by workload, not by the order blocks ran in, so the
+// reduction after the pool can sum them in workload order.
+type meanRows struct {
+	pairs []float64
+	envs  []pavf.Env
+}
+
+// evalRows is the mean sink's per-block step: the kernel's pair values
+// for ws, which start at workload first, are copied lane by lane into
+// their workload rows, beside each lane's environment.
+func (p *Plan) evalRows(ws []Workload, first int, m *EnvMatrix, scratch []float64, rows *meanRows) error {
+	pv, err := p.kernel(ws, m, scratch)
+	if err != nil || pv == nil {
+		return err
+	}
+	lanes, np := len(ws), p.NumPairs()
+	for w := range ws {
+		row := rows.pairs[(first+w)*np : (first+w+1)*np]
+		for pi := range row {
+			row[pi] = pv[pi*lanes+w]
+		}
+	}
+	copy(rows.envs[first:first+lanes], m.envs)
+	return nil
+}
+
+// mean reduces the rows of n workloads to the mean per-vertex AVF
+// vector and the mean environment. Each pair's values, and each term's,
+// are summed in workload order and divided by n; the pair means are
+// then broadcast to vertices. Every vertex's AVF is its pair's value,
+// so this is, add for add, summing the n per-vertex vectors in workload
+// order.
+func (p *Plan) mean(rows *meanRows, n int) ([]float64, pavf.Env) {
+	np := p.NumPairs()
+	acc := make([]float64, np)
+	for i := 0; i < n; i++ {
+		for pi, x := range rows.pairs[i*np : (i+1)*np] {
+			acc[pi] += x
+		}
+	}
+	env := make(pavf.Env, p.Analyzer.Universe().Len())
+	for _, e := range rows.envs {
+		for t, x := range e {
+			env[t] += x
+		}
+	}
+	nf := float64(n)
+	for pi := range acc {
+		acc[pi] /= nf
+	}
+	for t := range env {
+		env[t] /= nf
+	}
+	avf := make([]float64, p.NumVerts())
+	p.broadcast(acc, [][]float64{avf})
+	return avf, env
 }

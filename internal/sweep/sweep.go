@@ -10,6 +10,7 @@ import (
 
 	"seqavf/internal/core"
 	"seqavf/internal/obs"
+	"seqavf/internal/pavf"
 )
 
 // Options configure an Engine. The zero value is usable: all cores, auto
@@ -84,6 +85,8 @@ type Batch struct {
 	// Nodes holds per-workload SeqAVFByNode maps (summary sweeps that
 	// ask for them only; nil otherwise).
 	Nodes []map[string]float64
+	// rows holds the mean sink's per-workload rows (MeanContext only).
+	rows *meanRows
 	// Elapsed covers evaluation only (compile time is cached and reported
 	// on the compile span / counters instead).
 	Elapsed time.Duration
@@ -200,8 +203,12 @@ func (e *Engine) Sweep(res *core.Result, workloads []Workload) (*Batch, error) {
 // batch, and the batch fails with the context's cause. Workloads already
 // evaluated are discarded — a cancelled sweep returns no partial batch.
 // The batch carries materialized Results and their Summaries.
+//
+// No serving path materializes per-workload vectors any more: outside
+// tests the only caller is the benchmark module's replay of the daemon,
+// and this materializing path goes when that replay does.
 func (e *Engine) SweepContext(ctx context.Context, res *core.Result, workloads []Workload) (*Batch, error) {
-	return e.sweep(ctx, res, workloads, true, false)
+	return e.sweep(ctx, res, workloads, outVectors)
 }
 
 // SweepSummariesContext is the summary-first sweep: the same pool,
@@ -212,13 +219,58 @@ func (e *Engine) SweepContext(ctx context.Context, res *core.Result, workloads [
 // node map is bit-identical to Summarize / SeqAVFByNode of the Result
 // SweepContext would have produced.
 func (e *Engine) SweepSummariesContext(ctx context.Context, res *core.Result, workloads []Workload, nodes bool) (*Batch, error) {
-	return e.sweep(ctx, res, workloads, false, nodes)
+	out := outSummary
+	if nodes {
+		out = outNodes
+	}
+	return e.sweep(ctx, res, workloads, out)
 }
 
-// sweep runs one batch through the worker pool. vectors selects the
-// materializing sink (Results plus Summaries); otherwise blocks feed
-// the summary sink (Summaries, plus Nodes when nodes is set).
-func (e *Engine) sweep(ctx context.Context, res *core.Result, workloads []Workload, vectors, nodes bool) (*Batch, error) {
+// MeanContext is the mean sink: the same pool, plan, kernel and
+// cancellation as SweepContext, reduced to the workloads' mean. It
+// returns the mean per-vertex AVF vector and the mean environment, each
+// bit-identical to summing SweepContext's Results' AVF vectors (and
+// Envs) in workload order and dividing by the workload count. Each lane
+// leaves only a row of pair values and its environment, so the sweep
+// holds O(workloads × pairs) values, not O(workloads × vertices); the
+// pair means are broadcast to vertices once. It needs at least one
+// workload; a cancelled sweep returns an error and no mean.
+func (e *Engine) MeanContext(ctx context.Context, res *core.Result, workloads []Workload) ([]float64, pavf.Env, error) {
+	if len(workloads) == 0 {
+		return nil, nil, fmt.Errorf("sweep: mean of no workloads")
+	}
+	batch, err := e.sweep(ctx, res, workloads, outMean)
+	if err != nil {
+		return nil, nil, err
+	}
+	avf, env := batch.Plan.mean(batch.rows, len(workloads))
+	return avf, env, nil
+}
+
+// output selects the sink one sweep feeds.
+type output int
+
+const (
+	outSummary output = iota // Summaries
+	outNodes                 // Summaries and per-node maps
+	outVectors               // materialized Results and their Summaries
+	outMean                  // per-workload pair rows for MeanContext
+)
+
+// String is the sweep.eval span's "output" attribute.
+func (o output) String() string {
+	switch o {
+	case outVectors:
+		return "vectors"
+	case outMean:
+		return "mean"
+	}
+	return "summary"
+}
+
+// sweep runs one batch through the worker pool, every block feeding
+// the sink out selects.
+func (e *Engine) sweep(ctx context.Context, res *core.Result, workloads []Workload, out output) (*Batch, error) {
 	plan, err := e.PlanContext(ctx, res)
 	if err != nil {
 		return nil, err
@@ -242,27 +294,24 @@ func (e *Engine) sweep(ctx context.Context, res *core.Result, workloads []Worklo
 	chunk := max((n+workers*4-1)/(workers*4), 1)
 	chunk = (chunk + block - 1) / block * block
 
-	output := "summary"
-	if vectors {
-		output = "vectors"
-	}
 	sp := e.opts.Obs.StartSpanContext(ctx, "sweep.eval")
 	sp.SetAttr("workloads", n)
 	sp.SetAttr("workers", workers)
 	sp.SetAttr("chunk", chunk)
 	sp.SetAttr("block", block)
-	sp.SetAttr("output", output)
+	sp.SetAttr("output", out.String())
 	start := time.Now()
 
-	batch := &Batch{
-		Plan:      plan,
-		Names:     make([]string, n),
-		Summaries: make([]core.Summary, n),
+	batch := &Batch{Plan: plan, Names: make([]string, n)}
+	if out == outMean {
+		batch.rows = &meanRows{pairs: make([]float64, n*plan.NumPairs()), envs: make([]pavf.Env, n)}
+	} else {
+		batch.Summaries = make([]core.Summary, n)
 	}
-	if vectors {
+	if out == outVectors {
 		batch.Results = make([]*core.Result, n)
 	}
-	if nodes {
+	if out == outNodes {
 		batch.Nodes = make([]map[string]float64, n)
 	}
 	for i, w := range workloads {
@@ -277,7 +326,8 @@ func (e *Engine) sweep(ctx context.Context, res *core.Result, workloads []Worklo
 		// Per-worker scratch, pooled across every claim the worker makes:
 		// a (NumSets + pairs) x block matrix plus the worker's own
 		// EnvMatrix (its SoA buffer is reused across blocks; the per-lane
-		// environments are fresh because Results adopt them).
+		// environments are fresh because Results and mean rows adopt
+		// them).
 		var m EnvMatrix
 		scratch := make([]float64, plan.ScratchLen(block))
 		for {
@@ -294,9 +344,15 @@ func (e *Engine) sweep(ctx context.Context, res *core.Result, workloads []Worklo
 			hi := min(lo+chunk, n)
 			for b := lo; b < hi; b += block {
 				be := min(b+block, hi)
-				// A nil output slice turns that sink off.
-				if err := plan.evalBlock(workloads[b:be], &m, scratch,
-					sliceOut(batch.Results, b, be), batch.Summaries[b:be], sliceOut(batch.Nodes, b, be)); err != nil {
+				var err error
+				if batch.rows != nil {
+					err = plan.evalRows(workloads[b:be], b, &m, scratch, batch.rows)
+				} else {
+					// A nil output slice turns that sink off.
+					err = plan.evalBlock(workloads[b:be], &m, scratch,
+						sliceOut(batch.Results, b, be), batch.Summaries[b:be], sliceOut(batch.Nodes, b, be))
+				}
+				if err != nil {
 					firstErr.CompareAndSwap(nil, err)
 					return
 				}
@@ -328,8 +384,8 @@ func (e *Engine) sweep(ctx context.Context, res *core.Result, workloads []Worklo
 	}
 	e.opts.Obs.Counter("sweep.workloads").Add(int64(n))
 	e.opts.Obs.Counter("sweep.block_evals").Add(blocks.Load())
-	if !vectors {
-		// Workloads served by the summary sink (no per-vertex vectors).
+	if out != outVectors {
+		// Workloads served by a reducing sink (no per-vertex vectors).
 		e.opts.Obs.Counter("sweep.workloads_reduced").Add(int64(n))
 	}
 	return batch, nil

@@ -12,13 +12,16 @@
 # artifact codec and store, whose hot paths (CSR construction, presized
 # encode buffers) the ECO edit runs on every request, and whose bytes and
 # fingerprints key every stored artifact. Floors are set below current
-# coverage (core ~93%, sweep ~89%, pavf ~91%, harden ~90%, ace ~93%,
+# coverage (core ~93%, sweep ~94%, pavf ~91%, harden ~90%, ace ~93%,
 # pavfio ~95%, fleet ~90%, graph ~92%, artifact ~87%, hardentool ~69%
 # and sweeprun ~70%, whose mains are untested) so routine changes pass,
 # but a change that lands substantial untested code trips the gate. The sweeprun floor sits 5
 # points under the 71.1% its pin test measured on landing. The artifact floor sits
 # 3 points under the 86.6% measured when the store gained its in-memory
-# index, so the eviction and rescan paths stay covered. The core floor sits about 5 points under its measurement:
+# index, so the eviction and rescan paths stay covered. The harden and
+# sweep floors sit 3 points under the 90.4% and 94.3% measured when
+# hardening moved onto the engine's mean sink, so the sink and the
+# layout-built model stay covered. The core floor sits about 5 points under its measurement:
 # the solver's one relaxation loop serves both the cold and the
 # incremental solve, so an untested branch in it is untested in both.
 # Exits non-zero naming every package under its floor.
@@ -29,11 +32,11 @@ GO=${GO:-go}
 # package floor
 GATES="
 internal/core 88.0
-internal/sweep 75.0
+internal/sweep 91.3
 internal/pavf 78.0
 internal/pavfio 80.0
 internal/ace 75.0
-internal/harden 78.0
+internal/harden 87.4
 internal/fleet 85.0
 internal/graph 86.0
 internal/artifact 83.6
