@@ -9,6 +9,10 @@
 // Usage:
 //
 //	designgen -seed 2015 -o design.nl -pavf pavf.txt
+//
+// -fubs and -width set the scale: -fubs 2048 -width 32 is
+// design.PaperScaleConfig, about 2.09M bit vertices. -width stops at 32,
+// the widest LFSR cell the generator can emit.
 package main
 
 import (
@@ -30,6 +34,7 @@ import (
 func main() {
 	seed := flag.Uint64("seed", 2027, "generator seed")
 	fubs := flag.Int("fubs", 32, "number of FUBs")
+	width := flag.Int("width", 12, fmt.Sprintf("datapath width of every lane and port, 2 to %d (the widest LFSR cell)", design.MaxWidth))
 	out := flag.String("o", "", "netlist output file (default stdout)")
 	pavf := flag.String("pavf", "", "also write a pAVF table measured on the Lattice workload")
 	stats := flag.Bool("stats", false, "print bit-graph statistics to stderr")
@@ -37,19 +42,21 @@ func main() {
 	flag.Parse()
 
 	reg := ob.Start("designgen")
-	err := run(reg, *seed, *fubs, *out, *pavf, *stats)
+	err := run(reg, *seed, *fubs, *width, *out, *pavf, *stats)
 	if err == nil {
 		err = ob.Finish()
 	}
 	cliutil.Exit("designgen", err)
 }
 
-func run(reg *obs.Registry, seed uint64, fubs int, out, pavfPath string, stats bool) error {
+func run(reg *obs.Registry, seed uint64, fubs, width int, out, pavfPath string, stats bool) error {
 	reg.SetManifest("seed", seed)
 	reg.SetManifest("fubs", fubs)
+	reg.SetManifest("width", width)
 	gsp := reg.StartSpan("generate")
 	cfg := design.DefaultConfig(seed)
 	cfg.NumFubs = fubs
+	cfg.Width = width
 	gen, err := design.Generate(cfg)
 	if err != nil {
 		return err

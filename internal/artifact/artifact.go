@@ -216,8 +216,8 @@ func Decode(data []byte, a *core.Analyzer) (*core.Result, *sweep.Plan, error) {
 	}
 
 	// Restore validates the CSR against the analyzer and rebuilds the
-	// closed forms and compiled plan in one fused pass: one pavf.Set per
-	// unique subterm set, all sharing the decoded SetIDs backing array.
+	// closed forms and compiled plan. Every closed form's sets alias the
+	// decoded CSR, which the result also carries as its set table.
 	plan, exprs, err := sweep.Restore(a, raw, meta.visited)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
@@ -237,6 +237,9 @@ func Decode(data []byte, a *core.Analyzer) (*core.Result, *sweep.Plan, error) {
 		Inputs:     in,
 		Env:        env,
 		Exprs:      exprs,
+		Sets:       pavf.CSR{Off: raw.SetOff, IDs: raw.SetIDs},
+		Fwd:        raw.FwdIdx,
+		Bwd:        raw.BwdIdx,
 		AVF:        avf,
 		Visited:    meta.visited,
 		Iterations: meta.iterations,

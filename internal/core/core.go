@@ -216,12 +216,15 @@ type Analyzer struct {
 
 	roles []Role
 	// fwdFixed/bwdFixed mark vertices whose contribution in that
-	// direction is a fixed source set (fwdSrc/bwdSrc) rather than a
-	// propagated value; an empty set means "contributes nothing".
+	// direction is a fixed source set (fwdSrc/bwdSrc, slots in srcs)
+	// rather than a propagated value; ∅ means "contributes nothing".
 	fwdFixed []bool
 	bwdFixed []bool
-	fwdSrc   []pavf.Set
-	bwdSrc   []pavf.Set
+	fwdSrc   []int32
+	bwdSrc   []int32
+	// srcs holds ∅, {⊤} and every source singleton. It is frozen once
+	// NewAnalyzer returns; each solve interns into its own Extend child.
+	srcs *pavf.SetTable
 
 	universe *pavf.Universe
 	// readTerm/writeTerm map structure ports to their terms.
@@ -411,8 +414,10 @@ func (a *Analyzer) buildSources() {
 	n := a.G.NumVerts()
 	a.fwdFixed = make([]bool, n)
 	a.bwdFixed = make([]bool, n)
-	a.fwdSrc = make([]pavf.Set, n)
-	a.bwdSrc = make([]pavf.Set, n)
+	a.fwdSrc = make([]int32, n)
+	a.bwdSrc = make([]int32, n)
+	a.srcs = pavf.NewSetTable()
+	singleton := func(t pavf.TermID) int32 { return a.srcs.Intern([]pavf.TermID{t}) }
 	loopTermOf := make(map[*netlist.Node]pavf.TermID)
 
 	for v := 0; v < n; v++ {
@@ -430,14 +435,14 @@ func (a *Analyzer) buildSources() {
 				term = a.universe.Intern(pavf.Term{Kind: pavf.KindWritePort, Name: sp.String()})
 				a.writeTerm[sp] = term
 			}
-			set := pavf.Singleton(term)
+			set := singleton(term)
 			a.fwdFixed[v], a.fwdSrc[v] = true, set
 			a.bwdFixed[v], a.bwdSrc[v] = true, set
 		case RoleControl:
 			// pAVF_R = 100% forward; write-side walk omitted: the
 			// backward contribution through a control register is 0.
-			a.fwdFixed[v], a.fwdSrc[v] = true, pavf.Singleton(a.ctrlTerm)
-			a.bwdFixed[v], a.bwdSrc[v] = true, pavf.Set{}
+			a.fwdFixed[v], a.fwdSrc[v] = true, singleton(a.ctrlTerm)
+			a.bwdFixed[v], a.bwdSrc[v] = true, pavf.EmptySlot
 		case RoleLoop:
 			term, ok := loopTermOf[node]
 			if !ok {
@@ -445,23 +450,23 @@ func (a *Analyzer) buildSources() {
 				loopTermOf[node] = term
 				a.loopTerms = append(a.loopTerms, term)
 			}
-			set := pavf.Singleton(term)
+			set := singleton(term)
 			a.fwdFixed[v], a.fwdSrc[v] = true, set
 			a.bwdFixed[v], a.bwdSrc[v] = true, set
 		case RoleConst:
 			// A constant is not a fault site, but logic it feeds can be
 			// corrupted whenever downstream consumption is ACE; without
 			// source information we stay conservative (⊤) forward.
-			a.fwdFixed[v], a.fwdSrc[v] = true, pavf.TopSet()
+			a.fwdFixed[v], a.fwdSrc[v] = true, pavf.TopSlot
 			// No preds exist; backward fixing is unnecessary but cheap.
-			a.bwdFixed[v], a.bwdSrc[v] = true, pavf.Set{}
+			a.bwdFixed[v], a.bwdSrc[v] = true, pavf.EmptySlot
 		case RoleDebug:
-			a.fwdFixed[v], a.fwdSrc[v] = true, pavf.Set{}
-			a.bwdFixed[v], a.bwdSrc[v] = true, pavf.Set{}
+			a.fwdFixed[v], a.fwdSrc[v] = true, pavf.EmptySlot
+			a.bwdFixed[v], a.bwdSrc[v] = true, pavf.EmptySlot
 		case RolePseudoIn:
 			term := a.universe.Intern(pavf.Term{Kind: pavf.KindPseudo, Name: a.portName(id)})
 			a.pseudoIn[id] = term
-			a.fwdFixed[v], a.fwdSrc[v] = true, pavf.Singleton(term)
+			a.fwdFixed[v], a.fwdSrc[v] = true, singleton(term)
 		}
 		// Unconsumed FUB outputs additionally act as backward pseudo
 		// sources, regardless of role.
@@ -469,7 +474,7 @@ func (a *Analyzer) buildSources() {
 			term := a.universe.Intern(pavf.Term{Kind: pavf.KindPseudo, Name: a.portName(id)})
 			a.pseudoOut[id] = term
 			a.bwdFixed[v] = true
-			a.bwdSrc[v] = pavf.Singleton(term)
+			a.bwdSrc[v] = singleton(term)
 		}
 	}
 }

@@ -2,8 +2,8 @@ package core
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
+	"slices"
 	"time"
 
 	"seqavf/internal/graph"
@@ -89,99 +89,36 @@ type PriorState struct {
 	Fubs   []FubPrior
 }
 
-// setKey builds a map key for a set's exact term-ID sequence.
-func setKey(s pavf.Set) string {
-	ids := s.IDs()
-	b := make([]byte, 4*len(ids))
-	for i, id := range ids {
-		binary.LittleEndian.PutUint32(b[4*i:], uint32(id))
-	}
-	return string(b)
-}
-
-// setIdentity names a set's backing array: its first element and its
-// length. Sets are immutable, so two sets with one identity hold the
-// same terms; the converse fails (equal sets built apart), which is why
-// identity is only the first lookup in PriorState.
-type setIdentity struct {
-	first *pavf.TermID
-	n     int
-}
-
-func identityOf(s pavf.Set) setIdentity {
-	ids := s.IDs()
-	if len(ids) == 0 {
-		return setIdentity{}
-	}
-	return setIdentity{&ids[0], len(ids)}
-}
-
 // PriorState distills this result into the seed form ResolveIncremental
-// consumes. The set table is deduplicated: expression propagation shares
-// set objects heavily, so the table is typically orders of magnitude
-// smaller than two sets per vertex. A set is looked up by the identity
-// of its backing array first; only the first sighting of an array builds
-// its content key. Sets and their indices come out exactly as content
-// deduplication alone, in first-sighting order, would give them.
+// consumes. It slices the result's set table and per-vertex slots per
+// FUB: the table is already deduplicated in first-sighting order, and is
+// typically orders of magnitude smaller than two sets per vertex. The
+// per-FUB slot slices alias the result's (both are read-only); the AVFs
+// are copied, because Reevaluate rewrites the result's in place.
 func (r *Result) PriorState() (*PriorState, error) {
 	a := r.Analyzer
 	n := a.G.NumVerts()
-	if len(r.Exprs) != n || len(r.AVF) != n {
-		return nil, fmt.Errorf("core: result holds %d equations and %d AVFs but design %q has %d vertices",
-			len(r.Exprs), len(r.AVF), a.G.Design.Name, n)
+	if len(r.Fwd) != n || len(r.Bwd) != n || len(r.AVF) != n {
+		return nil, fmt.Errorf("core: result holds %d/%d set slots and %d AVFs but design %q has %d vertices",
+			len(r.Fwd), len(r.Bwd), len(r.AVF), a.G.Design.Name, n)
 	}
 	fps := a.FubFingerprints()
-	exts := a.exts
-	ps := &PriorState{Design: a.G.Design.Name, Universe: a.universe, Inputs: r.Inputs}
-	// Sized from XeonLike, where a cold solve's 23k known sides share
-	// about 4.5k backing arrays: n/4 skips the early growth steps.
-	byIdentity := make(map[setIdentity]int32, n/4)
-	byContent := make(map[string]int32)
-	// Neighbouring vertices often hold the very same set on one side
-	// (above all in FUBs a re-solve reused), so each side remembers its
-	// last lookup before asking the maps.
-	type lookup struct {
-		ident setIdentity
-		id    int32
+	sets := make([]pavf.Set, r.Sets.Len())
+	for s := range sets {
+		sets[s] = r.Sets.Set(int32(s))
 	}
-	lastFwd, lastBwd := lookup{id: -1}, lookup{id: -1}
-	add := func(s pavf.Set, known bool, last *lookup) int32 {
-		if !known {
-			return -1
-		}
-		ident := identityOf(s)
-		if last.id >= 0 && last.ident == ident {
-			return last.id
-		}
-		id, ok := byIdentity[ident]
-		if !ok {
-			key := setKey(s)
-			if id, ok = byContent[key]; !ok {
-				id = int32(len(ps.Sets))
-				ps.Sets = append(ps.Sets, s)
-				byContent[key] = id
-			}
-			byIdentity[ident] = id
-		}
-		*last = lookup{ident, id}
-		return id
-	}
-	for f := range exts {
-		sz := exts[f].end - exts[f].start
-		fp := FubPrior{
+	avf := append([]float64(nil), r.AVF...)
+	ps := &PriorState{Design: a.G.Design.Name, Universe: a.universe, Inputs: r.Inputs,
+		Sets: sets, Fubs: make([]FubPrior, len(a.exts))}
+	for f, ext := range a.exts {
+		lo, hi := ext.start, ext.end
+		ps.Fubs[f] = FubPrior{
 			Name:        a.G.FubNames[f],
 			Fingerprint: fps[f],
-			FwdIdx:      make([]int32, 0, sz),
-			BwdIdx:      make([]int32, 0, sz),
-			AVF:         make([]float64, 0, sz),
+			FwdIdx:      r.Fwd[lo:hi:hi],
+			BwdIdx:      r.Bwd[lo:hi:hi],
+			AVF:         avf[lo:hi:hi],
 		}
-		for v := exts[f].start; v < exts[f].end; v++ {
-			x := r.Exprs[v]
-			fp.FwdIdx = append(fp.FwdIdx, add(x.Fwd, x.KnownFwd, &lastFwd))
-			fp.BwdIdx = append(fp.BwdIdx, add(x.Bwd, x.KnownBwd, &lastBwd))
-			fp.AVF = append(fp.AVF, r.AVF[v])
-		}
-		ps.Fubs = append(ps.Fubs, fp)
 	}
 	return ps, nil
 }
@@ -244,10 +181,11 @@ func (a *Analyzer) ResolveIncrementalContext(ctx context.Context, in *Inputs, pr
 	sp.SetAttr("fubs", numFubs)
 
 	// Remap the prior's term space onto this analyzer's universe by term
-	// identity (kind + name), then remap each unique prior set once. A
-	// term the edited design no longer interns marks its sets — and any
-	// FUB referencing them — dirty.
-	sets, setOK := remapSets(prior, a.universe)
+	// identity (kind + name), then intern each unique prior set once
+	// into this solve's table. A term the edited design no longer interns
+	// marks its sets — and any FUB referencing them — dirty.
+	t := a.srcs.Extend()
+	slots := remapSets(prior, a.universe, t)
 
 	priorByName := make(map[string]*FubPrior, len(prior.Fubs))
 	for i := range prior.Fubs {
@@ -262,7 +200,7 @@ func (a *Analyzer) ResolveIncrementalContext(ctx context.Context, in *Inputs, pr
 		ok := p != nil && p.Fingerprint == fps[f] &&
 			len(p.FwdIdx) == sz && len(p.BwdIdx) == sz && len(p.AVF) == sz
 		if ok {
-			ok = idxUsable(p.FwdIdx, setOK) && idxUsable(p.BwdIdx, setOK)
+			ok = idxUsable(p.FwdIdx, slots) && idxUsable(p.BwdIdx, slots)
 		}
 		if ok {
 			fubPrior[f] = p
@@ -270,6 +208,13 @@ func (a *Analyzer) ResolveIncrementalContext(ctx context.Context, in *Inputs, pr
 			dirty[f] = true
 			nDirty++
 		}
+	}
+	// slot is a usable prior index's slot in t (-1 stays unknown).
+	slot := func(idx int32) int32 {
+		if idx < 0 {
+			return pavf.UnknownSlot
+		}
+		return slots[idx]
 	}
 
 	st := &Incremental{FubsTotal: numFubs, FubsDirty: nDirty}
@@ -290,29 +235,18 @@ func (a *Analyzer) ResolveIncrementalContext(ctx context.Context, in *Inputs, pr
 		// Structurally untouched design: every FUB's closed forms carry
 		// over. With Equal inputs even the evaluated AVFs are reused
 		// bit-for-bit — a pAVF-only edit costs one evaluation at most.
-		r := &Result{Analyzer: a, Inputs: in, Env: env,
-			Exprs: make([]pavf.Expr, n), AVF: make([]float64, n)}
-		reuseAVF := prior.Inputs.Equal(in)
-		for f := 0; f < numFubs; f++ {
-			p := fubPrior[f]
+		fwd, bwd := make([]int32, n), make([]int32, n)
+		for f, p := range fubPrior {
 			base := exts[f].start
 			for i := range p.FwdIdx {
-				v := base + i
-				x := &r.Exprs[v]
-				if idx := p.FwdIdx[i]; idx >= 0 {
-					x.Fwd, x.KnownFwd = sets[idx], true
-				}
-				if idx := p.BwdIdx[i]; idx >= 0 {
-					x.Bwd, x.KnownBwd = sets[idx], true
-				}
-				if reuseAVF {
-					r.AVF[v] = p.AVF[i]
-				} else {
-					r.AVF[v] = x.Eval(env)
-				}
+				fwd[base+i], bwd[base+i] = slot(p.FwdIdx[i]), slot(p.BwdIdx[i])
 			}
 		}
-		r.Visited = a.visited()
+		var reuse []*FubPrior
+		if prior.Inputs.Equal(in) {
+			reuse = fubPrior
+		}
+		r := a.finishReuse(in, env, t, fwd, bwd, reuse)
 		st.FubsReused = numFubs
 		st.Converged = true
 		finishUp(r)
@@ -337,22 +271,21 @@ func (a *Analyzer) ResolveIncrementalContext(ctx context.Context, in *Inputs, pr
 	// Seed every clean FUB — active or not — with its converged state.
 	// Active clean FUBs start the relaxation from the old fixpoint;
 	// inactive ones publish it as their boundary contribution.
-	rx := a.newRelaxation()
-	for f := 0; f < numFubs; f++ {
-		p := fubPrior[f]
+	rx := a.newRelaxation(t)
+	for f, p := range fubPrior {
 		if p == nil {
 			continue
 		}
 		base := exts[f].start
 		for i := range p.FwdIdx {
 			v := base + i
-			if idx := p.FwdIdx[i]; idx >= 0 && !a.fwdFixed[v] {
-				rx.fwdPrev[v], rx.fwdPrevKnown[v] = sets[idx], true
+			if !a.fwdFixed[v] {
+				rx.fwdPrev[v] = slot(p.FwdIdx[i])
 			}
-			if idx := p.BwdIdx[i]; idx >= 0 && !a.bwdFixed[v] {
-				rx.bwdPrev[v], rx.bwdPrevKnown[v] = sets[idx], true
+			if !a.bwdFixed[v] {
+				rx.bwdPrev[v] = slot(p.BwdIdx[i])
 			}
-			rx.prevVal[v] = a.vertexValue(graph.VertexID(v), rx.fwdPrev[v], rx.bwdPrev[v], rx.bwdPrevKnown[v], env)
+			rx.prevVal[v] = a.vertexValue(t, graph.VertexID(v), rx.fwdPrev[v], rx.bwdPrev[v], env)
 		}
 	}
 	if err := a.relax(sp, env, rx, active); err != nil {
@@ -361,23 +294,16 @@ func (a *Analyzer) ResolveIncrementalContext(ctx context.Context, in *Inputs, pr
 	// FUBs that were never walked still hold the prior fixpoint exactly;
 	// under identical inputs their prior AVFs ARE the evaluation result,
 	// so skip re-evaluating them vertex by vertex.
-	var reuseAVF []float64
-	var reuseOK []bool
+	var reuse []*FubPrior
 	if prior.Inputs.Equal(in) {
-		reuseAVF = make([]float64, n)
-		reuseOK = make([]bool, n)
-		for f := 0; f < numFubs; f++ {
-			p := fubPrior[f]
-			if p == nil || rx.walked[f] {
-				continue
-			}
-			base := exts[f].start
-			for i, avf := range p.AVF {
-				reuseAVF[base+i], reuseOK[base+i] = avf, true
+		reuse = make([]*FubPrior, numFubs)
+		for f, p := range fubPrior {
+			if !rx.walked[f] {
+				reuse[f] = p
 			}
 		}
 	}
-	fin := a.finishReuse(in, env, rx.fwdCur, rx.bwdCur, rx.bwdCurKnown, reuseAVF, reuseOK)
+	fin := a.finishReuse(in, env, t, rx.fwdCur, rx.bwdCur, reuse)
 	fin.Trace = rx.trace
 	for f := range active {
 		if active[f] {
@@ -392,30 +318,27 @@ func (a *Analyzer) ResolveIncrementalContext(ctx context.Context, in *Inputs, pr
 }
 
 // remapSets translates the prior's deduplicated set table into uni's
-// term-ID space. setOK[i] is false when set i references a term uni does
-// not intern (or an ID outside the prior universe entirely, which a
-// corrupt artifact could carry).
-func remapSets(prior *PriorState, uni *pavf.Universe) (sets []pavf.Set, setOK []bool) {
+// term-ID space and interns every set into t: slots[i] is prior set i's
+// slot in t, or -1 when the set references a term uni does not intern
+// (or an ID outside the prior universe entirely, which a corrupt
+// artifact could carry).
+func remapSets(prior *PriorState, uni *pavf.Universe, t *pavf.SetTable) []int32 {
 	pLen := prior.Universe.Len()
 	termMap := make([]pavf.TermID, pLen)
-	termOK := make([]bool, pLen)
-	if pLen > 0 {
-		termMap[pavf.Top], termOK[pavf.Top] = pavf.Top, true
-	}
-	for t := 1; t < pLen; t++ {
-		if id, ok := uni.Lookup(prior.Universe.Term(pavf.TermID(t))); ok {
-			termMap[t], termOK[t] = id, true
+	for id := 1; id < pLen; id++ {
+		termMap[id] = -1
+		if nid, ok := uni.Lookup(prior.Universe.Term(pavf.TermID(id))); ok {
+			termMap[id] = nid
 		}
 	}
-	sets = make([]pavf.Set, len(prior.Sets))
-	setOK = make([]bool, len(prior.Sets))
+	slots := make([]int32, len(prior.Sets))
 	mapped := make([]pavf.TermID, 0, 16)
 	for i, s := range prior.Sets {
-		ids := s.IDs()
 		mapped = mapped[:0]
+		slots[i] = pavf.UnknownSlot
 		ok := true
-		for _, id := range ids {
-			if id < 0 || int(id) >= pLen || !termOK[id] {
+		for _, id := range s.IDs() {
+			if id < 0 || int(id) >= pLen || termMap[id] < 0 {
 				ok = false
 				break
 			}
@@ -424,20 +347,21 @@ func remapSets(prior *PriorState, uni *pavf.Universe) (sets []pavf.Set, setOK []
 		if ok {
 			// Remapped IDs need re-sorting: the edited universe interns
 			// terms in its own order.
-			sets[i], setOK[i] = pavf.NewSet(mapped...), true
+			slices.Sort(mapped)
+			slots[i] = t.Intern(slices.Compact(mapped))
 		}
 	}
-	return sets, setOK
+	return slots
 }
 
 // idxUsable reports whether every set reference in idx resolves to a
 // successfully remapped set (-1, "unknown side", is always usable).
-func idxUsable(idx []int32, setOK []bool) bool {
+func idxUsable(idx []int32, slots []int32) bool {
 	for _, i := range idx {
 		if i == -1 {
 			continue
 		}
-		if i < 0 || int(i) >= len(setOK) || !setOK[i] {
+		if i < 0 || int(i) >= len(slots) || slots[i] < 0 {
 			return false
 		}
 	}

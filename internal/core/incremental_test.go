@@ -392,7 +392,7 @@ func TestActivatedFubsBoundaryMovement(t *testing.T) {
 	// fwdUnion and bwdUnion read it, named in its own design's terms.
 	fwdOut := func(r *Result, v graph.VertexID) pavf.Set {
 		if a := r.Analyzer; a.fwdFixed[v] {
-			return a.fwdSrc[v]
+			return a.srcs.Set(a.fwdSrc[v])
 		}
 		return r.Exprs[v].Fwd
 	}
@@ -400,7 +400,7 @@ func TestActivatedFubsBoundaryMovement(t *testing.T) {
 		a := r.Analyzer
 		switch {
 		case a.bwdFixed[v]:
-			return a.bwdSrc[v]
+			return a.srcs.Set(a.bwdSrc[v])
 		case r.Exprs[v].KnownBwd:
 			return r.Exprs[v].Bwd
 		}
@@ -467,11 +467,22 @@ func TestActivatedFubsBoundaryMovement(t *testing.T) {
 	}
 }
 
+// setKey is a map key for a set's exact term-ID sequence: the content
+// deduplication PriorState's table is checked against.
+func setKey(s pavf.Set) string {
+	b := make([]byte, 0, 4*s.Len())
+	for _, id := range s.IDs() {
+		b = append(b, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
+	}
+	return string(b)
+}
+
 // TestPriorStateMatchesContentDedup pins PriorState's set table to plain
-// content deduplication: identity lookups may only skip work, never
-// change which sets are listed, in which order, or which index a vertex
-// side gets. Results from a cold solve and from an incremental re-solve
-// (whose reused FUBs share remapped sets) are both checked.
+// content deduplication: the result's compacted table may only skip
+// work, never change which sets are listed, in which order, or which
+// index a vertex side gets. Results from a cold solve and from an
+// incremental re-solve (whose reused FUBs share remapped sets) are both
+// checked.
 func TestPriorStateMatchesContentDedup(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		h := buildEditHarness(t, seed, graphtest.EditAddFlop)

@@ -145,14 +145,44 @@ func (a *Analyzer) buildLayout() *SummaryLayout {
 // table, the copy reduces that table exactly as the original reduces
 // the per-vertex AVF vector, provided row slot[v] holds vertex v's AVF.
 func (l *SummaryLayout) Remap(slot []int32) *SummaryLayout {
-	remap := func(src slotList) slotList {
-		var dst slotList
+	// visit emits src's runs remapped through slot, in order.
+	visit := func(src slotList, emit func(SlotRun)) {
+		var cur SlotRun
 		for _, r := range src.runs {
 			for j := int32(0); j < r.N; j++ {
-				dst.add(slot[r.First+j*l.step], 0)
+				s := slot[r.First+j*l.step]
+				if cur.N > 0 && cur.First == s {
+					cur.N++
+					continue
+				}
+				if cur.N > 0 {
+					emit(cur)
+				}
+				cur = SlotRun{s, 1}
 			}
 		}
-		return dst.trimmed()
+		if cur.N > 0 {
+			emit(cur)
+		}
+	}
+	// Every remapped list is a window of one run buffer, sized by a
+	// counting pass, so the copy costs a few allocations however many
+	// nodes the design has.
+	total := 0
+	count := func(SlotRun) { total++ }
+	for _, fb := range l.fubs {
+		visit(fb.node, count)
+		visit(fb.seq, count)
+	}
+	for _, nb := range l.nodes {
+		visit(nb.bits, count)
+	}
+	runs := make([]SlotRun, 0, total)
+	add := func(r SlotRun) { runs = append(runs, r) }
+	remap := func(src slotList) slotList {
+		lo := len(runs)
+		visit(src, add)
+		return slotList{runs: runs[lo:len(runs):len(runs)], n: src.n}
 	}
 	m := *l
 	m.step = 0

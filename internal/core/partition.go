@@ -47,12 +47,12 @@ func (a *Analyzer) SolvePartitioned(in *Inputs) (*Result, error) {
 	for f := range active {
 		active[f] = true
 	}
-	rx := a.newRelaxation()
+	rx := a.newRelaxation(a.srcs.Extend())
 	if err := a.relax(sp, env, rx, active); err != nil {
 		return nil, err
 	}
 	nsp := sp.Child("finish")
-	r := a.finishReuse(in, env, rx.fwdCur, rx.bwdCur, rx.bwdCurKnown, nil, nil)
+	r := a.finishReuse(in, env, rx.t, rx.fwdCur, rx.bwdCur, nil)
 	nsp.End()
 	r.Iterations, r.Converged, r.Trace = rx.iterations, rx.converged, rx.trace
 	reg.Counter("core.solves").Inc()
@@ -61,16 +61,17 @@ func (a *Analyzer) SolvePartitioned(in *Inputs) (*Result, error) {
 	return r, nil
 }
 
-// relaxation is the state of one FUB-partitioned relaxation: per vertex,
-// the FUBIO values merged at the end of the previous iteration (prev),
-// the sets this iteration's walks produce (cur), and the value the
-// convergence test compares against. A caller may seed prev and prevVal
-// with a prior fixpoint before relax runs; unseeded, every boundary
-// starts unknown (⊤) and every value at 1.
+// relaxation is the state of one FUB-partitioned relaxation: the solve's
+// set table t and, per vertex, the FUBIO slots merged at the end of the
+// previous iteration (prev), the slots this iteration's walks produce
+// (cur), and the value the convergence test compares against. A slot of
+// -1 is an unknown side. A caller may seed prev and prevVal with a prior
+// fixpoint before relax runs; unseeded, every boundary starts unknown
+// (⊤) and every value at 1.
 type relaxation struct {
-	fwdPrev, bwdPrev, fwdCur, bwdCur        []pavf.Set
-	fwdPrevKnown, bwdPrevKnown, bwdCurKnown []bool
-	prevVal                                 []float64
+	t                                *pavf.SetTable
+	fwdPrev, bwdPrev, fwdCur, bwdCur []int32
+	prevVal                          []float64
 	// walked marks FUBs walked at least once; the others keep their seed.
 	walked     []bool
 	iterations int
@@ -78,20 +79,19 @@ type relaxation struct {
 	trace      [][]float64
 }
 
-func (a *Analyzer) newRelaxation() *relaxation {
+func (a *Analyzer) newRelaxation(t *pavf.SetTable) *relaxation {
 	n := a.G.NumVerts()
 	rx := &relaxation{
-		fwdPrev:      make([]pavf.Set, n),
-		bwdPrev:      make([]pavf.Set, n),
-		fwdCur:       make([]pavf.Set, n),
-		bwdCur:       make([]pavf.Set, n),
-		fwdPrevKnown: make([]bool, n),
-		bwdPrevKnown: make([]bool, n),
-		bwdCurKnown:  make([]bool, n),
-		prevVal:      make([]float64, n),
-		walked:       make([]bool, len(a.G.FubNames)),
+		t:       t,
+		fwdPrev: make([]int32, n),
+		bwdPrev: make([]int32, n),
+		fwdCur:  make([]int32, n),
+		bwdCur:  make([]int32, n),
+		prevVal: make([]float64, n),
+		walked:  make([]bool, len(a.G.FubNames)),
 	}
 	for v := range rx.prevVal {
+		rx.fwdPrev[v], rx.bwdPrev[v] = pavf.UnknownSlot, pavf.UnknownSlot
 		rx.prevVal[v] = 1
 	}
 	return rx
@@ -138,19 +138,20 @@ func (a *Analyzer) relax(sp *obs.Span, env pavf.Env, rx *relaxation, active []bo
 			}
 			rx.walked[f] = true
 			for _, v := range fwd {
-				rx.fwdCur[v] = a.fwdUnion(v, int32(f), rx.fwdCur, rx.fwdPrev, rx.fwdPrevKnown, &ws)
+				rx.fwdCur[v] = a.fwdUnion(rx.t, v, int32(f), rx.fwdCur, rx.fwdPrev, &ws)
 			}
 			for i := len(bwd) - 1; i >= 0; i-- {
 				v := bwd[i]
-				rx.bwdCur[v], rx.bwdCurKnown[v] = a.bwdUnion(v, int32(f), rx.bwdCur, rx.bwdCurKnown, rx.bwdPrev, rx.bwdPrevKnown, &ws)
+				rx.bwdCur[v] = a.bwdUnion(rx.t, v, int32(f), rx.bwdCur, rx.bwdPrev, &ws)
 			}
 		}
 		// Frontier expansion: an inactive FUB holds its seed assuming its
 		// boundary stays at the prior fixpoint. If a walk just moved a
 		// value it consumes (a cross predecessor's forward set, a cross
 		// successor's backward set), that assumption broke — pull it into
-		// the active region. Set identity is a stricter test than the
-		// Epsilon value delta: any numeric movement implies set movement.
+		// the active region. Set identity (an equal slot) is a stricter
+		// test than the Epsilon value delta: any numeric movement implies
+		// set movement.
 		// Only walked FUBs are compared: one this scan has just activated
 		// holds no walk result yet, and reading its unset cur arrays would
 		// count its seed as moved and activate its neighbours in turn.
@@ -159,14 +160,14 @@ func (a *Analyzer) relax(sp *obs.Span, env pavf.Env, rx *relaxation, active []bo
 			ff, tf := a.G.Verts[e.From].Fub, a.G.Verts[e.To].Fub
 			if rx.walked[ff] && !active[tf] {
 				u := e.From
-				if !a.fwdFixed[u] && (!rx.fwdPrevKnown[u] || !rx.fwdCur[u].Equal(rx.fwdPrev[u])) {
+				if !a.fwdFixed[u] && rx.fwdCur[u] != rx.fwdPrev[u] {
 					active[tf] = true
 					grew = true
 				}
 			}
 			if rx.walked[tf] && !active[ff] {
 				w := e.To
-				if !a.bwdFixed[w] && (rx.bwdCurKnown[w] != rx.bwdPrevKnown[w] || (rx.bwdCurKnown[w] && !rx.bwdCur[w].Equal(rx.bwdPrev[w]))) {
+				if !a.bwdFixed[w] && rx.bwdCur[w] != rx.bwdPrev[w] {
 					active[ff] = true
 					grew = true
 				}
@@ -182,9 +183,8 @@ func (a *Analyzer) relax(sp *obs.Span, env pavf.Env, rx *relaxation, active []bo
 				continue
 			}
 			for v := ext.start; v < ext.end; v++ {
-				rx.fwdPrev[v], rx.fwdPrevKnown[v] = rx.fwdCur[v], true
-				rx.bwdPrev[v], rx.bwdPrevKnown[v] = rx.bwdCur[v], rx.bwdCurKnown[v]
-				val := a.vertexValue(graph.VertexID(v), rx.fwdCur[v], rx.bwdCur[v], rx.bwdCurKnown[v], env)
+				rx.fwdPrev[v], rx.bwdPrev[v] = rx.fwdCur[v], rx.bwdCur[v]
+				val := a.vertexValue(rx.t, graph.VertexID(v), rx.fwdCur[v], rx.bwdCur[v], env)
 				if d := math.Abs(val - rx.prevVal[v]); d > maxDelta {
 					maxDelta = d
 				}
@@ -209,8 +209,7 @@ func (a *Analyzer) relax(sp *obs.Span, env pavf.Env, rx *relaxation, active []bo
 			continue
 		}
 		for v := ext.start; v < ext.end; v++ {
-			rx.fwdCur[v] = rx.fwdPrev[v]
-			rx.bwdCur[v], rx.bwdCurKnown[v] = rx.bwdPrev[v], rx.bwdPrevKnown[v]
+			rx.fwdCur[v], rx.bwdCur[v] = rx.fwdPrev[v], rx.bwdPrev[v]
 		}
 	}
 	ws.record(reg)
@@ -235,11 +234,12 @@ func (a *Analyzer) seqAvg(ext fubExtent, val []float64) float64 {
 }
 
 // vertexValue resolves a vertex's numeric AVF from in-flight propagation
-// state, matching the role handling in finishReuse.
-func (a *Analyzer) vertexValue(v graph.VertexID, fwd, bwd pavf.Set, bwdKnown bool, env pavf.Env) float64 {
+// state (slots in t, bwd -1 where unknown), matching the role handling
+// in finishReuse.
+func (a *Analyzer) vertexValue(t *pavf.SetTable, v graph.VertexID, fwd, bwd int32, env pavf.Env) float64 {
 	switch a.roles[v] {
 	case RoleStructPort, RoleLoop:
-		return a.fwdSrc[v].Eval(env)
+		return t.Set(a.fwdSrc[v]).Eval(env)
 	case RoleControl:
 		return 1
 	case RoleDebug:
@@ -247,46 +247,47 @@ func (a *Analyzer) vertexValue(v graph.VertexID, fwd, bwd pavf.Set, bwdKnown boo
 	case RoleConst:
 		return 1
 	}
-	f := 1.0
 	if a.fwdFixed[v] {
-		f = a.fwdSrc[v].Eval(env)
-	} else {
-		f = fwd.Eval(env)
+		fwd = a.fwdSrc[v]
 	}
-	b := 1.0
 	if a.bwdFixed[v] {
-		b = a.bwdSrc[v].Eval(env)
-	} else if bwdKnown {
-		b = bwd.Eval(env)
+		bwd = a.bwdSrc[v]
+	}
+	f, b := 1.0, 1.0
+	if fwd >= 0 {
+		f = t.Set(fwd).Eval(env)
+	}
+	if bwd >= 0 {
+		b = t.Set(bwd).Eval(env)
 	}
 	return math.Min(f, b)
 }
 
-// fwdUnion computes the forward value of a non-fwd-fixed vertex v of FUB
-// fub as the union of its predecessors' contributions: a fwd-fixed
-// predecessor gives its source set, one in the same FUB its cur set
+// fwdUnion computes the forward slot of a non-fwd-fixed vertex v of FUB
+// fub as the union in t of its predecessors' contributions: a fwd-fixed
+// predecessor gives its source set, one in the same FUB its cur slot
 // (final, as walks run in topological order), and one across a FUB
-// boundary its prev set, or ⊤ while that is unknown. A nil prev reads
+// boundary its prev slot, or ⊤ while that is unknown. A nil prev reads
 // every predecessor from cur: Solve's single pass over the whole design.
 // Walk tallies accumulate into st.
-func (a *Analyzer) fwdUnion(v graph.VertexID, fub int32, cur, prev []pavf.Set, prevKnown []bool, st *walkStats) pavf.Set {
+func (a *Analyzer) fwdUnion(t *pavf.SetTable, v graph.VertexID, fub int32, cur, prev []int32, st *walkStats) int32 {
 	st.fwdVerts++
-	var acc pavf.Set
+	acc := pavf.EmptySlot
 	for _, p := range a.G.Preds(v) {
-		var contrib pavf.Set
+		var contrib int32
 		switch {
 		case a.fwdFixed[p]:
 			contrib = a.fwdSrc[p]
 		case prev == nil || a.G.Verts[p].Fub == fub:
 			contrib = cur[p]
-		case prevKnown[p]:
+		case prev[p] >= 0:
 			contrib = prev[p]
 		default:
-			contrib = pavf.TopSet()
+			contrib = pavf.TopSlot
 		}
 		st.unionOps++
-		acc = acc.Union(contrib)
-		if acc.HasTop() {
+		acc = t.Union(acc, contrib)
+		if acc == pavf.TopSlot {
 			st.topShorts++
 			return acc
 		}
@@ -294,43 +295,40 @@ func (a *Analyzer) fwdUnion(v graph.VertexID, fub int32, cur, prev []pavf.Set, p
 	return acc
 }
 
-// bwdUnion computes the backward value of a non-bwd-fixed vertex v of FUB
+// bwdUnion computes the backward slot of a non-bwd-fixed vertex v of FUB
 // fub from its successors' contributions, reading same-FUB successors
 // from cur and cross-FUB ones from prev, each ⊤ while unknown; a nil prev
-// reads every successor from cur, as for fwdUnion. known is false when v
-// has no successors at all (a dangling node keeps its conservative 1.0).
-// Walk tallies accumulate into st.
-func (a *Analyzer) bwdUnion(v graph.VertexID, fub int32, cur []pavf.Set, curKnown []bool, prev []pavf.Set, prevKnown []bool, st *walkStats) (pavf.Set, bool) {
+// reads every successor from cur, as for fwdUnion. The slot is -1
+// (unknown) when v has no successors at all: a dangling node keeps its
+// conservative 1.0. Walk tallies accumulate into st.
+func (a *Analyzer) bwdUnion(t *pavf.SetTable, v graph.VertexID, fub int32, cur, prev []int32, st *walkStats) int32 {
 	st.bwdVerts++
 	succs := a.G.Succs(v)
 	if len(succs) == 0 {
-		return pavf.Set{}, false
+		return pavf.UnknownSlot
 	}
-	var acc pavf.Set
+	acc := pavf.EmptySlot
 	for _, s := range succs {
-		var contrib pavf.Set
+		var contrib int32
 		switch {
 		case a.bwdFixed[s]:
 			contrib = a.bwdSrc[s]
 		case prev == nil || a.G.Verts[s].Fub == fub:
-			if !curKnown[s] {
-				contrib = pavf.TopSet()
-			} else {
-				contrib = cur[s]
-			}
-		case prevKnown[s]:
-			contrib = prev[s]
+			contrib = cur[s]
 		default:
-			contrib = pavf.TopSet()
+			contrib = prev[s]
+		}
+		if contrib < 0 {
+			contrib = pavf.TopSlot
 		}
 		st.unionOps++
-		acc = acc.Union(contrib)
-		if acc.HasTop() {
+		acc = t.Union(acc, contrib)
+		if acc == pavf.TopSlot {
 			st.topShorts++
-			return acc, true
+			return acc
 		}
 	}
-	return acc, true
+	return acc
 }
 
 // fubSchedule is one FUB's walk schedule: topological orders of its

@@ -39,7 +39,14 @@ type Result struct {
 	Env      pavf.Env
 	// Exprs holds the per-vertex closed-form equations (§5.1): re-run
 	// Reevaluate with fresh Inputs to obtain new AVFs without walking.
+	// Their sets alias Sets.
 	Exprs []pavf.Expr
+	// Sets is the table of the distinct sets Exprs uses, in
+	// first-sighting order (vertex order, forward side first), and
+	// Fwd/Bwd give each vertex's slot in it per direction (-1 = that
+	// side unknown). Compile and PriorState read these as they are.
+	Sets     pavf.CSR
+	Fwd, Bwd []int32
 	// AVF caches Exprs[v].Eval(Env).
 	AVF []float64
 	// Visited marks vertices reached by at least one walk.
@@ -84,9 +91,9 @@ func (a *Analyzer) SolveContext(ctx context.Context, in *Inputs) (*Result, error
 	}
 	n := a.G.NumVerts()
 	sp.SetAttr("vertices", n)
-	fwd := make([]pavf.Set, n)
-	bwd := make([]pavf.Set, n)
-	bwdKnown := make([]bool, n)
+	t := a.srcs.Extend()
+	fwd := make([]int32, n)
+	bwd := make([]int32, n)
 	var ws walkStats
 
 	// Both walks use the relaxation's union step with no prev arrays, so
@@ -94,7 +101,7 @@ func (a *Analyzer) SolveContext(ctx context.Context, in *Inputs) (*Result, error
 	// Forward: topological order guarantees preds are final.
 	fsp := sp.Child("fwd")
 	for _, v := range a.topo {
-		fwd[v] = a.fwdUnion(v, -1, fwd, nil, nil, &ws)
+		fwd[v] = a.fwdUnion(t, v, -1, fwd, nil, &ws)
 	}
 	fsp.SetAttr("vertices", len(a.topo))
 	fsp.End()
@@ -107,12 +114,12 @@ func (a *Analyzer) SolveContext(ctx context.Context, in *Inputs) (*Result, error
 	}
 	for i := len(bwdTopo) - 1; i >= 0; i-- {
 		v := bwdTopo[i]
-		bwd[v], bwdKnown[v] = a.bwdUnion(v, -1, bwd, bwdKnown, nil, nil, &ws)
+		bwd[v] = a.bwdUnion(t, v, -1, bwd, nil, &ws)
 	}
 	bsp.SetAttr("vertices", len(bwdTopo))
 	bsp.End()
 	nsp := sp.Child("finish")
-	r := a.finishReuse(in, env, fwd, bwd, bwdKnown, nil, nil)
+	r := a.finishReuse(in, env, t, fwd, bwd, nil)
 	nsp.End()
 	r.Iterations = 1
 	r.Converged = true
@@ -121,59 +128,72 @@ func (a *Analyzer) SolveContext(ctx context.Context, in *Inputs) (*Result, error
 	return r, nil
 }
 
-// finishReuse assembles per-vertex closed forms and statistics, with an
-// optional per-vertex AVF bypass: where reuseOK[v] holds, reuseAVF[v] is
-// taken verbatim instead of evaluating the vertex's expression. The
-// incremental path uses this for FUBs whose closed forms carried over
-// unchanged under identical inputs — their prior values are already the
-// evaluation result, bit for bit. Both slices nil means evaluate
-// everything.
-func (a *Analyzer) finishReuse(in *Inputs, env pavf.Env, fwd, bwd []pavf.Set, bwdKnown []bool, reuseAVF []float64, reuseOK []bool) *Result {
-	n := a.G.NumVerts()
+// finishReuse assembles the result from a solve's walk state: fwd and
+// bwd hold each vertex's propagated slots in t (bwd -1 where unknown),
+// and are taken over as the result's Fwd/Bwd. Each vertex's closed form
+// is resolved by role, t is compacted into the result's Sets, and the
+// AVFs are evaluated once per distinct set. Where reuse[f] is non-nil,
+// FUB f's AVFs are copied from that prior instead of evaluated: the
+// incremental path passes the FUBs whose closed forms carried over
+// unchanged under identical inputs, whose prior values are already the
+// evaluation result, bit for bit. A nil reuse evaluates everything.
+func (a *Analyzer) finishReuse(in *Inputs, env pavf.Env, t *pavf.SetTable, fwd, bwd []int32, reuse []*FubPrior) *Result {
+	for v := range fwd {
+		switch a.roles[v] {
+		case RoleNormal, RolePseudoIn:
+			if a.fwdFixed[v] { // pseudo input
+				fwd[v] = a.fwdSrc[v]
+			}
+			if a.bwdFixed[v] { // unconsumed output port
+				bwd[v] = a.bwdSrc[v]
+			}
+		case RoleStructPort, RoleLoop:
+			fwd[v], bwd[v] = a.fwdSrc[v], a.fwdSrc[v]
+		case RoleControl:
+			// Pinned to 100%: always architecturally required.
+			fwd[v], bwd[v] = a.fwdSrc[v], pavf.UnknownSlot
+		case RoleDebug:
+			fwd[v], bwd[v] = pavf.EmptySlot, pavf.EmptySlot
+		case RoleConst:
+			fwd[v], bwd[v] = pavf.TopSlot, pavf.UnknownSlot
+		}
+	}
+	sets := t.Compact(fwd, bwd)
 	r := &Result{
 		Analyzer: a,
 		Inputs:   in,
 		Env:      env,
-		Exprs:    make([]pavf.Expr, n),
-		AVF:      make([]float64, n),
+		Exprs:    sets.Exprs(fwd, bwd),
+		Sets:     sets,
+		Fwd:      fwd,
+		Bwd:      bwd,
+		AVF:      make([]float64, len(fwd)),
+		Visited:  a.visited(),
 	}
-	for v := 0; v < n; v++ {
-		var x pavf.Expr
-		switch a.roles[v] {
-		case RoleNormal, RolePseudoIn:
-			if a.fwdFixed[v] { // pseudo input
-				x.Fwd, x.KnownFwd = a.fwdSrc[v], true
-			} else {
-				x.Fwd, x.KnownFwd = fwd[v], true
-			}
-			if a.bwdFixed[v] { // unconsumed output port
-				x.Bwd, x.KnownBwd = a.bwdSrc[v], true
-			} else {
-				x.Bwd, x.KnownBwd = bwd[v], bwdKnown[v]
-			}
-		case RoleStructPort:
-			x.Fwd, x.KnownFwd = a.fwdSrc[v], true
-			x.Bwd, x.KnownBwd = a.fwdSrc[v], true
-		case RoleControl:
-			// Pinned to 100%: always architecturally required.
-			x.Fwd, x.KnownFwd = a.fwdSrc[v], true
-		case RoleLoop:
-			x.Fwd, x.KnownFwd = a.fwdSrc[v], true
-			x.Bwd, x.KnownBwd = a.fwdSrc[v], true
-		case RoleDebug:
-			x.Fwd, x.KnownFwd = pavf.Set{}, true
-			x.Bwd, x.KnownBwd = pavf.Set{}, true
-		case RoleConst:
-			x.Fwd, x.KnownFwd = pavf.TopSet(), true
+	val := make([]float64, sets.Len())
+	for s := range val {
+		val[s] = sets.Set(int32(s)).Eval(env)
+	}
+	for f, ext := range a.exts {
+		if reuse != nil && reuse[f] != nil {
+			copy(r.AVF[ext.start:ext.end], reuse[f].AVF)
+			continue
 		}
-		r.Exprs[v] = x
-		if reuseOK != nil && reuseOK[v] {
-			r.AVF[v] = reuseAVF[v]
-		} else {
-			r.AVF[v] = x.Eval(env)
+		for v := ext.start; v < ext.end; v++ {
+			// pavf.Expr.Eval: MIN of the two sides, an unknown side 1.
+			fv, bv := 1.0, 1.0
+			if s := fwd[v]; s >= 0 {
+				fv = val[s]
+			}
+			if s := bwd[v]; s >= 0 {
+				bv = val[s]
+			}
+			if bv < fv {
+				fv = bv
+			}
+			r.AVF[v] = fv
 		}
 	}
-	r.Visited = a.visited()
 	return r
 }
 
@@ -195,7 +215,7 @@ func (a *Analyzer) buildVisited() []bool {
 	// Forward BFS from forward-fixed vertices with non-empty sources.
 	queue := make([]graph.VertexID, 0, n)
 	for v := 0; v < n; v++ {
-		if a.fwdFixed[v] && !a.fwdSrc[v].IsEmpty() && a.roles[v] != RoleConst {
+		if a.fwdFixed[v] && a.fwdSrc[v] != pavf.EmptySlot && a.roles[v] != RoleConst {
 			queue = append(queue, graph.VertexID(v))
 		}
 	}
@@ -220,7 +240,7 @@ func (a *Analyzer) buildVisited() []bool {
 	queue = queue[:0]
 	seen = make([]bool, n)
 	for v := 0; v < n; v++ {
-		if a.bwdFixed[v] && !a.bwdSrc[v].IsEmpty() {
+		if a.bwdFixed[v] && a.bwdSrc[v] != pavf.EmptySlot {
 			queue = append(queue, graph.VertexID(v))
 			seen[v] = true
 		}

@@ -97,6 +97,20 @@ func DefaultConfig(seed uint64) Config {
 	}
 }
 
+// MaxWidth is the widest datapath Generate accepts: the structured
+// cells include LFSRs, which internal/cells generates up to 32 bits.
+const MaxWidth = 32
+
+// PaperScaleConfig is DefaultConfig at the scale the paper targets
+// ("hundreds of FUBs, millions of sequentials"): 2048 FUBs at the
+// widest datapath, about 2.09M bit vertices.
+func PaperScaleConfig(seed uint64) Config {
+	cfg := DefaultConfig(seed)
+	cfg.NumFubs = 2048
+	cfg.Width = MaxWidth
+	return cfg
+}
+
 // CanonicalOptions returns the SART options the experiments run the
 // XeonLike design with: the paper's loop-boundary value (0.3, chosen via
 // the Figure 8 sweep) and a boundary pseudo-structure pAVF of 0.2 —
@@ -151,6 +165,9 @@ func Generate(cfg Config) (*Generated, error) {
 	if cfg.NumFubs < 2 || cfg.Width < 2 || cfg.LanesMin < 1 ||
 		cfg.LanesMax < cfg.LanesMin || cfg.StagesMax < cfg.StagesMin || cfg.StagesMin < 1 {
 		return nil, fmt.Errorf("design: invalid config %+v", cfg)
+	}
+	if cfg.Width > MaxWidth {
+		return nil, fmt.Errorf("design: width %d above %d, the widest LFSR cell internal/cells generates", cfg.Width, MaxWidth)
 	}
 	rng := stats.New(cfg.Seed)
 	g := &Generated{

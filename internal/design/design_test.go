@@ -210,6 +210,13 @@ func TestInvalidConfig(t *testing.T) {
 	if _, err := Generate(cfg); err == nil {
 		t.Fatal("LanesMax=0 accepted")
 	}
+	// Above MaxWidth no LFSR cell exists: refused up front, whether or
+	// not this seed would have placed one.
+	cfg = DefaultConfig(1)
+	cfg.NumFubs, cfg.Width = 2, MaxWidth+1
+	if _, err := Generate(cfg); err == nil || !strings.Contains(err.Error(), "widest LFSR") {
+		t.Fatalf("Width=%d: error %v, want the LFSR bound", cfg.Width, err)
+	}
 }
 
 // TestInvariantsAcrossSeeds fuzzes the generator: for a population of

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 
 	"seqavf/internal/artifact"
@@ -215,8 +216,56 @@ func coldSolve(t *testing.T, nl []byte) *core.Result {
 // carries a never-seen fingerprint and pays the plan compile and the
 // artifact write. Rendering the edited netlist is not timed; parse,
 // analysis, prior state, incremental re-solve, compile and store are.
-func BenchmarkEditNetlist(b *testing.B) {
-	gen, err := design.Generate(design.DefaultConfig(2027))
+func BenchmarkEditNetlist(b *testing.B) { benchEditNetlist(b, design.DefaultConfig(2027)) }
+
+// BenchmarkEditNetlistPaperScale is BenchmarkEditNetlist on
+// design.PaperScaleConfig(2027): 2048 FUBs, about 2.09M bit vertices.
+// Each edit writes a whole artifact of tens of MB; run it with a small
+// fixed -benchtime such as 3x.
+func BenchmarkEditNetlistPaperScale(b *testing.B) {
+	benchEditNetlist(b, design.PaperScaleConfig(2027))
+}
+
+// BenchmarkColdLoadPaperScale times LoadNetlist on
+// design.PaperScaleConfig(2027) with no artifact store: parse, analysis,
+// the cold solve and the plan compile. Rendering the netlist is not
+// timed.
+func BenchmarkColdLoadPaperScale(b *testing.B) {
+	gen, err := design.Generate(design.PaperScaleConfig(2027))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var nl bytes.Buffer
+	if err := netlist.Write(&nl, gen.Design); err != nil {
+		b.Fatal(err)
+	}
+	var s *Server
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s = New(Config{Obs: obs.New(), Sweep: sweep.Options{Workers: 1}})
+		if _, err := s.LoadNetlist("", bytes.NewReader(nl.Bytes()), core.DefaultOptions()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	reportHeap(b, s)
+}
+
+// reportHeap reports the live heap after a GC, in MiB, while live (the
+// benchmark's server) is still reachable: what one loaded design holds
+// once the garbage is gone.
+func reportHeap(b *testing.B, live *Server) {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	b.ReportMetric(float64(ms.HeapAlloc)/(1<<20), "heap-MiB")
+	runtime.KeepAlive(live)
+}
+
+// benchEditNetlist runs the edit benchmark on the design cfg generates.
+func benchEditNetlist(b *testing.B, cfg design.Config) {
+	gen, err := design.Generate(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -277,4 +326,6 @@ func BenchmarkEditNetlist(b *testing.B) {
 		}
 		d = next
 	}
+	b.StopTimer()
+	reportHeap(b, s)
 }

@@ -173,7 +173,8 @@ func parsePromText(t *testing.T, text string) (map[string]*promHistogram, map[st
 // le="+Inf" equal to _count, plus _sum/_count lines. Run under -race
 // this also proves scrapes do not race request recording.
 func TestPromExpositionUnderLoad(t *testing.T) {
-	s, _, results := newTestServer(t, Config{MaxConcurrent: 8})
+	const flightCap = 128
+	s, _, results := newTestServer(t, Config{MaxConcurrent: 8, FlightRecorderSize: flightCap})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -254,14 +255,19 @@ func TestPromExpositionUnderLoad(t *testing.T) {
 		t.Fatalf("scraped %d pages, want 8", pages)
 	}
 
-	// The final page must carry the request histogram with all 64 sweeps.
+	// The final page must carry the request histogram with all 64 sweeps
+	// plus every 429 the clients retried past: the pipeline observes each
+	// request it answers, rejections included. The rejection count comes
+	// from the same page.
 	resp, _ := http.Get(ts.URL + "/metrics")
 	b, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	hists, scalars := parsePromText(t, string(b))
+	answered := clients + int(scalars["server_rejected_busy"])
 	h := hists["server_request_seconds"]
-	if h == nil || h.count != clients {
-		t.Fatalf("server_request_seconds count = %+v, want %d", h, clients)
+	if h == nil || h.count != uint64(answered) {
+		t.Fatalf("server_request_seconds count = %+v, want %d sweeps + %v rejections",
+			h, clients, scalars["server_rejected_busy"])
 	}
 	if h.sum <= 0 {
 		t.Fatalf("server_request_seconds sum = %v", h.sum)
@@ -269,8 +275,8 @@ func TestPromExpositionUnderLoad(t *testing.T) {
 	if scalars["server_sweep_ok"] != clients {
 		t.Fatalf("server_sweep_ok = %v, want %d", scalars["server_sweep_ok"], clients)
 	}
-	if got := s.flight.Len(); got != clients {
-		t.Fatalf("flight recorder retained %d, want %d", got, clients)
+	if got, want := s.flight.Len(), min(answered, flightCap); got != want {
+		t.Fatalf("flight recorder retained %d, want %d", got, want)
 	}
 }
 

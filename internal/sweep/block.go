@@ -332,6 +332,9 @@ func (p *Plan) evalBlock(ws []Workload, m *EnvMatrix, scratch []float64, dst []*
 				Inputs:     ws[w].Inputs,
 				Env:        m.envs[w],
 				Exprs:      p.exprs,
+				Sets:       pavf.CSR{Off: p.setOff, IDs: p.setIDs},
+				Fwd:        p.fwdIdx,
+				Bwd:        p.bwdIdx,
 				AVF:        out[w],
 				Visited:    p.visited,
 				Iterations: 1,

@@ -87,60 +87,25 @@ type Stats struct {
 }
 
 // Compile flattens res's closed-form equations into an evaluation plan.
+// The result's set table and per-vertex slots (Result.Sets, Fwd, Bwd)
+// already are the plan's CSR, deduplicated in first-sighting order, so
+// Compile adopts them as they are and only builds the pair table.
 func Compile(res *core.Result) (*Plan, error) {
 	a := res.Analyzer
 	n := a.G.NumVerts()
-	if len(res.Exprs) != n {
-		return nil, fmt.Errorf("sweep: result has %d equations but design %q has %d vertices",
-			len(res.Exprs), a.G.Design.Name, n)
+	if len(res.Exprs) != n || len(res.Fwd) != n || len(res.Bwd) != n {
+		return nil, fmt.Errorf("sweep: result has %d equations and %d/%d set slots but design %q has %d vertices",
+			len(res.Exprs), len(res.Fwd), len(res.Bwd), a.G.Design.Name, n)
 	}
 	p := &Plan{
 		Analyzer:    a,
 		Fingerprint: a.Fingerprint(),
 		exprs:       res.Exprs,
 		visited:     res.Visited,
-		setOff:      []int32{0},
-		fwdIdx:      make([]int32, n),
-		bwdIdx:      make([]int32, n),
-	}
-	index := make(map[string]int32)
-	var key []byte
-	// Neighbouring vertices (above all the bits of one node) usually
-	// hold equal sets on one side, so each side first compares its set
-	// with the last one it interned; only a different set packs its
-	// term IDs into a content key. The sets are short (two terms on
-	// average on XeonLike), so the comparison costs less than the key.
-	type lookup struct {
-		set  pavf.Set
-		slot int32
-	}
-	lastFwd, lastBwd := lookup{slot: -1}, lookup{slot: -1}
-	intern := func(s pavf.Set, known bool, last *lookup) int32 {
-		if !known {
-			return -1
-		}
-		if last.slot >= 0 && last.set.Equal(s) {
-			return last.slot
-		}
-		ids := s.IDs()
-		key = key[:0]
-		for _, id := range ids {
-			key = append(key, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-		}
-		i, ok := index[string(key)]
-		if !ok {
-			i = int32(len(p.setOff) - 1)
-			index[string(key)] = i
-			p.setIDs = append(p.setIDs, ids...)
-			p.setOff = append(p.setOff, int32(len(p.setIDs)))
-		}
-		*last = lookup{s, i}
-		return i
-	}
-	for v := 0; v < n; v++ {
-		x := &res.Exprs[v]
-		p.fwdIdx[v] = intern(x.Fwd, x.KnownFwd, &lastFwd)
-		p.bwdIdx[v] = intern(x.Bwd, x.KnownBwd, &lastBwd)
+		setOff:      res.Sets.Off,
+		setIDs:      res.Sets.IDs,
+		fwdIdx:      res.Fwd,
+		bwdIdx:      res.Bwd,
 	}
 	p.buildPairs()
 	return p, nil
@@ -157,6 +122,12 @@ func (p *Plan) buildPairs() {
 	prev := int32(-1)
 	for v := 0; v < n; v++ {
 		fi, bi := p.fwdIdx[v], p.bwdIdx[v]
+		// A vertex continuing its predecessor's run (most do: the bits
+		// of one node) needs no lookup.
+		if prev >= 0 && fi == p.pairFwd[prev] && bi == p.pairBwd[prev] {
+			pairOf[v] = prev
+			continue
+		}
 		key := uint64(uint32(fi))<<32 | uint64(uint32(bi))
 		pi, ok := seen[key]
 		if !ok {
@@ -206,8 +177,8 @@ func (p *Plan) Raw() Raw {
 // evaluation time. The returned equation slice is the plan's own (each Expr shares
 // the validated SetIDs backing array); a plan restored from the CSR
 // written by Raw is bit-identical in behavior to a fresh Compile. This
-// is the artifact-decode hot path: validation, set construction, and
-// equation rebuild are fused into single passes.
+// is the artifact-decode hot path: validation and the equation rebuild
+// are single passes, and no set is copied.
 func Restore(a *core.Analyzer, raw Raw, visited []bool) (*Plan, []pavf.Expr, error) {
 	n := a.G.NumVerts()
 	if len(raw.FwdIdx) != n || len(raw.BwdIdx) != n {
@@ -223,7 +194,6 @@ func Restore(a *core.Analyzer, raw Raw, visited []bool) (*Plan, []pavf.Expr, err
 	}
 	nSets := len(raw.SetOff) - 1
 	uniLen := pavf.TermID(a.Universe().Len())
-	sets := make([]pavf.Set, nSets)
 	for s := 0; s < nSets; s++ {
 		lo, hi := raw.SetOff[s], raw.SetOff[s+1]
 		if lo > hi {
@@ -239,11 +209,10 @@ func Restore(a *core.Analyzer, raw Raw, visited []bool) (*Plan, []pavf.Expr, err
 			}
 			prev = id
 		}
-		sets[s] = pavf.SetFromSorted(raw.SetIDs[lo:hi])
 	}
 	// Validate the per-vertex indices in their own linear scans (cheap:
 	// two int32 arrays, no stores), so the equation fill below indexes
-	// sets unchecked.
+	// the table unchecked.
 	for v, fi := range raw.FwdIdx {
 		if fi < -1 || int(fi) >= nSets {
 			return nil, nil, fmt.Errorf("sweep: raw plan vertex %d forward index %d out of range (%d sets)", v, fi, nSets)
@@ -254,16 +223,7 @@ func Restore(a *core.Analyzer, raw Raw, visited []bool) (*Plan, []pavf.Expr, err
 			return nil, nil, fmt.Errorf("sweep: raw plan vertex %d backward index %d out of range (%d sets)", v, bi, nSets)
 		}
 	}
-	exprs := make([]pavf.Expr, n)
-	for v := range exprs {
-		x := &exprs[v]
-		if fi := raw.FwdIdx[v]; fi >= 0 {
-			x.Fwd, x.KnownFwd = sets[fi], true
-		}
-		if bi := raw.BwdIdx[v]; bi >= 0 {
-			x.Bwd, x.KnownBwd = sets[bi], true
-		}
-	}
+	exprs := pavf.CSR{Off: raw.SetOff, IDs: raw.SetIDs}.Exprs(raw.FwdIdx, raw.BwdIdx)
 	p := &Plan{
 		Analyzer:    a,
 		Fingerprint: a.Fingerprint(),

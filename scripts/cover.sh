@@ -24,6 +24,8 @@
 # layout-built model stay covered. The core floor sits about 5 points under its measurement:
 # the solver's one relaxation loop serves both the cold and the
 # incremental solve, so an untested branch in it is untested in both.
+# The pavf floor sits 3 points under the 90.5% measured when the solver
+# moved onto the hash-consed set table, so the table stays covered.
 # Exits non-zero naming every package under its floor.
 set -eu
 
@@ -33,7 +35,7 @@ GO=${GO:-go}
 GATES="
 internal/core 88.0
 internal/sweep 91.3
-internal/pavf 78.0
+internal/pavf 87.5
 internal/pavfio 80.0
 internal/ace 75.0
 internal/harden 87.4
