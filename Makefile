@@ -57,6 +57,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzMergeExposition -fuzztime=10s ./internal/fleet/
 	$(GO) test -run=^$$ -fuzz=FuzzParseHardenRequest -fuzztime=10s ./internal/harden/
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeRequest -fuzztime=10s ./internal/server/
+	$(GO) test -run=^$$ -fuzz=FuzzParseNetlist -fuzztime=10s ./internal/netlist/
 
 # Coverage floors on the numerical core (solver, sweep engine, pAVF
 # closed forms) and the fleet gateway; see scripts/cover.sh for the

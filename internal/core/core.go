@@ -279,6 +279,16 @@ type portBind struct {
 
 // NewAnalyzer prepares g for SART analysis.
 func NewAnalyzer(g *graph.Graph, opts Options) (*Analyzer, error) {
+	return NewAnalyzerFrom(g, opts, nil)
+}
+
+// NewAnalyzerFrom is NewAnalyzer carrying FUB fingerprints over from
+// prior, the analyzer of an earlier version of the design: a FUB whose
+// nodes, roles and FUBIO boundary are unchanged keeps its prior
+// fingerprint instead of being rehashed (keptFingerprints). Everything
+// else, the topological order included, is computed over the whole
+// graph. prior may be nil; it is only read.
+func NewAnalyzerFrom(g *graph.Graph, opts Options, prior *Analyzer) (*Analyzer, error) {
 	if opts.Iterations <= 0 {
 		opts.Iterations = 20
 	}
@@ -307,7 +317,7 @@ func NewAnalyzer(g *graph.Graph, opts Options) (*Analyzer, error) {
 	a.topo = topo
 	a.exts = a.fubExtents()
 	a.scheds = make([]fubSchedule, len(a.exts))
-	a.fubFps = a.computeFubFingerprints()
+	a.fubFps = a.computeFubFingerprints(prior)
 	a.fingerprint = a.computeFingerprint()
 	return a, nil
 }
@@ -387,15 +397,21 @@ func (a *Analyzer) isControlReg(n *netlist.Node) bool {
 func (a *Analyzer) classify() {
 	n := a.G.NumVerts()
 	a.roles = make([]Role, n)
+	var node *netlist.Node
+	ctrl := false
 	for v := 0; v < n; v++ {
 		vx := &a.G.Verts[v]
-		node := vx.Node
+		if vx.Node != node {
+			// A node's bits are contiguous: test its name and clock once.
+			node = vx.Node
+			ctrl = a.isControlReg(node)
+		}
 		switch {
 		case node.Class == netlist.ClassDebug:
 			a.roles[v] = RoleDebug
 		case node.Kind == netlist.KindStructRead || node.Kind == netlist.KindStructWrite:
 			a.roles[v] = RoleStructPort
-		case a.isControlReg(node):
+		case ctrl:
 			a.roles[v] = RoleControl
 		case node.Kind == netlist.KindSeq && vx.InLoop:
 			a.roles[v] = RoleLoop
@@ -419,6 +435,14 @@ func (a *Analyzer) buildSources() {
 	a.srcs = pavf.NewSetTable()
 	singleton := func(t pavf.TermID) int32 { return a.srcs.Intern([]pavf.TermID{t}) }
 	loopTermOf := make(map[*netlist.Node]pavf.TermID)
+	// A structure-port or boundary node names one term for all its
+	// bits (termNode's term, singleton set nodeSet): intern it once,
+	// at the node's first such bit, as a per-bit intern would.
+	var (
+		termNode *netlist.Node
+		nodeTerm pavf.TermID
+		nodeSet  int32
+	)
 
 	for v := 0; v < n; v++ {
 		vx := &a.G.Verts[v]
@@ -426,18 +450,19 @@ func (a *Analyzer) buildSources() {
 		id := graph.VertexID(v)
 		switch a.roles[v] {
 		case RoleStructPort:
-			sp := StructPort{Struct: node.Struct, Port: node.Port}
-			var term pavf.TermID
-			if node.Kind == netlist.KindStructRead {
-				term = a.universe.Intern(pavf.Term{Kind: pavf.KindReadPort, Name: sp.String()})
-				a.readTerm[sp] = term
-			} else {
-				term = a.universe.Intern(pavf.Term{Kind: pavf.KindWritePort, Name: sp.String()})
-				a.writeTerm[sp] = term
+			if node != termNode {
+				sp := StructPort{Struct: node.Struct, Port: node.Port}
+				if node.Kind == netlist.KindStructRead {
+					nodeTerm = a.universe.Intern(pavf.Term{Kind: pavf.KindReadPort, Name: sp.String()})
+					a.readTerm[sp] = nodeTerm
+				} else {
+					nodeTerm = a.universe.Intern(pavf.Term{Kind: pavf.KindWritePort, Name: sp.String()})
+					a.writeTerm[sp] = nodeTerm
+				}
+				termNode, nodeSet = node, singleton(nodeTerm)
 			}
-			set := singleton(term)
-			a.fwdFixed[v], a.fwdSrc[v] = true, set
-			a.bwdFixed[v], a.bwdSrc[v] = true, set
+			a.fwdFixed[v], a.fwdSrc[v] = true, nodeSet
+			a.bwdFixed[v], a.bwdSrc[v] = true, nodeSet
 		case RoleControl:
 			// pAVF_R = 100% forward; write-side walk omitted: the
 			// backward contribution through a control register is 0.
@@ -464,17 +489,23 @@ func (a *Analyzer) buildSources() {
 			a.fwdFixed[v], a.fwdSrc[v] = true, pavf.EmptySlot
 			a.bwdFixed[v], a.bwdSrc[v] = true, pavf.EmptySlot
 		case RolePseudoIn:
-			term := a.universe.Intern(pavf.Term{Kind: pavf.KindPseudo, Name: a.portName(id)})
-			a.pseudoIn[id] = term
-			a.fwdFixed[v], a.fwdSrc[v] = true, singleton(term)
+			if node != termNode {
+				nodeTerm = a.universe.Intern(pavf.Term{Kind: pavf.KindPseudo, Name: a.portName(id)})
+				termNode, nodeSet = node, singleton(nodeTerm)
+			}
+			a.pseudoIn[id] = nodeTerm
+			a.fwdFixed[v], a.fwdSrc[v] = true, nodeSet
 		}
 		// Unconsumed FUB outputs additionally act as backward pseudo
 		// sources, regardless of role.
-		if node.Kind == netlist.KindOutput && !a.G.ConsumedOutputs[id] && a.roles[v] == RoleNormal {
-			term := a.universe.Intern(pavf.Term{Kind: pavf.KindPseudo, Name: a.portName(id)})
-			a.pseudoOut[id] = term
+		if node.Kind == netlist.KindOutput && a.roles[v] == RoleNormal && !a.G.ConsumedOutputs[id] {
+			if node != termNode {
+				nodeTerm = a.universe.Intern(pavf.Term{Kind: pavf.KindPseudo, Name: a.portName(id)})
+				termNode, nodeSet = node, singleton(nodeTerm)
+			}
+			a.pseudoOut[id] = nodeTerm
 			a.bwdFixed[v] = true
-			a.bwdSrc[v] = singleton(term)
+			a.bwdSrc[v] = nodeSet
 		}
 	}
 }

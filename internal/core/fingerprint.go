@@ -94,11 +94,17 @@ func cmpCrossPeer(x, y crossPeer) int {
 // hashed once rather than once per bit. Then come the intra-FUB
 // successors in local indices and the FUBIO peers sorted by
 // (direction, FUB, node, bit), so the hash depends neither on global
-// vertex IDs nor on connect declaration order.
-func (a *Analyzer) computeFubFingerprints() []uint64 {
+// vertex IDs nor on connect declaration order. A FUB whose hash
+// keptFingerprints proves unchanged from prior takes prior's value.
+func (a *Analyzer) computeFubFingerprints(prior *Analyzer) []uint64 {
 	out := make([]uint64, len(a.exts))
+	kept := a.keptFingerprints(prior)
 	var cross []crossPeer
 	for f, ext := range a.exts {
+		if kept != nil && kept[f] >= 0 {
+			out[f] = prior.fubFps[kept[f]]
+			continue
+		}
 		h := newWordHash()
 		h.str(a.G.FubNames[f])
 		h.strs(a.Opts.ControlRegPrefixes)
@@ -146,6 +152,93 @@ func (a *Analyzer) computeFubFingerprints() []uint64 {
 		out[f] = uint64(h)
 	}
 	return out
+}
+
+// keptFingerprints returns, per FUB, the index of the prior FUB whose
+// fingerprint this FUB's hash would reproduce, or -1; nil when prior is
+// nil. Every input of the hash is compared exactly, never through a
+// hash:
+//   - the role-affecting options;
+//   - the *FlatFub under the same name, so the same nodes and vertices
+//     and the same intra-FUB rows (graph.BuildFrom copies them);
+//   - the roles, vertex for vertex;
+//   - the FUBIO boundary: the sorted connects touching the FUB, which
+//     fix every vertex's cross peers. A FUB with a connect to itself is
+//     always rehashed: that edge hashes as an intra-FUB successor, in
+//     connect order.
+func (a *Analyzer) keptFingerprints(prior *Analyzer) []int32 {
+	if prior == nil || !slices.Equal(a.Opts.ControlRegPrefixes, prior.Opts.ControlRegPrefixes) ||
+		!slices.Equal(a.Opts.ControlRegClocks, prior.Opts.ControlRegClocks) {
+		return nil
+	}
+	kept := make([]int32, len(a.exts))
+	slot := make(map[string]int)
+	for f, ext := range a.exts {
+		kept[f] = -1
+		name := a.G.FubNames[f]
+		pf, ok := prior.G.FubIndex(name)
+		if !ok || a.G.Design.Fubs[f] != prior.G.Design.Fubs[pf] {
+			continue
+		}
+		pext := prior.exts[pf]
+		if !slices.Equal(a.roles[ext.start:ext.end], prior.roles[pext.start:pext.end]) {
+			continue
+		}
+		kept[f] = int32(pf)
+		slot[name] = f
+	}
+	if len(slot) == 0 {
+		return kept
+	}
+	cur, selfCur := fubioBoundaries(a.G.Design.Connects, slot, len(a.exts))
+	old, selfOld := fubioBoundaries(prior.G.Design.Connects, slot, len(a.exts))
+	for _, f := range slot {
+		if selfCur[f] || selfOld[f] || !slices.Equal(cur[f], old[f]) {
+			kept[f] = -1
+		}
+	}
+	return kept
+}
+
+// fubioEnd is one connect as seen from a FUB: direction (0 the FUB
+// drives it, 1 the FUB is driven), the FUB's port, and the peer.
+type fubioEnd struct {
+	dir                     uint8
+	port, peerFub, peerPort string
+}
+
+func cmpFubioEnd(x, y fubioEnd) int {
+	if x.dir != y.dir {
+		return int(x.dir) - int(y.dir)
+	}
+	if c := strings.Compare(x.port, y.port); c != 0 {
+		return c
+	}
+	if c := strings.Compare(x.peerFub, y.peerFub); c != 0 {
+		return c
+	}
+	return strings.Compare(x.peerPort, y.peerPort)
+}
+
+// fubioBoundaries lists, for every FUB named in slot (name -> index
+// into the n-long results), the sorted connects touching it, and marks
+// the FUBs with a connect to themselves.
+func fubioBoundaries(conns []netlist.Connect, slot map[string]int, n int) ([][]fubioEnd, []bool) {
+	ends := make([][]fubioEnd, n)
+	self := make([]bool, n)
+	for _, c := range conns {
+		if f, ok := slot[c.From.Fub]; ok {
+			ends[f] = append(ends[f], fubioEnd{0, c.From.Port, c.To.Fub, c.To.Port})
+			self[f] = self[f] || c.To.Fub == c.From.Fub
+		}
+		if f, ok := slot[c.To.Fub]; ok {
+			ends[f] = append(ends[f], fubioEnd{1, c.To.Port, c.From.Fub, c.From.Port})
+		}
+	}
+	for _, e := range ends {
+		slices.SortFunc(e, cmpFubioEnd)
+	}
+	return ends, self
 }
 
 func (a *Analyzer) peer(dir uint64, v graph.VertexID) crossPeer {

@@ -33,6 +33,12 @@ type Vertex struct {
 }
 
 // Graph is the bit-level dependency graph of a flattened design.
+//
+// Vertices are FUB-contiguous, and within a FUB node-contiguous in node
+// order. In every successor and predecessor row the intra-FUB edges
+// (emitted from the FUB's nodes, in node order) precede the cross edges
+// (emitted from the connects, in connect order): BuildFrom relies on it
+// to copy a reused FUB's rows.
 type Graph struct {
 	Design   *netlist.FlatDesign
 	FubNames []string
@@ -41,9 +47,16 @@ type Graph struct {
 	succOff, predOff []int32
 	succs, preds     []VertexID
 
-	// base maps "fub/node" to the node's first vertex; a node's bit b is
-	// base + b.
-	base map[string]VertexID
+	// fubOff[f] is FUB f's first vertex (fubOff[len(FubNames)] is the
+	// vertex count), and nodeOff[f][i] the first vertex of FUB f's node
+	// i relative to fubOff[f] (nodeOff[f][len(nodes)] is the FUB's
+	// vertex count). A reused FUB shares its prior's nodeOff row.
+	fubOff  []VertexID
+	nodeOff [][]int32
+	// fubIndex maps FUB names to indices (the first FUB of a name).
+	fubIndex map[string]int32
+	// reused marks the FUBs whose rows BuildFrom copied from a prior.
+	reused []bool
 
 	// CrossEdges lists inter-FUB edges (from FUB output-port bits to FUB
 	// input-port bits) — the FUBIO connections merged between relaxation
@@ -66,70 +79,155 @@ type Edge struct {
 }
 
 // Build extracts the bit graph from fd.
-func Build(fd *netlist.FlatDesign) (*Graph, error) {
+func Build(fd *netlist.FlatDesign) (*Graph, error) { return BuildFrom(fd, nil) }
+
+// BuildFrom is Build reusing a prior version's graph: a FUB whose
+// *FlatFub is the one prior holds under the same name has the same
+// intra-FUB edges, so its rows are copied from prior, shifted to the
+// FUB's new vertex offset, instead of being re-derived from its nodes.
+// Cross edges, DrivenInputs, ConsumedOutputs, loop marking and the
+// combinational-loop check are always computed over the whole design.
+// prior may be nil; it is only read.
+func BuildFrom(fd *netlist.FlatDesign, prior *Graph) (*Graph, error) {
+	nf := len(fd.Fubs)
 	g := &Graph{
-		Design:          fd,
-		base:            make(map[string]VertexID),
-		DrivenInputs:    make(map[VertexID]bool),
-		ConsumedOutputs: make(map[VertexID]bool),
+		Design:   fd,
+		FubNames: make([]string, nf),
+		fubOff:   make([]VertexID, nf+1),
+		nodeOff:  make([][]int32, nf),
+		fubIndex: make(map[string]int32, nf),
+		reused:   make([]bool, nf),
 	}
-	// Create vertices, FUB-contiguous, in one allocation of the final
-	// size.
-	nv := 0
-	for _, fub := range fd.Fubs {
-		for _, n := range fub.Nodes {
-			nv += n.Width
+	// from[f] is the prior FUB whose rows FUB f copies, or -1, and
+	// newOf the inverse.
+	from := make([]int32, nf)
+	var newOf []int32
+	if prior != nil {
+		newOf = make([]int32, len(prior.FubNames))
+		for i := range newOf {
+			newOf[i] = -1
 		}
 	}
+	for f, fub := range fd.Fubs {
+		g.FubNames[f] = fub.Name
+		if _, dup := g.fubIndex[fub.Name]; !dup {
+			g.fubIndex[fub.Name] = int32(f)
+		}
+		from[f] = -1
+		if prior != nil {
+			if pf, ok := prior.fubIndex[fub.Name]; ok && prior.Design.Fubs[pf] == fub && newOf[pf] < 0 {
+				from[f], newOf[pf] = pf, int32(f)
+				g.reused[f] = true
+				g.nodeOff[f] = prior.nodeOff[pf]
+			}
+		}
+		if from[f] < 0 {
+			off := make([]int32, len(fub.Nodes)+1)
+			for i, n := range fub.Nodes {
+				off[i+1] = off[i] + int32(n.Width)
+			}
+			g.nodeOff[f] = off
+		}
+		g.fubOff[f+1] = g.fubOff[f] + VertexID(g.nodeOff[f][len(fub.Nodes)])
+	}
+	nv := int(g.fubOff[nf])
 	g.Verts = make([]Vertex, 0, nv)
-	g.FubNames = make([]string, 0, len(fd.Fubs))
 	for fi, fub := range fd.Fubs {
-		g.FubNames = append(g.FubNames, fub.Name)
 		for _, n := range fub.Nodes {
-			g.base[fub.Name+"/"+n.Name] = VertexID(len(g.Verts))
 			for b := 0; b < n.Width; b++ {
 				g.Verts = append(g.Verts, Vertex{Fub: int32(fi), Node: n, Bit: int32(b)})
 			}
 		}
 	}
-	// Edges go straight into CSR form, with no intermediate edge list:
-	// a first pass over the emission order (every node's in-edges, FUB
-	// by FUB, then the connects) counts each vertex's degrees, and a
-	// second pass over the same order fills the rows.
-	g.succOff = make([]int32, nv+1)
-	g.predOff = make([]int32, nv+1)
-	degree := func(from, to VertexID) {
-		g.succOff[from+1]++
-		g.predOff[to+1]++
+	// Edges go straight into CSR form, with no intermediate edge list.
+	// sNext/pNext first count each vertex's intra-FUB degrees: a copied
+	// FUB's are its prior rows' lengths less their cross edges, a
+	// rebuilt FUB's come from a counting pass over its nodes, with every
+	// input resolved to its position in the FUB once. The cross edges are added on
+	// top, the offsets summed, and a second pass fills the rows in the
+	// same order, sNext/pNext now serving as write cursors.
+	sNext := make([]int32, nv)
+	pNext := make([]int32, nv)
+	if prior != nil {
+		for f, pf := range from {
+			if pf < 0 {
+				continue
+			}
+			at := g.fubOff[f]
+			for pv := prior.fubOff[pf]; pv < prior.fubOff[pf+1]; pv, at = pv+1, at+1 {
+				sNext[at] = prior.succOff[pv+1] - prior.succOff[pv]
+				pNext[at] = prior.predOff[pv+1] - prior.predOff[pv]
+			}
+		}
+		moved := func(pv VertexID) (VertexID, bool) {
+			pf := prior.Verts[pv].Fub
+			f := newOf[pf]
+			if f < 0 {
+				return 0, false
+			}
+			return pv - prior.fubOff[pf] + g.fubOff[f], true
+		}
+		for _, e := range prior.CrossEdges {
+			if v, ok := moved(e.From); ok {
+				sNext[v]--
+			}
+			if v, ok := moved(e.To); ok {
+				pNext[v]--
+			}
+		}
 	}
-	for _, fub := range fd.Fubs {
-		for _, n := range fub.Nodes {
-			if err := g.nodeEdges(fub, n, degree); err != nil {
+	count := func(from, to VertexID) {
+		sNext[from]++
+		pNext[to]++
+	}
+	// ins[f] holds rebuilt FUB f's resolved input positions, node by
+	// node in input order.
+	ins := make([][]int32, nf)
+	for f, fub := range fd.Fubs {
+		if from[f] >= 0 {
+			continue
+		}
+		in, err := g.resolveInputs(f)
+		if err != nil {
+			return nil, err
+		}
+		ins[f] = in
+		k := 0
+		for i, n := range fub.Nodes {
+			if k, err = g.nodeEdges(f, i, n, in, k, count); err != nil {
 				return nil, err
 			}
 		}
 	}
-	// Inter-FUB connects.
+	g.DrivenInputs = make(map[VertexID]bool)
+	g.ConsumedOutputs = make(map[VertexID]bool)
 	for _, c := range fd.Connects {
-		fromFub := fd.Fub(c.From.Fub)
-		toFub := fd.Fub(c.To.Fub)
-		if fromFub == nil || toFub == nil {
+		ff, okf := g.fubIndex[c.From.Fub]
+		tf, okt := g.fubIndex[c.To.Fub]
+		if !okf || !okt {
 			return nil, fmt.Errorf("graph: connect references unknown FUB: %v -> %v", c.From, c.To)
 		}
-		fn := fromFub.Node(c.From.Port)
-		tn := toFub.Node(c.To.Port)
-		if fn == nil || tn == nil || fn.Width != tn.Width {
+		fp, okf := fd.Fubs[ff].NodeIndex(c.From.Port)
+		tp, okt := fd.Fubs[tf].NodeIndex(c.To.Port)
+		if !okf || !okt || fd.Fubs[ff].Nodes[fp].Width != fd.Fubs[tf].Nodes[tp].Width {
 			return nil, fmt.Errorf("graph: bad connect %v -> %v", c.From, c.To)
 		}
-		fb := g.base[c.From.Fub+"/"+c.From.Port]
-		tb := g.base[c.To.Fub+"/"+c.To.Port]
-		for b := 0; b < fn.Width; b++ {
+		fb := g.fubOff[ff] + VertexID(g.nodeOff[ff][fp])
+		tb := g.fubOff[tf] + VertexID(g.nodeOff[tf][tp])
+		for b := 0; b < fd.Fubs[ff].Nodes[fp].Width; b++ {
 			e := Edge{From: fb + VertexID(b), To: tb + VertexID(b)}
 			g.CrossEdges = append(g.CrossEdges, e)
 			g.DrivenInputs[e.To] = true
 			g.ConsumedOutputs[e.From] = true
-			degree(e.From, e.To)
 		}
+	}
+	g.succOff = make([]int32, nv+1)
+	g.predOff = make([]int32, nv+1)
+	copy(g.succOff[1:], sNext)
+	copy(g.predOff[1:], pNext)
+	for _, e := range g.CrossEdges {
+		g.succOff[e.From+1]++
+		g.predOff[e.To+1]++
 	}
 	for i := 0; i < nv; i++ {
 		g.succOff[i+1] += g.succOff[i]
@@ -137,18 +235,29 @@ func Build(fd *netlist.FlatDesign) (*Graph, error) {
 	}
 	g.succs = make([]VertexID, g.succOff[nv])
 	g.preds = make([]VertexID, g.predOff[nv])
-	sNext := append([]int32(nil), g.succOff[:nv]...)
-	pNext := append([]int32(nil), g.predOff[:nv]...)
 	fill := func(from, to VertexID) {
 		g.succs[sNext[from]] = to
 		sNext[from]++
 		g.preds[pNext[to]] = from
 		pNext[to]++
 	}
-	for _, fub := range fd.Fubs {
-		for _, n := range fub.Nodes {
+	for f, fub := range fd.Fubs {
+		lo, hi := g.fubOff[f], g.fubOff[f+1]
+		if pf := from[f]; pf >= 0 {
+			shift := lo - prior.fubOff[pf]
+			for v := lo; v < hi; v++ {
+				pv := v - shift
+				sNext[v] = g.succOff[v] + copyShifted(g.succs[g.succOff[v]:], prior.succs[prior.succOff[pv]:][:sNext[v]], shift)
+				pNext[v] = g.predOff[v] + copyShifted(g.preds[g.predOff[v]:], prior.preds[prior.predOff[pv]:][:pNext[v]], shift)
+			}
+			continue
+		}
+		copy(sNext[lo:hi], g.succOff[lo:hi])
+		copy(pNext[lo:hi], g.predOff[lo:hi])
+		k := 0
+		for i, n := range fub.Nodes {
 			// Cannot fail: the counting pass accepted every node.
-			_ = g.nodeEdges(fub, n, fill)
+			k, _ = g.nodeEdges(f, i, n, ins[f], k, fill)
 		}
 	}
 	for _, e := range g.CrossEdges {
@@ -161,13 +270,48 @@ func Build(fd *netlist.FlatDesign) (*Graph, error) {
 	return g, nil
 }
 
-// nodeEdges emits the in-edges of every bit of n.
-func (g *Graph) nodeEdges(fub *netlist.FlatFub, n *netlist.Node, add func(from, to VertexID)) error {
-	out := g.base[fub.Name+"/"+n.Name]
+// copyShifted copies src into dst adding shift to every vertex and
+// returns len(src).
+func copyShifted(dst, src []VertexID, shift VertexID) int32 {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		dst[i] = v + shift
+	}
+	return int32(len(src))
+}
+
+// resolveInputs returns the position in FUB f of every input of every
+// node of FUB f, node by node in input order.
+func (g *Graph) resolveInputs(f int) ([]int32, error) {
+	fub := g.Design.Fubs[f]
+	total := 0
+	for _, n := range fub.Nodes {
+		total += len(n.Inputs)
+	}
+	in := make([]int32, 0, total)
+	for _, n := range fub.Nodes {
+		for _, ref := range n.Inputs {
+			p, ok := fub.NodeIndex(ref)
+			if !ok {
+				return nil, fmt.Errorf("graph: FUB %s node %s: unresolved input %q", fub.Name, n.Name, ref)
+			}
+			in = append(in, int32(p))
+		}
+	}
+	return in, nil
+}
+
+// nodeEdges emits the in-edges of every bit of n, node i of FUB f.
+// ins[k:] holds the positions of n's inputs in the FUB; it returns the
+// index past them.
+func (g *Graph) nodeEdges(f, i int, n *netlist.Node, ins []int32, k int, add func(from, to VertexID)) (int, error) {
+	fub := g.Design.Fubs[f]
+	base, off := g.fubOff[f], g.nodeOff[f]
+	out := base + VertexID(off[i])
+	pos := ins[k : k+len(n.Inputs)]
 	in := func(i int) (VertexID, int) {
-		ref := n.Inputs[i]
-		b := g.base[fub.Name+"/"+ref]
-		return b, fub.Node(ref).Width
+		p := pos[i]
+		return base + VertexID(off[p]), fub.Nodes[p].Width
 	}
 	allToAll := func(i int) {
 		ib, iw := in(i)
@@ -273,12 +417,12 @@ func (g *Graph) nodeEdges(fub *netlist.FlatFub, n *netlist.Node, add func(from, 
 				add(ib+VertexID(b+int(n.Param)), out+VertexID(b))
 			}
 		default:
-			return fmt.Errorf("graph: FUB %s node %s: unsupported op %v", fub.Name, n.Name, n.Op)
+			return k, fmt.Errorf("graph: FUB %s node %s: unsupported op %v", fub.Name, n.Name, n.Op)
 		}
 	default:
-		return fmt.Errorf("graph: FUB %s node %s: unsupported kind %v", fub.Name, n.Name, n.Kind)
+		return k, fmt.Errorf("graph: FUB %s node %s: unsupported kind %v", fub.Name, n.Name, n.Kind)
 	}
-	return nil
+	return k + len(n.Inputs), nil
 }
 
 // NumVerts returns the vertex count.
@@ -293,13 +437,27 @@ func (g *Graph) Preds(v VertexID) []VertexID { return g.preds[g.predOff[v]:g.pre
 // VertexBase returns the first vertex of node within fub and the node's
 // width; ok is false if unknown.
 func (g *Graph) VertexBase(fub, node string) (base VertexID, width int, ok bool) {
-	b, ok := g.base[fub+"/"+node]
+	f, ok := g.fubIndex[fub]
 	if !ok {
 		return 0, 0, false
 	}
-	f := g.Design.Fub(fub)
-	return b, f.Node(node).Width, true
+	ff := g.Design.Fubs[f]
+	i, ok := ff.NodeIndex(node)
+	if !ok {
+		return 0, 0, false
+	}
+	return g.fubOff[f] + VertexID(g.nodeOff[f][i]), ff.Nodes[i].Width, true
 }
+
+// FubIndex returns the index of the FUB named name.
+func (g *Graph) FubIndex(name string) (int, bool) {
+	f, ok := g.fubIndex[name]
+	return int(f), ok
+}
+
+// RowsReused reports whether BuildFrom copied FUB f's rows from its
+// prior rather than deriving them from the FUB's nodes.
+func (g *Graph) RowsReused(f int) bool { return g.reused[f] }
 
 // Name returns a human-readable "fub/node[bit]" label for v.
 func (g *Graph) Name(v VertexID) string {

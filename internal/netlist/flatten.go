@@ -1,38 +1,45 @@
 package netlist
 
-import "fmt"
+import (
+	"fmt"
+	"maps"
+)
 
 // FlatFub is one fully flattened top-level FUB: all sub-module hierarchy
 // expanded, every node carrying a module-local unique name. Instance
 // boundary ports become OpPass combinational nodes, preserving the
 // original signal names for reporting.
+//
+// Flatten and Clone build the name index Node and NodeIndex read; a FUB
+// Flatten returns is read-only from then on, and may be shared by later
+// design versions (FlattenFrom). Edit tooling works on a Clone and
+// appends through AddNode.
 type FlatFub struct {
 	Name   string
 	Module string
 	Nodes  []*Node
 
-	index map[string]*Node
+	index map[string]int32 // node name -> position in Nodes
 }
 
-// AddNode appends n to the FUB, keeping the lazy name index coherent.
-// Mutating Nodes directly after Node has been called would leave the
-// index stale; edit tooling must go through this.
+// AddNode appends n to the FUB, keeping the name index coherent.
 func (f *FlatFub) AddNode(n *Node) {
+	f.index[n.Name] = int32(len(f.Nodes))
 	f.Nodes = append(f.Nodes, n)
-	if f.index != nil {
-		f.index[n.Name] = n
-	}
 }
 
 // Node returns the flat node named name, or nil.
 func (f *FlatFub) Node(name string) *Node {
-	if f.index == nil {
-		f.index = make(map[string]*Node, len(f.Nodes))
-		for _, n := range f.Nodes {
-			f.index[n.Name] = n
-		}
+	if i, ok := f.index[name]; ok {
+		return f.Nodes[i]
 	}
-	return f.index[name]
+	return nil
+}
+
+// NodeIndex returns the position in Nodes of the node named name.
+func (f *FlatFub) NodeIndex(name string) (int, bool) {
+	i, ok := f.index[name]
+	return int(i), ok
 }
 
 // FlatDesign is the flattened form of a Design, ready for graph
@@ -56,7 +63,7 @@ func (fd *FlatDesign) Clone() *FlatDesign {
 		Fubs:       make([]*FlatFub, len(fd.Fubs)),
 	}
 	for i, f := range fd.Fubs {
-		nf := &FlatFub{Name: f.Name, Module: f.Module, Nodes: make([]*Node, len(f.Nodes))}
+		nf := &FlatFub{Name: f.Name, Module: f.Module, Nodes: make([]*Node, len(f.Nodes)), index: maps.Clone(f.index)}
 		for j, n := range f.Nodes {
 			nf.Nodes[j] = cloneNode(n)
 		}
@@ -94,7 +101,20 @@ func (fd *FlatDesign) NumNodes() int {
 //     driven by the (renamed) internal driver — so references in M resolve.
 //
 // Unbound sub-module outputs become dangling "I/p" pass nodes.
-func Flatten(d *Design) (*FlatDesign, error) {
+func Flatten(d *Design) (*FlatDesign, error) { return FlattenFrom(d, nil, nil) }
+
+// FlattenFrom is Flatten reusing the flat FUBs of a prior version: prior
+// is the parsed design priorFlat was flattened from. A FUB keeps
+// priorFlat's *FlatFub of the same name when it instantiates the same
+// module and every module of that module's instance closure is the same
+// *Module in d as in prior — which ParseFrom guarantees only for
+// byte-identical module text — so the flat nodes would come out equal.
+// Everything else is flattened afresh. Either prior may be nil.
+func FlattenFrom(d *Design, prior *Design, priorFlat *FlatDesign) (*FlatDesign, error) {
+	// memo holds each module's flattened node templates: the module's
+	// own nodes as parsed, then its instances' nodes renamed into it.
+	// Every FUB clones the templates once, so no two FUBs share a node
+	// (the analyzer keys loop terms by *Node).
 	memo := make(map[string][]*Node)
 	var flattenModule func(name string) ([]*Node, error)
 	flattenModule = func(name string) ([]*Node, error) {
@@ -105,16 +125,15 @@ func Flatten(d *Design) (*FlatDesign, error) {
 		if !ok {
 			return nil, fmt.Errorf("netlist: flatten: undefined module %q", name)
 		}
-		var out []*Node
-		for _, n := range m.Nodes {
-			out = append(out, cloneNode(n))
+		out := m.Nodes
+		if len(m.Insts) > 0 {
+			out = append([]*Node(nil), m.Nodes...)
 		}
 		for _, inst := range m.Insts {
 			subNodes, err := flattenModule(inst.Module)
 			if err != nil {
 				return nil, err
 			}
-			sub := d.Modules[inst.Module]
 			rename := func(sig string) string { return inst.Name + "/" + sig }
 			for _, n := range subNodes {
 				c := cloneNode(n)
@@ -142,7 +161,6 @@ func Flatten(d *Design) (*FlatDesign, error) {
 						// ports resolve to the pass nodes created above.
 						c.Inputs[i] = rename(in)
 					}
-					_ = sub
 				}
 				out = append(out, c)
 			}
@@ -151,22 +169,52 @@ func Flatten(d *Design) (*FlatDesign, error) {
 		return out, nil
 	}
 
+	// reusable reports whether module name's whole instance closure is
+	// pointer-identical in d and prior.
+	same := make(map[string]bool)
+	var reusable func(name string) bool
+	reusable = func(name string) bool {
+		if ok, seen := same[name]; seen {
+			return ok
+		}
+		m := d.Modules[name]
+		ok := m != nil && m == prior.Modules[name]
+		for i := 0; ok && i < len(m.Insts); i++ {
+			ok = reusable(m.Insts[i].Module)
+		}
+		same[name] = ok
+		return ok
+	}
+	var priorFubs map[string]*FlatFub
+	if prior != nil && priorFlat != nil {
+		priorFubs = make(map[string]*FlatFub, len(priorFlat.Fubs))
+		for _, f := range priorFlat.Fubs {
+			priorFubs[f.Name] = f
+		}
+	}
+
 	fd := &FlatDesign{
 		Name:       d.Name,
 		Structures: d.Structures,
 		Connects:   append([]Connect(nil), d.Connects...),
+		Fubs:       make([]*FlatFub, 0, len(d.Fubs)),
 	}
 	for _, fub := range d.Fubs {
+		if pf := priorFubs[fub.Name]; pf != nil && pf.Module == fub.Module && reusable(fub.Module) {
+			// At most once: two FUBs must never share nodes.
+			delete(priorFubs, fub.Name)
+			fd.Fubs = append(fd.Fubs, pf)
+			continue
+		}
 		nodes, err := flattenModule(fub.Module)
 		if err != nil {
 			return nil, err
 		}
-		ff := &FlatFub{Name: fub.Name, Module: fub.Module}
-		ff.Nodes = make([]*Node, len(nodes))
+		ff := &FlatFub{Name: fub.Name, Module: fub.Module, Nodes: make([]*Node, len(nodes))}
 		for i, n := range nodes {
 			ff.Nodes[i] = cloneNode(n)
 		}
-		if err := checkFlat(ff); err != nil {
+		if err := ff.indexNodes(); err != nil {
 			return nil, err
 		}
 		fd.Fubs = append(fd.Fubs, ff)
@@ -174,24 +222,26 @@ func Flatten(d *Design) (*FlatDesign, error) {
 	return fd, nil
 }
 
+// cloneNode copies n, Inputs included.
 func cloneNode(n *Node) *Node {
 	c := *n
 	c.Inputs = append([]string(nil), n.Inputs...)
 	return &c
 }
 
-// checkFlat verifies that every reference in a flattened FUB resolves.
-func checkFlat(f *FlatFub) error {
-	names := make(map[string]bool, len(f.Nodes))
-	for _, n := range f.Nodes {
-		if names[n.Name] {
+// indexNodes builds the FUB's name index and verifies that every node
+// name is unique and every reference resolves.
+func (f *FlatFub) indexNodes() error {
+	f.index = make(map[string]int32, len(f.Nodes))
+	for i, n := range f.Nodes {
+		if _, dup := f.index[n.Name]; dup {
 			return fmt.Errorf("netlist: flatten: FUB %s: duplicate flat node %q", f.Name, n.Name)
 		}
-		names[n.Name] = true
+		f.index[n.Name] = int32(i)
 	}
 	for _, n := range f.Nodes {
 		for _, in := range n.Inputs {
-			if !names[in] {
+			if _, ok := f.index[in]; !ok {
 				return fmt.Errorf("netlist: flatten: FUB %s: node %s references unresolved signal %q", f.Name, n.Name, in)
 			}
 		}

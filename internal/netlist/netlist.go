@@ -199,7 +199,10 @@ type Node struct {
 // are still legal here.
 func (n *Node) HasEnable() bool { return n.Kind == KindSeq && len(n.Inputs) == 2 }
 
-// Module is a named collection of nodes plus sub-instances.
+// Module is a named collection of nodes plus sub-instances. Create
+// modules with Design.AddModule and append nodes with Add, which keep
+// the name index Node reads; once parsed, a module is shared read-only
+// by every design version whose text repeats it (see ParseFrom).
 type Module struct {
 	Name  string
 	Nodes []*Node
@@ -217,27 +220,14 @@ type Inst struct {
 	Conns  map[string]string
 }
 
-// Node returns the node named name, or nil.
-func (m *Module) Node(name string) *Node {
-	if m.index == nil {
-		m.reindex()
-	}
-	return m.index[name]
-}
-
-func (m *Module) reindex() {
-	m.index = make(map[string]*Node, len(m.Nodes))
-	for _, n := range m.Nodes {
-		m.index[n.Name] = n
-	}
-}
+// Node returns the node named name, or nil. With duplicate names (which
+// Validate rejects) the last one added wins.
+func (m *Module) Node(name string) *Node { return m.index[name] }
 
 // Add appends a node (no validation; Validate checks the whole design).
 func (m *Module) Add(n *Node) *Node {
 	m.Nodes = append(m.Nodes, n)
-	if m.index != nil {
-		m.index[n.Name] = n
-	}
+	m.index[n.Name] = n
 	return n
 }
 
@@ -351,7 +341,7 @@ func (d *Design) AddModule(name string) *Module {
 	if m, ok := d.Modules[name]; ok {
 		return m
 	}
-	m := &Module{Name: name}
+	m := &Module{Name: name, index: make(map[string]*Node)}
 	d.Modules[name] = m
 	return m
 }

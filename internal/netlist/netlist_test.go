@@ -7,7 +7,7 @@ import (
 
 // buildSmallDesign constructs a two-FUB design with a sub-module, one
 // structure, a control register and a loop, exercising most node kinds.
-func buildSmallDesign(t *testing.T) *Design {
+func buildSmallDesign(t testing.TB) *Design {
 	t.Helper()
 	d := NewDesign("small")
 	d.AddStructure("RF", 16, 32)
@@ -68,7 +68,6 @@ func TestValidateCatchesErrors(t *testing.T) {
 		{"duplicate node", func(d *Design) {
 			m := d.Modules["back"]
 			m.Add(&Node{Name: "masked", Kind: KindConst, Width: 1})
-			m.reindex()
 		}, "duplicate node"},
 		{"bad width", func(d *Design) {
 			d.Modules["back"].Node("one").Width = 99

@@ -2,6 +2,7 @@ package netlist
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
@@ -29,23 +30,80 @@ import (
 //
 // '#' starts a comment; blank lines are ignored.
 
+// maxLine bounds one line of netlist text, '\n' included: a longer line
+// fails with bufio.ErrTooLong, as a bufio.Scanner with this buffer
+// limit would.
+const maxLine = 1 << 22
+
+// Source is one parsed netlist text: the text, the design parsed from
+// it, and where each module's definition sits in the text. It is the
+// prior a later ParseFrom reuses modules from. A Source and its design
+// are read-only once ParseFrom returns.
+type Source struct {
+	Design *Design
+
+	text []byte
+	// spans locates every module whose definition is self-contained:
+	// its lines from "module" through "endmodule" (newline included)
+	// hold only module-level statements, comments and blank lines.
+	spans map[string]textSpan
+}
+
+// textSpan is a module definition's byte range in Source.text and the
+// number of lines it spans.
+type textSpan struct {
+	start, end, lines int
+}
+
 // Parse reads a design in the textual format.
 func Parse(r io.Reader) (*Design, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
+	text, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	src, err := ParseFrom(text, nil)
+	if err != nil {
+		return nil, err
+	}
+	return src.Design, nil
+}
+
+// ParseFrom parses text, reusing prior's parsed module for every module
+// whose definition is byte-identical to one in prior's text: the
+// definition's lines are skipped rather than parsed, and the new design
+// shares prior's *Module. Parsing the same bytes can only produce the
+// same module, so the design and any error equal Parse's. prior may be
+// nil. The returned Source keeps text; the caller must not modify it.
+func ParseFrom(text []byte, prior *Source) (*Source, error) {
+	src := &Source{text: text, spans: make(map[string]textSpan)}
+	var priorSpans map[string]textSpan
+	if prior != nil {
+		priorSpans = prior.spans
+	}
 	var d *Design
 	var cur *Module
+	modStart, modLine, selfContained := 0, 0, false
 	lineNo := 0
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("netlist: line %d: %s", lineNo, fmt.Sprintf(format, args...))
 	}
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
+	for pos := 0; pos < len(text); {
+		lineStart := pos
+		raw := text[pos:]
+		if i := bytes.IndexByte(raw, '\n'); i >= 0 {
+			raw = raw[:i]
+			pos += i + 1
+		} else {
+			pos = len(text)
 		}
-		fields := strings.Fields(line)
+		if len(raw) >= maxLine {
+			return nil, bufio.ErrTooLong
+		}
+		lineNo++
+		if i := bytes.IndexByte(raw, '#'); i >= 0 {
+			raw = raw[:i]
+		}
+		fields := strings.Fields(string(raw))
 		if len(fields) == 0 {
 			continue
 		}
@@ -63,6 +121,7 @@ func Parse(r io.Reader) (*Design, error) {
 			}
 			d = NewDesign(args[0])
 		case "structure":
+			selfContained = false
 			if len(args) != 3 && len(args) != 4 {
 				return nil, fail("structure takes name entries width [prot=...]")
 			}
@@ -90,21 +149,38 @@ func Parse(r io.Reader) (*Design, error) {
 			if len(args) != 1 {
 				return nil, fail("module takes one name")
 			}
-			if _, dup := d.Modules[args[0]]; dup {
-				return nil, fail("duplicate module %q", args[0])
+			name := args[0]
+			if _, dup := d.Modules[name]; dup {
+				return nil, fail("duplicate module %q", name)
 			}
-			cur = d.AddModule(args[0])
+			if ps, ok := priorSpans[name]; ok {
+				n := ps.end - ps.start
+				if lineStart+n <= len(text) && bytes.Equal(text[lineStart:lineStart+n], prior.text[ps.start:ps.end]) {
+					d.Modules[name] = prior.Design.Modules[name]
+					src.spans[name] = textSpan{start: lineStart, end: lineStart + n, lines: ps.lines}
+					pos = lineStart + n
+					lineNo += ps.lines - 1
+					continue
+				}
+			}
+			cur = d.AddModule(name)
+			modStart, modLine, selfContained = lineStart, lineNo, true
 		case "endmodule":
 			if cur == nil {
 				return nil, fail("endmodule outside module")
 			}
+			if selfContained && text[pos-1] == '\n' {
+				src.spans[cur.Name] = textSpan{start: modStart, end: pos, lines: lineNo - modLine + 1}
+			}
 			cur = nil
 		case "top":
+			selfContained = false
 			if len(args) != 2 {
 				return nil, fail("top takes fub module")
 			}
 			d.AddFub(args[0], args[1])
 		case "connect":
+			selfContained = false
 			if len(args) != 3 || args[1] != "->" {
 				return nil, fail("connect takes <fub>.<port> -> <fub>.<port>")
 			}
@@ -126,16 +202,14 @@ func Parse(r io.Reader) (*Design, error) {
 			}
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
 	if d == nil {
 		return nil, fmt.Errorf("netlist: empty input")
 	}
 	if cur != nil {
 		return nil, fmt.Errorf("netlist: unterminated module %q", cur.Name)
 	}
-	return d, nil
+	src.Design = d
+	return src, nil
 }
 
 func parsePortRef(s string) (PortRef, error) {

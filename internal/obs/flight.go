@@ -23,13 +23,16 @@ type RequestRecord struct {
 	Fingerprint string `json:"fingerprint,omitempty"`
 	// Workloads is the number of workloads in the request.
 	Workloads int `json:"workloads,omitempty"`
-	// Per-stage durations: ingest (decode + table validation), plan
-	// (cache/store/compile, including any artifact restore), eval (the
-	// kernel), encode (rendering and writing the success response).
-	IngestSeconds float64 `json:"ingest_seconds"`
-	PlanSeconds   float64 `json:"plan_seconds"`
-	EvalSeconds   float64 `json:"eval_seconds"`
-	EncodeSeconds float64 `json:"encode_seconds"`
+	// Per-stage durations: ingest (decode + table validation), analyze
+	// (an upload's or edit's netlist parse, validation, flattening,
+	// graph and analyzer build), plan (cache/store/compile, including
+	// any artifact restore), eval (the kernel), encode (rendering and
+	// writing the success response).
+	IngestSeconds  float64 `json:"ingest_seconds"`
+	AnalyzeSeconds float64 `json:"analyze_seconds"`
+	PlanSeconds    float64 `json:"plan_seconds"`
+	EvalSeconds    float64 `json:"eval_seconds"`
+	EncodeSeconds  float64 `json:"encode_seconds"`
 	// PlanSource tells how the plan/result was obtained: "cache",
 	// "store", or "compile" for sweeps; "warm" or "cold" for uploads.
 	PlanSource string `json:"plan_source,omitempty"`

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -126,7 +125,7 @@ func (s *Server) handleListDesigns(w http.ResponseWriter, r *http.Request) {
 func (s *Server) decodeUpload(r *http.Request, body io.Reader) (job, error) {
 	nl, err := readBody(body)
 	return job{upload: true, run: func(ctx context.Context, _ *Design) (any, *Design, error) {
-		d, err := s.LoadNetlistContext(ctx, r.URL.Query().Get("name"), bytes.NewReader(nl), core.DefaultOptions())
+		d, err := s.loadNetlist(ctx, r.URL.Query().Get("name"), nl, core.DefaultOptions())
 		if err != nil {
 			return nil, nil, err
 		}
@@ -141,7 +140,7 @@ func (s *Server) decodeUpload(r *http.Request, body io.Reader) (job, error) {
 func (s *Server) decodeEdit(r *http.Request, body io.Reader) (job, error) {
 	nl, err := readBody(body)
 	return job{design: r.PathValue("name"), run: func(ctx context.Context, old *Design) (any, *Design, error) {
-		d, st, err := s.EditNetlistContext(ctx, old, bytes.NewReader(nl), core.DefaultOptions())
+		d, st, err := s.editNetlist(ctx, old, nl, core.DefaultOptions())
 		if err != nil {
 			return nil, nil, err
 		}

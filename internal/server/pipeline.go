@@ -177,6 +177,8 @@ func (s *Server) finishRequest(sp *obs.Span, start time.Time, rec obs.RequestRec
 		switch c.Name() {
 		case "ingest":
 			rec.IngestSeconds += d
+		case "analyze":
+			rec.AnalyzeSeconds += d
 		case "sweep.plan":
 			rec.PlanSeconds += d
 			if src, ok := c.Attr("source").(string); ok {

@@ -28,6 +28,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -94,6 +95,19 @@ type Design struct {
 	Plan     sweep.Stats
 	Vertices int
 	SeqBits  int
+
+	// from is the ingest the design was analyzed from, which an edit
+	// of the design reuses; zero for a design registered from a bare
+	// result (AddResult). Only the live version holds it: superseded
+	// versions kept by the plan cache do not keep their netlist text.
+	from ingest
+}
+
+// ingest is one analyzed netlist: the parsed text and the analyzer
+// built from it, whose graph holds the flat design. Both are read-only.
+type ingest struct {
+	src *netlist.Source
+	a   *core.Analyzer
 }
 
 // info is the design's public description.
@@ -196,7 +210,7 @@ func (e *DuplicateDesignError) Error() string {
 // replacing a live design would make concurrent requests to one name
 // answer from two different circuits.
 func (s *Server) AddResult(name string, res *core.Result) (*Design, error) {
-	return s.register(name, res, nil, false)
+	return s.register(name, res, nil, false, ingest{})
 }
 
 // register installs res and its compiled plan under name (the design's
@@ -206,7 +220,8 @@ func (s *Server) AddResult(name string, res *core.Result) (*Design, error) {
 // DuplicateDesignError. With replace — the ECO path — any live design is
 // swapped atomically under the registry lock: requests in flight keep
 // sweeping the result they resolved, new requests see the replacement.
-func (s *Server) register(name string, res *core.Result, plan *sweep.Plan, replace bool) (*Design, error) {
+// from is the ingest res was solved from, kept for the next edit.
+func (s *Server) register(name string, res *core.Result, plan *sweep.Plan, replace bool, from ingest) (*Design, error) {
 	if name == "" {
 		name = res.Analyzer.G.Design.Name
 	}
@@ -230,6 +245,7 @@ func (s *Server) register(name string, res *core.Result, plan *sweep.Plan, repla
 		Plan:     plan.Stats(),
 		Vertices: res.Analyzer.G.NumVerts(),
 		SeqBits:  seq,
+		from:     from,
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -261,10 +277,21 @@ func (s *Server) LoadNetlist(name string, r io.Reader, opts core.Options) (*Desi
 // ("warm" or "cold") that the flight recorder surfaces as the upload's
 // plan disposition.
 func (s *Server) LoadNetlistContext(ctx context.Context, name string, r io.Reader, opts core.Options) (*Design, error) {
-	a, err := s.analyzeNetlist(r, opts)
+	text, err := readText(r)
+	if err != nil {
+		return nil, fmt.Errorf("server: reading netlist: %w", err)
+	}
+	return s.loadNetlist(ctx, name, text, opts)
+}
+
+// loadNetlist is LoadNetlistContext on the whole netlist text, which the
+// registered design keeps.
+func (s *Server) loadNetlist(ctx context.Context, name string, text []byte, opts core.Options) (*Design, error) {
+	in, err := s.analyzeNetlist(ctx, text, opts, ingest{})
 	if err != nil {
 		return nil, err
 	}
+	a := in.a
 	if st := s.cfg.Artifacts; st != nil {
 		res, plan, err := st.GetContext(ctx, a)
 		if err != nil {
@@ -286,7 +313,7 @@ func (s *Server) LoadNetlistContext(ctx context.Context, name string, r io.Reade
 			obs.SpanFromContext(ctx).SetAttr("artifact", "warm")
 			// The artifact held the compiled plan too: registering it
 			// spares the engine a second store read and decode.
-			return s.register(name, res, plan, false)
+			return s.register(name, res, plan, false, in)
 		}
 	}
 	res, err := a.SolveContext(ctx, neutralInputs(a))
@@ -294,7 +321,7 @@ func (s *Server) LoadNetlistContext(ctx context.Context, name string, r io.Reade
 		return nil, fmt.Errorf("server: solving %q: %w", a.G.Design.Name, err)
 	}
 	if s.cfg.Artifacts == nil {
-		return s.AddResult(name, res)
+		return s.register(name, res, nil, false, in)
 	}
 	// Compile through the sweep engine, whose second-level store (wired
 	// in New) persists the artifact — result and plan together — so the
@@ -306,64 +333,117 @@ func (s *Server) LoadNetlistContext(ctx context.Context, name string, r io.Reade
 	if err != nil {
 		return nil, fmt.Errorf("server: compiling plan for %q: %w", a.G.Design.Name, err)
 	}
-	return s.register(name, res, plan, false)
+	return s.register(name, res, plan, false, in)
 }
 
-// analyzeNetlist runs the shared upload prelude: parse, validate,
-// flatten, extract the bit graph, and build the analyzer.
-func (s *Server) analyzeNetlist(r io.Reader, opts core.Options) (*core.Analyzer, error) {
-	d, err := netlist.Parse(r)
-	if err != nil {
-		return nil, fmt.Errorf("server: parsing netlist: %w", err)
+// readText reads a whole netlist, sized up front when r reports its
+// length (bytes.Reader, strings.Reader).
+func readText(r io.Reader) ([]byte, error) {
+	var b bytes.Buffer
+	if l, ok := r.(interface{ Len() int }); ok {
+		b.Grow(l.Len() + bytes.MinRead)
 	}
+	_, err := b.ReadFrom(r)
+	return b.Bytes(), err
+}
+
+// analyzeNetlist runs the shared upload prelude — parse, validate,
+// flatten, extract the bit graph, and build the analyzer — under an
+// "analyze" span of ctx. Given the live version's ingest (an edit),
+// each stage carries over what the edit left unchanged, every reuse
+// decided by exact comparison: modules whose text is byte-identical
+// (netlist.ParseFrom), flat FUBs whose module closure was reused
+// (netlist.FlattenFrom), those FUBs' graph rows (graph.BuildFrom) and
+// their fingerprints when roles and boundary match too
+// (core.NewAnalyzerFrom). Validation, loop marking, the
+// combinational-loop check and the analyzer's topological order stay
+// whole-design. The span records how many FUBs were reused and rebuilt.
+func (s *Server) analyzeNetlist(ctx context.Context, text []byte, opts core.Options, prior ingest) (ingest, error) {
+	sp := s.reg.StartSpanContext(ctx, "analyze")
+	defer sp.End()
+	var (
+		pd *netlist.Design
+		pf *netlist.FlatDesign
+		pg *graph.Graph
+	)
+	if prior.src != nil {
+		pd, pg = prior.src.Design, prior.a.G
+		pf = pg.Design
+	}
+	src, err := netlist.ParseFrom(text, prior.src)
+	if err != nil {
+		return ingest{}, fmt.Errorf("server: parsing netlist: %w", err)
+	}
+	d := src.Design
 	if err := d.Validate(); err != nil {
-		return nil, fmt.Errorf("server: netlist %q: %w", d.Name, err)
+		return ingest{}, fmt.Errorf("server: netlist %q: %w", d.Name, err)
 	}
-	fd, err := netlist.Flatten(d)
+	fd, err := netlist.FlattenFrom(d, pd, pf)
 	if err != nil {
-		return nil, fmt.Errorf("server: flattening %q: %w", d.Name, err)
+		return ingest{}, fmt.Errorf("server: flattening %q: %w", d.Name, err)
 	}
-	g, err := graph.Build(fd)
+	g, err := graph.BuildFrom(fd, pg)
 	if err != nil {
-		return nil, fmt.Errorf("server: building graph for %q: %w", d.Name, err)
+		return ingest{}, fmt.Errorf("server: building graph for %q: %w", d.Name, err)
 	}
 	opts.Obs = s.reg
-	a, err := core.NewAnalyzer(g, opts)
+	a, err := core.NewAnalyzerFrom(g, opts, prior.a)
 	if err != nil {
-		return nil, fmt.Errorf("server: analyzing %q: %w", d.Name, err)
+		return ingest{}, fmt.Errorf("server: analyzing %q: %w", d.Name, err)
 	}
-	return a, nil
+	reused := 0
+	for f := range g.FubNames {
+		if g.RowsReused(f) {
+			reused++
+		}
+	}
+	sp.SetAttr("fubs_reused", reused)
+	sp.SetAttr("fubs_rebuilt", len(g.FubNames)-reused)
+	s.reg.Counter("server.ingest_fubs_reused").Add(int64(reused))
+	return ingest{src: src, a: a}, nil
 }
 
 // EditNetlistContext applies an ECO to the registered design old: it
-// parses the edited netlist, re-solves it incrementally from old's
-// converged state — walking only the FUBs whose fingerprints the edit
-// moved — and atomically replaces the live design under old's name. The returned statistics report
-// what was reused. A re-solve failure falls back to a cold solve (nil
-// statistics) rather than failing the edit: incremental is an
-// optimization. The request span gains artifact="incremental" (or
+// parses the edited netlist, re-ingesting only what the edit changed
+// (analyzeNetlist), re-solves it incrementally from old's converged
+// state — walking only the FUBs whose fingerprints the edit moved — and
+// atomically replaces the live design under old's name. The returned
+// statistics report what was reused. A re-solve failure falls back to a
+// cold solve (nil statistics) rather than failing the edit: incremental
+// is an optimization. The request span gains artifact="incremental" (or
 // "cold") so the flight recorder shows the disposition. With
 // Config.Artifacts set, the replacement is persisted through the plan
 // compile exactly like an upload.
 func (s *Server) EditNetlistContext(ctx context.Context, old *Design, r io.Reader, opts core.Options) (*Design, *core.Incremental, error) {
-	a, err := s.analyzeNetlist(r, opts)
+	text, err := readText(r)
+	if err != nil {
+		return nil, nil, fmt.Errorf("server: reading netlist: %w", err)
+	}
+	return s.editNetlist(ctx, old, text, opts)
+}
+
+// editNetlist is EditNetlistContext on the whole edited netlist text,
+// which the replacement design keeps.
+func (s *Server) editNetlist(ctx context.Context, old *Design, text []byte, opts core.Options) (*Design, *core.Incremental, error) {
+	in, err := s.analyzeNetlist(ctx, text, opts, old.from)
 	if err != nil {
 		return nil, nil, err
 	}
-	in := neutralInputs(a)
+	a := in.a
+	inputs := neutralInputs(a)
 	var (
 		res *core.Result
 		st  *core.Incremental
 	)
 	prior, err := old.Result.PriorState()
 	if err == nil {
-		res, st, err = a.ResolveIncrementalContext(ctx, in, prior)
+		res, st, err = a.ResolveIncrementalContext(ctx, inputs, prior)
 	}
 	if err != nil {
 		// The prior was unusable (e.g. a design rename swapped in an
 		// unrelated circuit): solve cold, the edit still lands.
 		s.reg.Counter("server.edit_cold_fallbacks").Inc()
-		res, err = a.SolveContext(ctx, in)
+		res, err = a.SolveContext(ctx, inputs)
 		if err != nil {
 			return nil, nil, fmt.Errorf("server: solving %q: %w", a.G.Design.Name, err)
 		}
@@ -373,7 +453,7 @@ func (s *Server) EditNetlistContext(ctx context.Context, old *Design, r io.Reade
 		disp = "incremental"
 	}
 	obs.SpanFromContext(ctx).SetAttr("artifact", disp)
-	d, err := s.register(old.Name, res, nil, true)
+	d, err := s.register(old.Name, res, nil, true, in)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -26,6 +26,10 @@
 # incremental solve, so an untested branch in it is untested in both.
 # The pavf floor sits 3 points under the 90.5% measured when the solver
 # moved onto the hash-consed set table, so the table stays covered.
+# The netlist floor sits 3 points under the 82.3% measured when edits
+# began re-ingesting only the modules they touched: the parser reads
+# up to 8 MiB of untrusted text per upload or edit, and its reuse of a
+# prior version's modules must stay covered along with the cold path.
 # Exits non-zero naming every package under its floor.
 set -eu
 
@@ -42,6 +46,7 @@ internal/harden 87.4
 internal/fleet 85.0
 internal/graph 86.0
 internal/artifact 83.6
+internal/netlist 79.3
 cmd/hardentool 61.5
 cmd/sweeprun 66.1
 "
