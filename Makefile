@@ -14,10 +14,11 @@ build:
 
 # The nested seqavfbench module imports the root packages through
 # `replace seqavf => ../`, so the root `go build ./...` never reaches it:
-# vet and build it on its own so an API change cannot break the
-# benchmark while the rest of the gate stays green.
+# vet, build and test it on its own so an API change cannot break the
+# benchmark or its replay's byte check while the rest of the gate stays
+# green.
 bench-build:
-	cd seqavfbench && $(GO) vet ./... && $(GO) build -o /dev/null ./...
+	cd seqavfbench && $(GO) vet ./... && $(GO) build -o /dev/null ./... && $(GO) test ./...
 
 # Fails listing every root-module file gofmt would change. Files are
 # passed per package directory: gofmt recurses into directories, which

@@ -215,10 +215,10 @@ func Decode(data []byte, a *core.Analyzer) (*core.Result, *sweep.Plan, error) {
 		return nil, nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, r.remaining())
 	}
 
-	// Restore validates the CSR against the analyzer and rebuilds the
-	// closed forms and compiled plan. Every closed form's sets alias the
-	// decoded CSR, which the result also carries as its set table.
-	plan, exprs, err := sweep.Restore(a, raw, meta.visited)
+	// Restore validates the CSR against the analyzer and builds the
+	// compiled plan on it; the result carries the same CSR as its set
+	// table.
+	plan, err := sweep.Restore(a, raw, meta.visited)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
@@ -236,7 +236,6 @@ func Decode(data []byte, a *core.Analyzer) (*core.Result, *sweep.Plan, error) {
 		Analyzer:   a,
 		Inputs:     in,
 		Env:        env,
-		Exprs:      exprs,
 		Sets:       pavf.CSR{Off: raw.SetOff, IDs: raw.SetIDs},
 		Fwd:        raw.FwdIdx,
 		Bwd:        raw.BwdIdx,
@@ -280,9 +279,9 @@ type metaSection struct {
 func encodeMeta(res *core.Result) ([]byte, error) {
 	a := res.Analyzer
 	n := a.G.NumVerts()
-	if len(res.Exprs) != n || len(res.Visited) != n {
-		return nil, fmt.Errorf("artifact: result carries %d equations / %d visited flags for %d vertices",
-			len(res.Exprs), len(res.Visited), n)
+	if len(res.Fwd) != n || len(res.Bwd) != n || len(res.Visited) != n {
+		return nil, fmt.Errorf("artifact: result carries %d/%d set slots / %d visited flags for %d vertices",
+			len(res.Fwd), len(res.Bwd), len(res.Visited), n)
 	}
 	var buf bytes.Buffer
 	writeStr(&buf, a.G.Design.Name)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"seqavf/internal/core"
+	"seqavf/internal/graph"
 	"seqavf/internal/graph/graphtest"
 	"seqavf/internal/obs"
 	"seqavf/internal/stats"
@@ -107,9 +108,10 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		t.Fatalf("metadata drift: got (%d,%v), want (%d,%v)",
 			got.Iterations, got.Converged, res.Iterations, res.Converged)
 	}
-	for v := range res.Exprs {
-		if got.Equation(0) != res.Equation(0) {
-			t.Fatalf("vertex %d equation drift:\n got %s\nwant %s", v, got.Equation(0), res.Equation(0))
+	for v := range res.AVF {
+		id := graph.VertexID(v)
+		if got.Equation(id) != res.Equation(id) {
+			t.Fatalf("vertex %d equation drift:\n got %s\nwant %s", v, got.Equation(id), res.Equation(id))
 		}
 	}
 }

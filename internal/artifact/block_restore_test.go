@@ -48,7 +48,7 @@ func TestRestoredPlanBlockBitIdentity(t *testing.T) {
 			t.Fatalf("seed %d: restored EvalBlockInto: %v", seed, err)
 		}
 		for i, w := range ws {
-			ref := &core.Result{Analyzer: a1, Exprs: res.Exprs, AVF: make([]float64, len(res.AVF))}
+			ref := &core.Result{Analyzer: a1, Sets: res.Sets, Fwd: res.Fwd, Bwd: res.Bwd, AVF: make([]float64, len(res.AVF))}
 			if err := ref.Reevaluate(w.Inputs); err != nil {
 				t.Fatalf("seed %d: Reevaluate(%s): %v", seed, w.Name, err)
 			}

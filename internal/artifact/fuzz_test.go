@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"seqavf/internal/core"
+	"seqavf/internal/graph"
 	"seqavf/internal/sweep"
 )
 
@@ -58,17 +59,19 @@ func FuzzDecodeArtifact(f *testing.F) {
 			return
 		}
 		// Accepted artifacts must be fully usable: a decoded result
-		// carries one equation and one in-range AVF per vertex, and its
-		// plan evaluates without panicking.
+		// carries one equation and one in-range AVF per vertex, every
+		// equation reads from its set table, and its plan evaluates
+		// without panicking.
 		n := a.G.NumVerts()
-		if len(res.AVF) != n || len(res.Exprs) != n || len(res.Visited) != n {
-			t.Fatalf("accepted artifact has %d AVFs / %d equations / %d visited for %d vertices",
-				len(res.AVF), len(res.Exprs), len(res.Visited), n)
+		if len(res.AVF) != n || len(res.Fwd) != n || len(res.Bwd) != n || len(res.Visited) != n {
+			t.Fatalf("accepted artifact has %d AVFs / %d/%d set slots / %d visited for %d vertices",
+				len(res.AVF), len(res.Fwd), len(res.Bwd), len(res.Visited), n)
 		}
 		for v, avf := range res.AVF {
 			if !(avf >= 0 && avf <= 1) {
 				t.Fatalf("accepted artifact vertex %d AVF %v out of [0,1]", v, avf)
 			}
+			res.Expr(graph.VertexID(v))
 		}
 		if plan.NumVerts() != n {
 			t.Fatalf("accepted plan covers %d of %d vertices", plan.NumVerts(), n)

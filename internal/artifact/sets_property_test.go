@@ -8,16 +8,15 @@ import (
 	"seqavf/internal/graph/graphtest"
 )
 
-// checkSetTable fails unless r's closed forms and its set table agree:
-// every vertex side is known exactly when its slot is not -1, a known
-// side's set equals the table's set at its slot, the table lists each
-// set once, and slots appear in first-sighting order (vertex order,
-// forward side first), the order Compile and PriorState rely on.
+// checkSetTable fails unless r's set table is well formed: every slot
+// is -1 or inside the table, the table lists each set once, and slots
+// appear in first-sighting order (vertex order, forward side first), the
+// order Compile and PriorState rely on.
 func checkSetTable(t *testing.T, what string, r *core.Result) {
 	t.Helper()
 	n := r.Analyzer.G.NumVerts()
-	if len(r.Exprs) != n || len(r.Fwd) != n || len(r.Bwd) != n {
-		t.Fatalf("%s: %d equations and %d/%d slots for %d vertices", what, len(r.Exprs), len(r.Fwd), len(r.Bwd), n)
+	if len(r.Fwd) != n || len(r.Bwd) != n {
+		t.Fatalf("%s: %d/%d slots for %d vertices", what, len(r.Fwd), len(r.Bwd), n)
 	}
 	listed := make(map[string]int32, r.Sets.Len())
 	for s := int32(0); int(s) < r.Sets.Len(); s++ {
@@ -28,28 +27,15 @@ func checkSetTable(t *testing.T, what string, r *core.Result) {
 		listed[key] = s
 	}
 	next := int32(0)
-	for v, x := range r.Exprs {
-		for side, c := range [2]struct {
-			slot  int32
-			known bool
-			ids   string
-		}{{r.Fwd[v], x.KnownFwd, fmt.Sprint(x.Fwd.IDs())}, {r.Bwd[v], x.KnownBwd, fmt.Sprint(x.Bwd.IDs())}} {
-			if (c.slot >= 0) != c.known {
-				t.Fatalf("%s: vertex %d side %d: slot %d but known=%v", what, v, side, c.slot, c.known)
+	for v := range r.Fwd {
+		for side, slot := range [2]int32{r.Fwd[v], r.Bwd[v]} {
+			if slot < -1 || int(slot) >= r.Sets.Len() {
+				t.Fatalf("%s: vertex %d side %d: slot %d outside a table of %d", what, v, side, slot, r.Sets.Len())
 			}
-			if !c.known {
-				continue
+			if slot > next {
+				t.Fatalf("%s: vertex %d side %d: slot %d before slot %d was sighted", what, v, side, slot, next)
 			}
-			if int(c.slot) >= r.Sets.Len() {
-				t.Fatalf("%s: vertex %d side %d: slot %d outside a table of %d", what, v, side, c.slot, r.Sets.Len())
-			}
-			if got := fmt.Sprint(r.Sets.SetIDs(c.slot)); got != c.ids {
-				t.Fatalf("%s: vertex %d side %d: equation holds %s, slot %d holds %s", what, v, side, c.ids, c.slot, got)
-			}
-			if c.slot > next {
-				t.Fatalf("%s: vertex %d side %d: slot %d before slot %d was sighted", what, v, side, c.slot, next)
-			}
-			if c.slot == next {
+			if slot == next {
 				next++
 			}
 		}
@@ -59,9 +45,9 @@ func checkSetTable(t *testing.T, what string, r *core.Result) {
 	}
 }
 
-// TestExprsMatchSetTable: on 200 seeded designs, the closed forms agree
-// with the set table and slots the result carries beside them, after a
-// monolithic solve, a partitioned solve, an incremental re-solve of a
+// TestExprsMatchSetTable: on 200 seeded designs, the set table and
+// slots that hold the closed forms are well formed (checkSetTable) after
+// a monolithic solve, a partitioned solve, an incremental re-solve of a
 // seeded edit (the four structural kinds in turn), and an artifact
 // decode against a fresh analyzer.
 func TestExprsMatchSetTable(t *testing.T) {

@@ -328,7 +328,7 @@ func (a *Analyzer) Universe() *pavf.Universe { return a.universe }
 // Fingerprint is a stable hash of everything that determines the shape of
 // the closed-form equations: the design's vertices, their roles, the edge
 // structure, and the role-affecting options. Two analyzers with equal
-// fingerprints produce identical Exprs for any Inputs, so the fingerprint
+// fingerprints produce identical closed forms for any Inputs, so the fingerprint
 // keys compiled-plan caches (internal/sweep) and guards Reevaluate against
 // cross-design misuse.
 func (a *Analyzer) Fingerprint() uint64 { return a.fingerprint }

@@ -105,8 +105,8 @@ func TestFigure7(t *testing.T) {
 	// Backward estimates (Expr sides): Q1a's backward walk sees the union
 	// of the two downstream write ports: 0.5 + 0.2 = 0.7.
 	q1a := vtx(t, a, "F", "q1a")
-	approx(t, r.Exprs[q1a].BwdValue(r.Env), 0.70, "q1a backward")
-	approx(t, r.Exprs[q1a].FwdValue(r.Env), 0.10, "q1a forward")
+	approx(t, r.Expr(q1a).BwdValue(r.Env), 0.70, "q1a backward")
+	approx(t, r.Expr(q1a).FwdValue(r.Env), 0.10, "q1a forward")
 
 	// Closed form should mention both sources.
 	eq := r.Equation(vtx(t, a, "F", "g1"))
@@ -492,7 +492,7 @@ func TestConservatismInvariants(t *testing.T) {
 		if avf < 0 || avf > 1 {
 			t.Fatalf("%s AVF out of range: %v", a.G.Name(graph.VertexID(v)), avf)
 		}
-		x := r.Exprs[v]
+		x := r.Expr(graph.VertexID(v))
 		if avf > x.FwdValue(r.Env)+1e-12 || avf > x.BwdValue(r.Env)+1e-12 {
 			t.Fatalf("%s AVF exceeds an estimate", a.G.Name(graph.VertexID(v)))
 		}

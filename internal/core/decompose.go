@@ -97,7 +97,7 @@ func (r *Result) Decompose(v graph.VertexID) Decomposition {
 	if avf == 0 {
 		return Decomposition{}
 	}
-	x := r.Exprs[v]
+	x := r.Expr(v)
 	if !x.KnownBwd {
 		return Decomposition{SDC: avf}
 	}
@@ -161,7 +161,7 @@ func (r *Result) Contributors(v graph.VertexID) (fwd, bwd []Contributor) {
 		})
 		return out
 	}
-	x := r.Exprs[v]
+	x := r.Expr(v)
 	return collect(x.Fwd, x.KnownFwd), collect(x.Bwd, x.KnownBwd)
 }
 

@@ -394,15 +394,15 @@ func TestActivatedFubsBoundaryMovement(t *testing.T) {
 		if a := r.Analyzer; a.fwdFixed[v] {
 			return a.srcs.Set(a.fwdSrc[v])
 		}
-		return r.Exprs[v].Fwd
+		return r.Expr(v).Fwd
 	}
 	bwdOut := func(r *Result, v graph.VertexID) pavf.Set {
 		a := r.Analyzer
 		switch {
 		case a.bwdFixed[v]:
 			return a.srcs.Set(a.bwdSrc[v])
-		case r.Exprs[v].KnownBwd:
-			return r.Exprs[v].Bwd
+		case r.Expr(v).KnownBwd:
+			return r.Expr(v).Bwd
 		}
 		return pavf.TopSet()
 	}
@@ -512,7 +512,7 @@ func TestPriorStateMatchesContentDedup(t *testing.T) {
 			v := 0
 			for _, fp := range got.Fubs {
 				for i := range fp.FwdIdx {
-					x := r.Exprs[v]
+					x := r.Expr(graph.VertexID(v))
 					if want := index(x.Fwd, x.KnownFwd); fp.FwdIdx[i] != want {
 						t.Fatalf("seed %d: vertex %d forward index %d, want %d", seed, v, fp.FwdIdx[i], want)
 					}

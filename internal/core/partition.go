@@ -234,25 +234,10 @@ func (a *Analyzer) seqAvg(ext fubExtent, val []float64) float64 {
 }
 
 // vertexValue resolves a vertex's numeric AVF from in-flight propagation
-// state (slots in t, bwd -1 where unknown), matching the role handling
-// in finishReuse.
+// state (slots in t, bwd -1 where unknown), through the role handling
+// finishReuse applies.
 func (a *Analyzer) vertexValue(t *pavf.SetTable, v graph.VertexID, fwd, bwd int32, env pavf.Env) float64 {
-	switch a.roles[v] {
-	case RoleStructPort, RoleLoop:
-		return t.Set(a.fwdSrc[v]).Eval(env)
-	case RoleControl:
-		return 1
-	case RoleDebug:
-		return 0
-	case RoleConst:
-		return 1
-	}
-	if a.fwdFixed[v] {
-		fwd = a.fwdSrc[v]
-	}
-	if a.bwdFixed[v] {
-		bwd = a.bwdSrc[v]
-	}
+	fwd, bwd = a.roleSlots(v, fwd, bwd)
 	f, b := 1.0, 1.0
 	if fwd >= 0 {
 		f = t.Set(fwd).Eval(env)

@@ -37,17 +37,16 @@ type Result struct {
 	Analyzer *Analyzer
 	Inputs   *Inputs
 	Env      pavf.Env
-	// Exprs holds the per-vertex closed-form equations (§5.1): re-run
-	// Reevaluate with fresh Inputs to obtain new AVFs without walking.
-	// Their sets alias Sets.
-	Exprs []pavf.Expr
-	// Sets is the table of the distinct sets Exprs uses, in
-	// first-sighting order (vertex order, forward side first), and
-	// Fwd/Bwd give each vertex's slot in it per direction (-1 = that
-	// side unknown). Compile and PriorState read these as they are.
+	// The closed-form equations (§5.1), held only as a set table: Sets
+	// lists the distinct sets in first-sighting order (vertex order,
+	// forward side first), and Fwd/Bwd give each vertex's slot in it
+	// per direction (-1 = that side unknown). Expr(v) reads vertex v's
+	// equation from them; Reevaluate plugs fresh Inputs into every
+	// equation without walking. Compile and PriorState read the table
+	// as it is.
 	Sets     pavf.CSR
 	Fwd, Bwd []int32
-	// AVF caches Exprs[v].Eval(Env).
+	// AVF caches Expr(v).Eval(Env).
 	AVF []float64
 	// Visited marks vertices reached by at least one walk.
 	Visited []bool
@@ -139,31 +138,13 @@ func (a *Analyzer) SolveContext(ctx context.Context, in *Inputs) (*Result, error
 // evaluation result, bit for bit. A nil reuse evaluates everything.
 func (a *Analyzer) finishReuse(in *Inputs, env pavf.Env, t *pavf.SetTable, fwd, bwd []int32, reuse []*FubPrior) *Result {
 	for v := range fwd {
-		switch a.roles[v] {
-		case RoleNormal, RolePseudoIn:
-			if a.fwdFixed[v] { // pseudo input
-				fwd[v] = a.fwdSrc[v]
-			}
-			if a.bwdFixed[v] { // unconsumed output port
-				bwd[v] = a.bwdSrc[v]
-			}
-		case RoleStructPort, RoleLoop:
-			fwd[v], bwd[v] = a.fwdSrc[v], a.fwdSrc[v]
-		case RoleControl:
-			// Pinned to 100%: always architecturally required.
-			fwd[v], bwd[v] = a.fwdSrc[v], pavf.UnknownSlot
-		case RoleDebug:
-			fwd[v], bwd[v] = pavf.EmptySlot, pavf.EmptySlot
-		case RoleConst:
-			fwd[v], bwd[v] = pavf.TopSlot, pavf.UnknownSlot
-		}
+		fwd[v], bwd[v] = a.roleSlots(graph.VertexID(v), fwd[v], bwd[v])
 	}
 	sets := t.Compact(fwd, bwd)
 	r := &Result{
 		Analyzer: a,
 		Inputs:   in,
 		Env:      env,
-		Exprs:    sets.Exprs(fwd, bwd),
 		Sets:     sets,
 		Fwd:      fwd,
 		Bwd:      bwd,
@@ -195,6 +176,32 @@ func (a *Analyzer) finishReuse(in *Inputs, env pavf.Env, t *pavf.SetTable, fwd, 
 		}
 	}
 	return r
+}
+
+// roleSlots resolves vertex v's closed-form slots by role from its
+// propagated slots fwd and bwd (bwd -1 where unknown). A fixed side of a
+// normal vertex takes its source set; the other roles ignore
+// propagation.
+func (a *Analyzer) roleSlots(v graph.VertexID, fwd, bwd int32) (int32, int32) {
+	switch a.roles[v] {
+	case RoleStructPort, RoleLoop:
+		return a.fwdSrc[v], a.fwdSrc[v]
+	case RoleControl:
+		// Pinned to 100%: always architecturally required ({CTRL}, whose
+		// env value is 1.0).
+		return a.fwdSrc[v], pavf.UnknownSlot
+	case RoleDebug:
+		return pavf.EmptySlot, pavf.EmptySlot
+	case RoleConst:
+		return pavf.TopSlot, pavf.UnknownSlot
+	}
+	if a.fwdFixed[v] { // pseudo input
+		fwd = a.fwdSrc[v]
+	}
+	if a.bwdFixed[v] { // unconsumed output port
+		bwd = a.bwdSrc[v]
+	}
+	return fwd, bwd
 }
 
 // visited marks vertices reached by a forward walk from any source or a
@@ -271,9 +278,9 @@ func (a *Analyzer) buildVisited() []bool {
 // silently dropped while the design's own ports fell back to defaults,
 // producing AVFs for the wrong workload binding.
 func (r *Result) Reevaluate(in *Inputs) error {
-	if n := r.Analyzer.G.NumVerts(); len(r.Exprs) != n || len(r.AVF) != n {
-		return fmt.Errorf("core: result holds %d equations and %d AVFs but analyzer design %q has %d vertices (result/analyzer mismatch)",
-			len(r.Exprs), len(r.AVF), r.Analyzer.G.Design.Name, n)
+	if n := r.Analyzer.G.NumVerts(); len(r.Fwd) != n || len(r.Bwd) != n || len(r.AVF) != n {
+		return fmt.Errorf("core: result holds %d/%d set slots and %d AVFs but analyzer design %q has %d vertices (result/analyzer mismatch)",
+			len(r.Fwd), len(r.Bwd), len(r.AVF), r.Analyzer.G.Design.Name, n)
 	}
 	if err := r.Analyzer.CheckInputs(in); err != nil {
 		return err
@@ -284,15 +291,21 @@ func (r *Result) Reevaluate(in *Inputs) error {
 	}
 	r.Inputs = in
 	r.Env = env
-	for v := range r.Exprs {
-		r.AVF[v] = r.Exprs[v].Eval(env)
+	for v := range r.AVF {
+		r.AVF[v] = r.Expr(graph.VertexID(v)).Eval(env)
 	}
 	return nil
 }
 
+// Expr returns vertex v's closed-form equation, read from the set table
+// without allocating; its sets alias Sets and must not be modified.
+func (r *Result) Expr(v graph.VertexID) pavf.Expr {
+	return r.Sets.Expr(r.Fwd[v], r.Bwd[v])
+}
+
 // Equation renders vertex v's closed-form AVF equation.
 func (r *Result) Equation(v graph.VertexID) string {
-	return r.Exprs[v].Format(r.Analyzer.universe)
+	return r.Expr(v).Format(r.Analyzer.universe)
 }
 
 // VisitedFraction returns the share of analyzable vertices reached by a

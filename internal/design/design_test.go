@@ -275,7 +275,7 @@ func TestInvariantsAcrossSeeds(t *testing.T) {
 			if avf < 0 || avf > 1 {
 				t.Fatalf("seed %d: AVF out of range at %s", seed, bg.Name(id))
 			}
-			x := mono.Exprs[v]
+			x := mono.Expr(id)
 			if avf > x.FwdValue(mono.Env)+1e-12 || avf > x.BwdValue(mono.Env)+1e-12 {
 				t.Fatalf("seed %d: AVF exceeds an estimate at %s", seed, bg.Name(id))
 			}

@@ -80,11 +80,12 @@ func Table1() (*Table1Result, error) {
 	out := &Table1Result{}
 	for _, node := range []string{"q1a", "q2a", "q1b", "g1", "g2", "q3a", "q3b"} {
 		v, _, _ := bg.VertexBase("F", node)
+		x := res.Expr(v)
 		out.Rows = append(out.Rows, Table1Row{
 			Node:     node,
 			Equation: res.Equation(v),
-			Forward:  res.Exprs[v].FwdValue(res.Env),
-			Backward: res.Exprs[v].BwdValue(res.Env),
+			Forward:  x.FwdValue(res.Env),
+			Backward: x.BwdValue(res.Env),
 			AVF:      res.AVF[v],
 		})
 	}

@@ -24,21 +24,18 @@ func (c CSR) SetIDs(s int32) []TermID { return c.IDs[c.Off[s]:c.Off[s+1]:c.Off[s
 // Set returns set s as a Set sharing the table's storage.
 func (c CSR) Set(s int32) Set { return SetFromSorted(c.SetIDs(s)) }
 
-// Exprs builds one closed form per vertex from per-vertex slots into c
-// (-1 = that side is unknown). Every set aliases c's storage, so the
-// equations cost one allocation whatever the number of sets.
-func (c CSR) Exprs(fwd, bwd []int32) []Expr {
-	exprs := make([]Expr, len(fwd))
-	for v := range exprs {
-		x := &exprs[v]
-		if s := fwd[v]; s >= 0 {
-			x.Fwd, x.KnownFwd = c.Set(s), true
-		}
-		if s := bwd[v]; s >= 0 {
-			x.Bwd, x.KnownBwd = c.Set(s), true
-		}
+// Expr returns the closed form whose sides are slots fwd and bwd of c
+// (UnknownSlot = that side is unknown). Its sets alias c's storage, so
+// building it allocates nothing.
+func (c CSR) Expr(fwd, bwd int32) Expr {
+	var x Expr
+	if fwd >= 0 {
+		x.Fwd, x.KnownFwd = c.Set(fwd), true
 	}
-	return exprs
+	if bwd >= 0 {
+		x.Bwd, x.KnownBwd = c.Set(bwd), true
+	}
+	return x
 }
 
 // Reserved slots of every SetTable, and the marker for an unknown side.

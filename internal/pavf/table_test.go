@@ -20,8 +20,8 @@ func norm(s Set) Set {
 // the same slot, Union on slots matches Set.Union, two slots are equal
 // exactly when their sets are, a slot's set evaluates bit for bit as
 // the set it stands for, Compact renumbers in first-sighting order
-// without changing content, and the parent is never written through the
-// child.
+// without changing content, Expr reads a closed form's sides from their
+// compact slots, and the parent is never written through the child.
 func FuzzSetTable(f *testing.F) {
 	f.Add([]byte{0, 3, 1, 2, 5, 0, 2, 4, 6, 1, 0, 1, 1, 2, 3, 2, 9, 7})
 	f.Add([]byte{0, 2, 0, 3, 0, 1, 5, 1, 2, 3, 1, 4, 4, 2, 1, 1})
@@ -133,6 +133,11 @@ func FuzzSetTable(f *testing.F) {
 				if !c.Set(s).Equal(child.Set(old)) {
 					t.Fatalf("compact slot %d holds %v, slot %d held %v", s, c.Set(s).IDs(), old, child.Set(old).IDs())
 				}
+			}
+			x := c.Expr(fwd[v], bwd[v])
+			if x.KnownFwd != (fwd[v] >= 0) || x.KnownBwd != (bwd[v] >= 0) ||
+				(x.KnownFwd && !x.Fwd.Equal(c.Set(fwd[v]))) || (x.KnownBwd && !x.Bwd.Equal(c.Set(bwd[v]))) {
+				t.Fatalf("vertex %d: Expr %+v for slots %d/%d", v, x, fwd[v], bwd[v])
 			}
 		}
 		if c.Len() != int(seen) {

@@ -17,7 +17,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"unicode/utf8"
 
 	"seqavf/internal/harden"
@@ -32,13 +31,37 @@ const (
 
 // maxPooledBody bounds the request and response body buffers kept for
 // reuse: a buffer that grew past it (an unusually large request or
-// response) is dropped, so a pool never pins the memory of one outlier.
+// response) is dropped, so a free list never pins the memory of one
+// outlier.
 const maxPooledBody = 1 << 20
 
-// bodyBufs pools raw request bodies. Only the raw bytes are pooled:
-// nothing decoded refers to them, because the fast walk copies every
-// string into its own arena and encoding/json copies what it decodes.
-var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// bufList is a bounded free list of body buffers. It stands in for a
+// sync.Pool, which empties across garbage collections: with a pool, how
+// often a large body buffer is regrown follows the live heap's size, and
+// a smaller heap makes every request allocate more. A Server keeps one
+// list of request bodies and one of responses, each holding up to
+// Config.MaxConcurrent buffers of at most maxPooledBody: a response is
+// encoded while its request holds a slot, and a request decoded past
+// that many in flight is turned away with 429, so that is how many are
+// in use at once. A nil list keeps nothing.
+type bufList[T any] chan T
+
+// get returns a kept buffer, or the zero T when none is free.
+func (l bufList[T]) get() (b T) {
+	select {
+	case b = <-l:
+	default:
+	}
+	return b
+}
+
+// put keeps b for reuse unless the list is full.
+func (l bufList[T]) put(b T) {
+	select {
+	case l <- b:
+	default:
+	}
+}
 
 // tableRequest is a request type decodeRequest serves.
 type tableRequest interface {
@@ -54,13 +77,20 @@ type tableRequest interface {
 // string, a number that does not fit its field, a harden cost table,
 // and trailing data. A harden request is validated on either path.
 // sizeHint is the body's announced length (-1 when unknown), used to
-// presize a buffer the pool has not grown yet.
-func decodeRequest[R tableRequest](body io.Reader, sizeHint int64) (*R, string, error) {
-	buf := bodyBufs.Get().(*bytes.Buffer)
+// presize a buffer no earlier request has grown. The raw body is read
+// into a buffer from bufs and handed back there; only the raw bytes are
+// kept, because nothing decoded refers to them: the fast walk copies
+// every string into its own arena and encoding/json copies what it
+// decodes.
+func decodeRequest[R tableRequest](bufs bufList[*bytes.Buffer], body io.Reader, sizeHint int64) (*R, string, error) {
+	buf := bufs.get()
+	if buf == nil {
+		buf = new(bytes.Buffer)
+	}
 	defer func() {
 		if buf.Cap() <= maxPooledBody {
 			buf.Reset()
-			bodyBufs.Put(buf)
+			bufs.put(buf)
 		}
 	}()
 	if sizeHint > 0 && sizeHint <= maxPooledBody {

@@ -50,6 +50,10 @@ func statusText(err error) string {
 	return fmt.Sprintf("%d %s", se.status, err)
 }
 
+// testBodyBufs is the body free list the decode tests share, so a body
+// is read into a buffer an earlier body left behind.
+var testBodyBufs = make(bufList[*bytes.Buffer], 2)
+
 // checkDecode decodes body as request type R and holds the result to
 // the reference decode: the same status and error text, or structs
 // that are reflect.DeepEqual. Whenever the fast walk accepts body,
@@ -57,7 +61,7 @@ func statusText(err error) string {
 // how the body was decoded.
 func checkDecode[R tableRequest](t *testing.T, body []byte) string {
 	t.Helper()
-	got, how, err := decodeRequest[R](bytes.NewReader(body), int64(len(body)))
+	got, how, err := decodeRequest[R](testBodyBufs, bytes.NewReader(body), int64(len(body)))
 	want, wantErr := referenceDecode[R](body)
 	if g, w := statusText(err), statusText(wantErr); g != w {
 		t.Fatalf("%T (%s): decodeRequest answered %q, reference %q\nbody: %q", want, how, g, w, body)
@@ -312,9 +316,9 @@ func BenchmarkRequestDecode(b *testing.B) {
 				var how string
 				var err error
 				if c.name == "sweep64" {
-					_, how, err = decodeRequest[SweepRequest](bytes.NewReader(body), int64(len(body)))
+					_, how, err = decodeRequest[SweepRequest](testBodyBufs, bytes.NewReader(body), int64(len(body)))
 				} else {
-					_, how, err = decodeRequest[IntervalSweepRequest](bytes.NewReader(body), int64(len(body)))
+					_, how, err = decodeRequest[IntervalSweepRequest](testBodyBufs, bytes.NewReader(body), int64(len(body)))
 				}
 				if err != nil || how != decodeFast {
 					b.Fatalf("decoded %s: %v", how, err)
@@ -380,5 +384,25 @@ func TestFlightRecordsPinNoBodies(t *testing.T) {
 	t.Logf("%d requests of %d B left %d B more live heap", requests, len(body), grown)
 	if limit := int64(requests * len(body) / 4); grown > limit {
 		t.Fatalf("%d requests left %d B more live heap, want under %d B: records pin request bodies", requests, grown, limit)
+	}
+}
+
+// TestBufListKeepsAcrossGC: the body and response free lists keep their
+// buffers across garbage collections, which a sync.Pool does not, hand
+// them back in order, and drop a buffer put into a full list.
+func TestBufListKeepsAcrossGC(t *testing.T) {
+	l := make(bufList[[]byte], 2)
+	for _, c := range []int{64, 128, 256} {
+		l.put(make([]byte, 0, c))
+	}
+	runtime.GC()
+	runtime.GC()
+	for _, want := range []int{64, 128} {
+		if got := cap(l.get()); got != want {
+			t.Fatalf("kept buffer has capacity %d, want %d", got, want)
+		}
+	}
+	if got := l.get(); got != nil {
+		t.Fatalf("empty list returned a %d-byte buffer, want nil", cap(got))
 	}
 }

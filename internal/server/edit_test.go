@@ -155,6 +155,70 @@ func TestEditColdFallback(t *testing.T) {
 	}
 }
 
+// TestEditDropsSupersededPlans: an edit drops the replaced version's
+// plan from the engine cache, so after a run of edits the cache holds no
+// more plans than there are live designs; a plan another live design
+// still uses stays.
+func TestEditDropsSupersededPlans(t *testing.T) {
+	s, _, _ := newTestServer(t, Config{})
+	eng := s.Engine()
+	cfg := design.DefaultConfig(11)
+	cfg.NumFubs = 3
+	gen, err := design.Generate(cfg)
+	if err != nil {
+		t.Fatalf("design.Generate: %v", err)
+	}
+	var nl bytes.Buffer
+	if err := netlist.Write(&nl, gen.Design); err != nil {
+		t.Fatalf("netlist.Write: %v", err)
+	}
+	d, err := s.LoadNetlist("", bytes.NewReader(nl.Bytes()), core.DefaultOptions())
+	if err != nil {
+		t.Fatalf("LoadNetlist: %v", err)
+	}
+	// A second name for the same result shares its fingerprint.
+	if _, err := s.AddResult("twin", d.Result); err != nil {
+		t.Fatalf("AddResult(twin): %v", err)
+	}
+	if got := eng.CachedPlans(); got != 3 {
+		t.Fatalf("%d plans cached for alpha, beta and one netlist under two names, want 3", got)
+	}
+	// Ten edits, each with a fresh flop in another FUB, so every version
+	// has a never-seen fingerprint.
+	mod := func(i int) *netlist.Module {
+		return gen.Design.Modules[gen.Design.Fubs[i%len(gen.Design.Fubs)].Module]
+	}
+	for i := 0; i < 10; i++ {
+		m := mod(i)
+		var src *netlist.Node
+		for _, n := range m.Nodes {
+			if (n.Kind == netlist.KindComb || n.Kind == netlist.KindSeq) && n.Class != netlist.ClassDebug {
+				src = n
+				break
+			}
+		}
+		if src == nil {
+			t.Fatalf("module %s has no eligible source node", m.Name)
+		}
+		m.Nodes = append(m.Nodes, &netlist.Node{
+			Name: fmt.Sprintf("eco_%d", i), Kind: netlist.KindSeq, Width: src.Width, Inputs: []string{src.Name},
+		})
+		var edited bytes.Buffer
+		err := netlist.Write(&edited, gen.Design)
+		m.Nodes = m.Nodes[:len(m.Nodes)-1]
+		if err != nil {
+			t.Fatalf("netlist.Write (edit %d): %v", i, err)
+		}
+		if d, _, err = s.EditNetlistContext(context.Background(), d, &edited, core.DefaultOptions()); err != nil {
+			t.Fatalf("edit %d: %v", i, err)
+		}
+		// alpha, beta, twin's plan and the live version's.
+		if got := eng.CachedPlans(); got != 4 {
+			t.Fatalf("after edit %d: %d plans cached for 4 live designs, want 4", i, got)
+		}
+	}
+}
+
 // addFlop returns d's netlist after the ECO the edit tests apply:
 // register one existing signal of the first FUB's module behind a fresh
 // flop — the hierarchical form of graphtest's add-flop — and the width

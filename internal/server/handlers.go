@@ -101,7 +101,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	n := len(s.designs)
 	s.mu.RUnlock()
-	_ = writeJSON(w, http.StatusOK, map[string]any{
+	_ = s.writeJSON(w, http.StatusOK, map[string]any{
 		"status":    "ok",
 		"designs":   n,
 		"in_flight": len(s.sem),
@@ -117,7 +117,7 @@ func (s *Server) handleListDesigns(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.RUnlock()
 	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
-	_ = writeJSON(w, http.StatusOK, infos)
+	_ = s.writeJSON(w, http.StatusOK, infos)
 }
 
 // decodeUpload reads a textual netlist; the run step solves it (or
@@ -190,7 +190,7 @@ func (s *Server) handleGetArtifact(w http.ResponseWriter, r *http.Request) {
 // out-of-range value, or a duplicate record fails the request before
 // anything reaches the long-lived engine.
 func (s *Server) decodeSweep(r *http.Request, body io.Reader) (job, error) {
-	req, how, err := decodeRequest[SweepRequest](body, r.ContentLength)
+	req, how, err := decodeRequest[SweepRequest](s.bodyBufs, body, r.ContentLength)
 	if err != nil {
 		return job{decode: how}, err
 	}

@@ -22,7 +22,7 @@ import (
 // hardened parser /v1/sweep uses.
 func (s *Server) decodeHarden(r *http.Request, body io.Reader) (job, error) {
 	start := time.Now()
-	req, how, err := decodeRequest[harden.Request](body, r.ContentLength)
+	req, how, err := decodeRequest[harden.Request](s.bodyBufs, body, r.ContentLength)
 	if err != nil {
 		return job{decode: how}, err
 	}

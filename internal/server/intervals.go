@@ -50,7 +50,7 @@ type (
 // single out-of-range value fails the request here, before anything
 // reaches the engine.
 func (s *Server) decodeIntervals(r *http.Request, body io.Reader) (job, error) {
-	req, how, err := decodeRequest[IntervalSweepRequest](body, r.ContentLength)
+	req, how, err := decodeRequest[IntervalSweepRequest](s.bodyBufs, body, r.ContentLength)
 	if err != nil {
 		return job{decode: how}, err
 	}

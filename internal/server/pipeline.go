@@ -16,7 +16,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"seqavf/internal/obs"
@@ -99,7 +98,7 @@ func (s *Server) serve(path string, requests *obs.Counter, status int, decode de
 			rec.Design, rec.Fingerprint = out.Name, out.fingerprint()
 		}
 		esp := sp.Child("encode")
-		err = writeJSON(w, status, resp)
+		err = s.writeJSON(w, status, resp)
 		esp.End()
 		if err != nil {
 			s.reg.Counter("server.encode_errors").Inc()
@@ -222,21 +221,18 @@ func (s *Server) logSlowRequest(sp *obs.Span, rec obs.RequestRecord) {
 	s.slowMu.Unlock()
 }
 
-// respBufs pools encoded responses; a buffer is back in the pool once
-// its one Write has returned.
-var respBufs = sync.Pool{New: func() any { return new([]byte) }}
-
-// writeJSON encodes v as indented JSON into a pooled buffer, then sends
+// writeJSON encodes v as indented JSON into a reused buffer, then sends
 // status, Content-Length and the body in one Write. The sweep reports
 // render themselves; every other value goes through encoding/json.
 // When v cannot be encoded nothing is sent and the error is returned,
 // so the caller can still answer with an error status; callers whose
-// values hold only strings and integers ignore it.
-func writeJSON(w http.ResponseWriter, status int, v any) error {
-	p := respBufs.Get().(*[]byte)
-	b, err := encodeJSON((*p)[:0], v)
+// values hold only strings and integers ignore it. The buffer is back
+// in s.respBufs once its one Write has returned.
+func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) error {
+	buf := s.respBufs.get()
+	b, err := encodeJSON(buf[:0], v)
 	if err != nil {
-		respBufs.Put(p)
+		s.respBufs.put(buf)
 		return err
 	}
 	h := w.Header()
@@ -245,8 +241,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) error {
 	w.WriteHeader(status)
 	_, _ = w.Write(b)
 	if cap(b) <= maxPooledBody {
-		*p = b[:0]
-		respBufs.Put(p)
+		s.respBufs.put(b[:0])
 	}
 	return nil
 }
@@ -273,7 +268,7 @@ func encodeJSON(dst []byte, v any) ([]byte, error) {
 // writeErr emits the uniform {"error": ...} body.
 func (s *Server) writeErr(w http.ResponseWriter, status int, format string, args ...any) {
 	s.reg.Counter("server.errors").Inc()
-	_ = writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+	_ = s.writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
 // rejectBusy emits the backpressure response: 429 plus a Retry-After
@@ -281,7 +276,7 @@ func (s *Server) writeErr(w http.ResponseWriter, status int, format string, args
 func (s *Server) rejectBusy(w http.ResponseWriter) {
 	s.reg.Counter("server.rejected_busy").Inc()
 	w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
-	_ = writeJSON(w, http.StatusTooManyRequests, map[string]string{
+	_ = s.writeJSON(w, http.StatusTooManyRequests, map[string]string{
 		"error": "server at concurrency limit, retry later",
 	})
 }

@@ -59,7 +59,8 @@ type Config struct {
 	// snapshot).
 	Obs *obs.Registry
 	// MaxConcurrent bounds concurrently evaluated requests (sweeps and
-	// design uploads). 0 uses GOMAXPROCS.
+	// design uploads), and so the body and response buffers kept for
+	// reuse (bufList). 0 uses GOMAXPROCS.
 	MaxConcurrent int
 	// RequestTimeout caps one sweep evaluation. 0 means 30s.
 	RequestTimeout time.Duration
@@ -133,6 +134,9 @@ type Server struct {
 	flight *obs.FlightRecorder
 	slowMu sync.Mutex // serializes SlowLog writes
 
+	bodyBufs bufList[*bytes.Buffer] // raw request bodies (decodeRequest)
+	respBufs bufList[[]byte]        // encoded responses (writeJSON)
+
 	mu      sync.RWMutex
 	designs map[string]*Design
 
@@ -178,14 +182,16 @@ func New(cfg Config) *Server {
 	cfg.Obs.FixedHistogram("artifact.restore_seconds", obs.LatencyBuckets)
 	cfg.Obs.FixedHistogram("harden.optimize_seconds", obs.LatencyBuckets)
 	return &Server{
-		cfg:     cfg,
-		eng:     sweep.New(cfg.Sweep),
-		reg:     cfg.Obs,
-		sem:     make(chan struct{}, cfg.MaxConcurrent),
-		start:   time.Now(),
-		flight:  obs.NewFlightRecorder(cfg.FlightRecorderSize),
-		designs: make(map[string]*Design),
-		stop:    make(chan struct{}),
+		cfg:      cfg,
+		eng:      sweep.New(cfg.Sweep),
+		reg:      cfg.Obs,
+		sem:      make(chan struct{}, cfg.MaxConcurrent),
+		bodyBufs: make(bufList[*bytes.Buffer], cfg.MaxConcurrent),
+		respBufs: make(bufList[[]byte], cfg.MaxConcurrent),
+		start:    time.Now(),
+		flight:   obs.NewFlightRecorder(cfg.FlightRecorderSize),
+		designs:  make(map[string]*Design),
+		stop:     make(chan struct{}),
 	}
 }
 
@@ -249,12 +255,31 @@ func (s *Server) register(name string, res *core.Result, plan *sweep.Plan, repla
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, dup := s.designs[name]; dup && !replace {
+	old, dup := s.designs[name]
+	if dup && !replace {
 		return nil, &DuplicateDesignError{Name: name}
 	}
 	s.designs[name] = d
 	s.reg.Gauge("server.designs").Set(float64(len(s.designs)))
+	if dup {
+		s.evictUnlessLive(old.Result.Analyzer.Fingerprint())
+	}
 	return d, nil
+}
+
+// evictUnlessLive drops the engine's cached plan for fingerprint fp
+// unless a registered design still has it, so a replaced version's plan
+// (and through it its analyzer and graph) does not stay cached until the
+// LRU ages it out. A sweep still in flight on the replaced result may
+// compile the plan back in; that entry then ages out like any other,
+// which is tolerated. The caller holds s.mu.
+func (s *Server) evictUnlessLive(fp uint64) {
+	for _, d := range s.designs {
+		if d.Result.Analyzer.Fingerprint() == fp {
+			return
+		}
+	}
+	s.eng.Evict(fp)
 }
 
 // LoadNetlist parses a textual netlist, solves it symbolically under

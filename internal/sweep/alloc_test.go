@@ -14,7 +14,8 @@ import (
 // result's set table, so it allocates a fixed handful of objects (the
 // prior, its FUB table, its set headers and its AVF copy) and no map or
 // per-set key; Compile adopts the result's table and slots, so it
-// allocates far fewer objects than the plan has sets.
+// allocates far fewer objects than the plan has sets; and Result.Expr
+// reads every vertex's closed form from that table without allocating.
 func TestEditPathAllocationPins(t *testing.T) {
 	gen, err := design.Generate(design.DefaultConfig(2027))
 	if err != nil {
@@ -60,5 +61,16 @@ func TestEditPathAllocationPins(t *testing.T) {
 	if allocs >= float64(p.NumSets())/2 {
 		t.Errorf("Compile allocates %v objects for %d sets, want fewer than half as many", allocs, p.NumSets())
 	}
-	t.Logf("PriorState and Compile over %d sets, %d FUBs: Compile %v allocs", res.Sets.Len(), len(g.FubNames), allocs)
+
+	terms := 0
+	if allocs := testing.AllocsPerRun(20, func() {
+		for v := range res.AVF {
+			x := res.Expr(graph.VertexID(v))
+			terms += x.Fwd.Len() + x.Bwd.Len()
+		}
+	}); allocs != 0 {
+		t.Errorf("Result.Expr over %d vertices allocates %v objects, want 0", len(res.AVF), allocs)
+	}
+	t.Logf("PriorState and Compile over %d sets, %d FUBs: Compile %v allocs; %d terms read through Result.Expr",
+		res.Sets.Len(), len(g.FubNames), allocs, terms)
 }

@@ -1,7 +1,7 @@
 // Blocked multi-workload evaluation: the one kernel that evaluates a
 // compiled plan.
 //
-// Walking the CSR index arrays (setOff/setIDs/fwdIdx/bwdIdx) once per
+// Walking the CSR index arrays (sets/fwdIdx/bwdIdx) once per
 // workload would stream the same plan indices 1000 times for a
 // 1000-workload sweep. The kernel instead lays W workloads'
 // environments out as an EnvMatrix in structure-of-arrays order —
@@ -223,14 +223,15 @@ func (p *Plan) VertexRuns() (off, pair []int32) { return p.runOff, p.runPair }
 func (p *Plan) pairValues(m *EnvMatrix, scratch []float64) []float64 {
 	lanes := m.lanes
 	vals := m.vals
-	nSets := len(p.setOff) - 1
+	off, ids := p.sets.Off, p.sets.IDs
+	nSets := len(off) - 1
 	sums := scratch[:nSets*lanes]
 	for s := 0; s < nSets; s++ {
 		row := sums[s*lanes : s*lanes+lanes]
 		for w := range row {
 			row[w] = 0
 		}
-		for _, id := range p.setIDs[p.setOff[s]:p.setOff[s+1]] {
+		for _, id := range ids[off[s]:off[s+1]] {
 			col := vals[int(id)*lanes : int(id)*lanes+lanes]
 			col = col[:len(row)]
 			for w := range row {
@@ -331,8 +332,7 @@ func (p *Plan) evalBlock(ws []Workload, m *EnvMatrix, scratch []float64, dst []*
 				Analyzer:   p.Analyzer,
 				Inputs:     ws[w].Inputs,
 				Env:        m.envs[w],
-				Exprs:      p.exprs,
-				Sets:       pavf.CSR{Off: p.setOff, IDs: p.setIDs},
+				Sets:       p.sets,
 				Fwd:        p.fwdIdx,
 				Bwd:        p.bwdIdx,
 				AVF:        out[w],

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"seqavf/internal/core"
+	"seqavf/internal/graph"
 	"seqavf/internal/graph/graphtest"
 	"seqavf/internal/pavf"
 )
@@ -26,13 +27,15 @@ func newWidth(opts Options, width int) *Engine {
 
 // reevaluated is the reference the kernel is checked against: res's
 // closed forms re-evaluated under in by Result.Reevaluate
-// (pavf.Expr.Eval per vertex), which shares nothing with the compiled
+// (pavf.Expr.Eval per vertex), which shares no code with the compiled
 // CSR plan. res itself is left untouched.
 func reevaluated(t testing.TB, res *core.Result, in *core.Inputs) *core.Result {
 	t.Helper()
 	r := &core.Result{
 		Analyzer:   res.Analyzer,
-		Exprs:      res.Exprs,
+		Sets:       res.Sets,
+		Fwd:        res.Fwd,
+		Bwd:        res.Bwd,
 		AVF:        make([]float64, len(res.AVF)),
 		Visited:    res.Visited,
 		Iterations: 1,
@@ -168,7 +171,7 @@ func TestEvalBlockDirect(t *testing.T) {
 	avf := make([]float64, p.NumVerts())
 	for w, env := range envs {
 		for v := range avf {
-			avf[v] = res.Exprs[v].Eval(env)
+			avf[v] = res.Expr(graph.VertexID(v)).Eval(env)
 		}
 		bitIdentical(t, fmt.Sprintf("lane %d", w), out[w], avf)
 	}

@@ -54,6 +54,16 @@ func (c *planCache) put(p *Plan) {
 	}
 }
 
+// remove drops the plan cached for fp, if any.
+func (c *planCache) remove(fp uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[fp]; ok {
+		c.order.Remove(el)
+		delete(c.entries, fp)
+	}
+}
+
 // len reports the number of cached plans.
 func (c *planCache) len() int {
 	c.mu.Lock()

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"seqavf/internal/core"
+	"seqavf/internal/graph"
 	"seqavf/internal/graph/graphtest"
 	"seqavf/internal/pavf"
 )
@@ -13,7 +14,7 @@ import (
 // known side packs its term IDs into a key, and a key seen for the
 // first time takes the next slot.
 func contentIntern(res *core.Result) Raw {
-	n := len(res.Exprs)
+	n := len(res.Fwd)
 	raw := Raw{SetOff: []int32{0}, FwdIdx: make([]int32, n), BwdIdx: make([]int32, n)}
 	index := make(map[string]int32)
 	intern := func(s pavf.Set, known bool) int32 {
@@ -33,7 +34,8 @@ func contentIntern(res *core.Result) Raw {
 		raw.SetOff = append(raw.SetOff, int32(len(raw.SetIDs)))
 		return i
 	}
-	for v, x := range res.Exprs {
+	for v := range raw.FwdIdx {
+		x := res.Expr(graph.VertexID(v))
 		raw.FwdIdx[v] = intern(x.Fwd, x.KnownFwd)
 		raw.BwdIdx[v] = intern(x.Bwd, x.KnownBwd)
 	}
@@ -43,9 +45,9 @@ func contentIntern(res *core.Result) Raw {
 // TestCompileInternMatchesContent: Compile's intern, which reuses a
 // side's last slot when the next set on that side is equal, gives the
 // set table, slot order and per-vertex slots that interning by content
-// alone gives, on 200 seeded designs — both for a solved result, whose
-// sets share arrays as propagation left them, and for the equations a
-// restored plan hands back, whose sets all share one array.
+// alone gives, on 200 seeded designs, and the Results a plan restored
+// from that table hands out render every vertex's equation as the
+// solved result does.
 func TestCompileInternMatchesContent(t *testing.T) {
 	for seed := uint64(0); seed < 200; seed++ {
 		d, err := graphtest.Generate(graphtest.Small(seed))
@@ -69,18 +71,18 @@ func TestCompileInternMatchesContent(t *testing.T) {
 			t.Fatalf("seed %d: identity intern gave %+v, content intern %+v", seed, got, want)
 		}
 
-		_, exprs, err := Restore(a, p.Raw(), res.Visited)
+		rp, err := Restore(a, p.Raw(), res.Visited)
 		if err != nil {
 			t.Fatalf("seed %d: Restore: %v", seed, err)
 		}
-		restored := *res
-		restored.Exprs = exprs
-		rp, err := Compile(&restored)
-		if err != nil {
-			t.Fatalf("seed %d: Compile of restored equations: %v", seed, err)
+		got := make([]*core.Result, 1)
+		if err := rp.EvalBlockInto([]Workload{{Inputs: res.Inputs}}, nil, nil, got); err != nil {
+			t.Fatalf("seed %d: EvalBlockInto: %v", seed, err)
 		}
-		if got := rp.Raw(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: restored equations compile to %+v, want %+v", seed, got, want)
+		for v := range res.Fwd {
+			if g, w := got[0].Equation(graph.VertexID(v)), res.Equation(graph.VertexID(v)); g != w {
+				t.Fatalf("seed %d vertex %d: restored plan's equation %q, solved %q", seed, v, g, w)
+			}
 		}
 	}
 }

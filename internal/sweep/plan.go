@@ -37,17 +37,13 @@ type Plan struct {
 	// Fingerprint is Analyzer.Fingerprint(), the plan-cache key.
 	Fingerprint uint64
 
-	// exprs aliases the source result's closed forms (read-only), so
-	// per-workload Results can render equations and statistics.
-	exprs   []pavf.Expr
 	visited []bool
 
-	// The deduplicated set table in CSR form: set s covers
-	// setIDs[setOff[s]:setOff[s+1]], IDs ascending as in pavf.Set.
-	setOff []int32
-	setIDs []pavf.TermID
-	// fwdIdx/bwdIdx give each vertex's set slot per direction, or -1 when
-	// the walk never reached that side (conservative 1.0).
+	// sets is the deduplicated set table, and fwdIdx/bwdIdx give each
+	// vertex's set slot per direction, or -1 when the walk never reached
+	// that side (conservative 1.0). All three alias the source result's
+	// (read-only), so per-workload Results carry the same closed forms.
+	sets   pavf.CSR
 	fwdIdx []int32
 	bwdIdx []int32
 
@@ -93,17 +89,15 @@ type Stats struct {
 func Compile(res *core.Result) (*Plan, error) {
 	a := res.Analyzer
 	n := a.G.NumVerts()
-	if len(res.Exprs) != n || len(res.Fwd) != n || len(res.Bwd) != n {
-		return nil, fmt.Errorf("sweep: result has %d equations and %d/%d set slots but design %q has %d vertices",
-			len(res.Exprs), len(res.Fwd), len(res.Bwd), a.G.Design.Name, n)
+	if len(res.Fwd) != n || len(res.Bwd) != n {
+		return nil, fmt.Errorf("sweep: result has %d/%d set slots but design %q has %d vertices",
+			len(res.Fwd), len(res.Bwd), a.G.Design.Name, n)
 	}
 	p := &Plan{
 		Analyzer:    a,
 		Fingerprint: a.Fingerprint(),
-		exprs:       res.Exprs,
 		visited:     res.Visited,
-		setOff:      res.Sets.Off,
-		setIDs:      res.Sets.IDs,
+		sets:        res.Sets,
 		fwdIdx:      res.Fwd,
 		bwdIdx:      res.Bwd,
 	}
@@ -165,31 +159,31 @@ type Raw struct {
 // (internal/artifact). The returned slices alias the plan and are
 // read-only.
 func (p *Plan) Raw() Raw {
-	return Raw{SetOff: p.setOff, SetIDs: p.setIDs, FwdIdx: p.fwdIdx, BwdIdx: p.bwdIdx}
+	return Raw{SetOff: p.sets.Off, SetIDs: p.sets.IDs, FwdIdx: p.fwdIdx, BwdIdx: p.bwdIdx}
 }
 
-// Restore reconstructs a compiled plan — and the closed-form equation
-// table it evaluates — from a persisted CSR table. It validates every
-// structural invariant evaluation relies on — offsets monotone and in
-// range, per-set term IDs strictly ascending and inside a's term
-// universe, per-vertex indices in range — so a corrupted or adversarial
-// table is refused instead of producing out-of-range indexing at
-// evaluation time. The returned equation slice is the plan's own (each Expr shares
-// the validated SetIDs backing array); a plan restored from the CSR
-// written by Raw is bit-identical in behavior to a fresh Compile. This
-// is the artifact-decode hot path: validation and the equation rebuild
-// are single passes, and no set is copied.
-func Restore(a *core.Analyzer, raw Raw, visited []bool) (*Plan, []pavf.Expr, error) {
+// Restore reconstructs a compiled plan from a persisted CSR table. It
+// validates every structural invariant evaluation relies on — offsets
+// monotone and in range, per-set term IDs strictly ascending and inside
+// a's term universe, per-vertex indices in range — so a corrupted or
+// adversarial table is refused instead of producing out-of-range
+// indexing at evaluation time, and a core.Result built on the same
+// arrays may read its closed forms from them unchecked. The plan adopts
+// raw's arrays; a plan restored from the CSR written by Raw is
+// bit-identical in behavior to a fresh Compile. This is the
+// artifact-decode hot path: validation is a single pass, and no set is
+// copied.
+func Restore(a *core.Analyzer, raw Raw, visited []bool) (*Plan, error) {
 	n := a.G.NumVerts()
 	if len(raw.FwdIdx) != n || len(raw.BwdIdx) != n {
-		return nil, nil, fmt.Errorf("sweep: raw plan covers %d/%d vertices but design has %d",
+		return nil, fmt.Errorf("sweep: raw plan covers %d/%d vertices but design has %d",
 			len(raw.FwdIdx), len(raw.BwdIdx), n)
 	}
 	if len(visited) != n {
-		return nil, nil, fmt.Errorf("sweep: %d visited flags for %d vertices", len(visited), n)
+		return nil, fmt.Errorf("sweep: %d visited flags for %d vertices", len(visited), n)
 	}
 	if len(raw.SetOff) < 1 || raw.SetOff[0] != 0 || int(raw.SetOff[len(raw.SetOff)-1]) != len(raw.SetIDs) {
-		return nil, nil, fmt.Errorf("sweep: raw plan offsets malformed (%d offsets, %d term IDs)",
+		return nil, fmt.Errorf("sweep: raw plan offsets malformed (%d offsets, %d term IDs)",
 			len(raw.SetOff), len(raw.SetIDs))
 	}
 	nSets := len(raw.SetOff) - 1
@@ -197,59 +191,55 @@ func Restore(a *core.Analyzer, raw Raw, visited []bool) (*Plan, []pavf.Expr, err
 	for s := 0; s < nSets; s++ {
 		lo, hi := raw.SetOff[s], raw.SetOff[s+1]
 		if lo > hi {
-			return nil, nil, fmt.Errorf("sweep: raw plan set %d has negative extent [%d,%d)", s, lo, hi)
+			return nil, fmt.Errorf("sweep: raw plan set %d has negative extent [%d,%d)", s, lo, hi)
 		}
 		prev := pavf.TermID(-1)
 		for _, id := range raw.SetIDs[lo:hi] {
 			if id < 0 || id >= uniLen {
-				return nil, nil, fmt.Errorf("sweep: raw plan set %d references term %d outside universe of %d", s, id, uniLen)
+				return nil, fmt.Errorf("sweep: raw plan set %d references term %d outside universe of %d", s, id, uniLen)
 			}
 			if id <= prev {
-				return nil, nil, fmt.Errorf("sweep: raw plan set %d terms not strictly ascending at %d", s, id)
+				return nil, fmt.Errorf("sweep: raw plan set %d terms not strictly ascending at %d", s, id)
 			}
 			prev = id
 		}
 	}
 	// Validate the per-vertex indices in their own linear scans (cheap:
-	// two int32 arrays, no stores), so the equation fill below indexes
-	// the table unchecked.
+	// two int32 arrays, no stores).
 	for v, fi := range raw.FwdIdx {
 		if fi < -1 || int(fi) >= nSets {
-			return nil, nil, fmt.Errorf("sweep: raw plan vertex %d forward index %d out of range (%d sets)", v, fi, nSets)
+			return nil, fmt.Errorf("sweep: raw plan vertex %d forward index %d out of range (%d sets)", v, fi, nSets)
 		}
 	}
 	for v, bi := range raw.BwdIdx {
 		if bi < -1 || int(bi) >= nSets {
-			return nil, nil, fmt.Errorf("sweep: raw plan vertex %d backward index %d out of range (%d sets)", v, bi, nSets)
+			return nil, fmt.Errorf("sweep: raw plan vertex %d backward index %d out of range (%d sets)", v, bi, nSets)
 		}
 	}
-	exprs := pavf.CSR{Off: raw.SetOff, IDs: raw.SetIDs}.Exprs(raw.FwdIdx, raw.BwdIdx)
 	p := &Plan{
 		Analyzer:    a,
 		Fingerprint: a.Fingerprint(),
-		exprs:       exprs,
 		visited:     visited,
-		setOff:      raw.SetOff,
-		setIDs:      raw.SetIDs,
+		sets:        pavf.CSR{Off: raw.SetOff, IDs: raw.SetIDs},
 		fwdIdx:      raw.FwdIdx,
 		bwdIdx:      raw.BwdIdx,
 	}
 	p.buildPairs()
-	return p, exprs, nil
+	return p, nil
 }
 
 // NumVerts returns the number of bit equations in the plan.
 func (p *Plan) NumVerts() int { return len(p.fwdIdx) }
 
 // NumSets returns the number of deduplicated subterm sets.
-func (p *Plan) NumSets() int { return len(p.setOff) - 1 }
+func (p *Plan) NumSets() int { return p.sets.Len() }
 
 // Stats summarizes the plan's shape.
 func (p *Plan) Stats() Stats {
 	st := Stats{
 		Vertices:   p.NumVerts(),
 		UniqueSets: p.NumSets(),
-		Terms:      len(p.setIDs),
+		Terms:      len(p.sets.IDs),
 	}
 	for v := range p.fwdIdx {
 		if p.fwdIdx[v] >= 0 {

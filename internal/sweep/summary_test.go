@@ -49,7 +49,7 @@ func TestPropertySummarySinkEquality(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: Compile: %v", seed, err)
 		}
-		rp, _, err := Restore(res.Analyzer, p.Raw(), res.Visited)
+		rp, err := Restore(res.Analyzer, p.Raw(), res.Visited)
 		if err != nil {
 			t.Fatalf("seed %d: Restore: %v", seed, err)
 		}

@@ -186,6 +186,10 @@ func (e *Engine) compile(sp *obs.Span, res *core.Result) (*Plan, error) {
 // next lookup for its design is a cache hit.
 func (e *Engine) Install(p *Plan) { e.cache.put(p) }
 
+// Evict drops the plan cached for design fingerprint fp, if any: for a
+// caller that knows no live design has that fingerprint any more.
+func (e *Engine) Evict(fp uint64) { e.cache.remove(fp) }
+
 // CachedPlans reports the number of plans currently cached.
 func (e *Engine) CachedPlans() int { return e.cache.len() }
 

@@ -83,7 +83,7 @@ func TestPlanDedup(t *testing.T) {
 	}
 	refs := 0
 	for v := 0; v < st.Vertices; v++ {
-		x := &res.Exprs[v]
+		x := res.Expr(graph.VertexID(v))
 		if x.KnownFwd {
 			refs++
 		}
