@@ -721,7 +721,7 @@ func BenchmarkWarmStartVsSolve(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := st.Put(res, nil); err != nil {
+	if err := st.Put(res); err != nil {
 		b.Fatal(err)
 	}
 	quiesce := func(b *testing.B) {
@@ -736,11 +736,10 @@ func BenchmarkWarmStartVsSolve(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			plan, err := sweep.Compile(r)
-			if err != nil {
+			if _, err := sweep.Compile(r); err != nil {
 				b.Fatal(err)
 			}
-			if err := st.Put(r, plan); err != nil {
+			if err := st.Put(r); err != nil {
 				b.Fatal(err)
 			}
 		}

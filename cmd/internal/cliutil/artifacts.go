@@ -117,7 +117,7 @@ func SolveWithStore(ctx context.Context, tool string, st *artifact.Store, a *cor
 			fmt.Fprintf(os.Stderr, "%s: incremental re-solve failed: %v (solving cold)\n", tool, rerr)
 		} else {
 			reg.Counter("artifact.incremental_start").Inc()
-			if err := st.Put(res, nil); err != nil {
+			if err := st.Put(res); err != nil {
 				fmt.Fprintf(os.Stderr, "%s: artifact store: persisting solve: %v\n", tool, err)
 			}
 			return res, Disposition{Kind: "incremental", Incremental: ist}, nil
@@ -128,7 +128,7 @@ func SolveWithStore(ctx context.Context, tool string, st *artifact.Store, a *cor
 	if err != nil {
 		return nil, Disposition{}, err
 	}
-	if err := st.Put(res, nil); err != nil {
+	if err := st.Put(res); err != nil {
 		fmt.Fprintf(os.Stderr, "%s: artifact store: persisting solve: %v\n", tool, err)
 	}
 	return res, Disposition{Kind: "cold"}, nil

@@ -20,18 +20,20 @@
 //
 // with five sections — meta (design name, universe/vertex counts,
 // iteration metadata, visited bitset), inputs (the solved port tables,
-// sorted for deterministic bytes), plan (the CSR subterm table that
-// both reconstructs the closed forms and restores the compiled plan
-// without re-interning), avf (the solved per-vertex AVF vector, raw
-// float64 bits), and fubstate (the term dictionary plus per-FUB name,
-// structural fingerprint, and vertex extent that let DecodePrior rebuild
-// per-FUB walk state with no analyzer, seeding incremental re-solves of
-// edited designs). Every section is integrity-checked with CRC32C
-// (Castagnoli) before any of it is trusted; declared lengths and counts
-// are capped against the remaining input before allocation, so
-// arbitrary bytes fail cleanly instead of panicking or ballooning
-// memory; and a format-version mismatch is an explicit "regenerate"
-// error rather than a misparse.
+// sorted for deterministic bytes), plan (the result's set table in CSR
+// form plus each vertex's forward and backward slot, from which a
+// decoded result reads its closed forms and compiles its plan), avf (the
+// solved per-vertex AVF vector, raw float64 bits), and fubstate (the
+// term dictionary plus per-FUB name, structural fingerprint, and vertex
+// extent that let DecodePrior rebuild per-FUB walk state with no
+// analyzer, seeding incremental re-solves of edited designs). Decode and
+// DecodePrior read the header and sections through one reader, and one
+// check holds the set table's structural rules. Every section is
+// integrity-checked with CRC32C (Castagnoli) before any of it is
+// trusted; declared lengths and counts are capped against the remaining
+// input before allocation, so arbitrary bytes fail cleanly instead of
+// panicking or ballooning memory; and a format-version mismatch is an
+// explicit "regenerate" error rather than a misparse.
 //
 // Decoding requires the matching *core.Analyzer (graph construction is
 // cheap; it is the solve the artifact elides). The AVF vector is
@@ -97,32 +99,20 @@ var (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Encode serializes res (and its compiled plan) into a self-describing
-// artifact. plan may be nil, in which case the result is compiled first;
-// passing an existing plan merely skips that recompilation — the bytes
-// are identical either way, and identical across processes: map-ordered
-// inputs are sorted before writing, and everything else is already
-// deterministic in the analyzer's construction order.
-func Encode(res *core.Result, plan *sweep.Plan) ([]byte, error) {
+// Encode serializes res into a self-describing artifact. The plan
+// section is res's own set table and slots (Result.Sets, Fwd, Bwd), so
+// no plan is compiled to write it. The bytes are deterministic, also
+// across processes: map-ordered inputs are sorted before writing, and
+// everything else is already deterministic in the analyzer's
+// construction order.
+func Encode(res *core.Result) ([]byte, error) {
 	a := res.Analyzer
-	if plan == nil {
-		var err error
-		plan, err = sweep.Compile(res)
-		if err != nil {
-			return nil, fmt.Errorf("artifact: compiling plan: %w", err)
-		}
-	}
-	if plan.Fingerprint != a.Fingerprint() {
-		return nil, fmt.Errorf("artifact: plan fingerprint %016x does not match result design %016x",
-			plan.Fingerprint, a.Fingerprint())
-	}
-
 	meta, err := encodeMeta(res)
 	if err != nil {
 		return nil, err
 	}
 	inputs := encodeInputs(res.Inputs)
-	planSec := encodePlan(plan.Raw())
+	planSec := encodePlan(res.Sets, res.Fwd, res.Bwd)
 	avfSec, err := encodeAVF(res)
 	if err != nil {
 		return nil, err
@@ -152,99 +142,139 @@ func Encode(res *core.Result, plan *sweep.Plan) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Decode reconstructs the solved result and compiled plan from data,
+// Decode reconstructs the solved result and its compiled plan from data,
 // bound to a (which must carry the artifact's fingerprint — build it
-// from the same netlist and options). The returned result's AVF vector
-// is restored from its stored float64 bits and its Env rebuilt from
-// the stored inputs exactly as the solver would, so the decoded Result
-// — and Reevaluate and Sweep on it — behave bit-identically to the
-// encoded original. Arbitrary or damaged bytes yield an error wrapping
-// ErrCorrupt, ErrFormatVersion, or ErrFingerprint — never a panic.
+// from the same netlist and options). The result takes the checked set
+// table and slots from the plan section, and the plan is the ordinary
+// sweep.Compile of it. The AVF vector is restored from its stored
+// float64 bits and Env rebuilt from the stored inputs exactly as the
+// solver would, so the decoded Result — and Reevaluate and Sweep on it —
+// behave bit-identically to the encoded original. Arbitrary or damaged
+// bytes yield an error wrapping ErrCorrupt, ErrFormatVersion, or
+// ErrFingerprint — never a panic.
 func Decode(data []byte, a *core.Analyzer) (*core.Result, *sweep.Plan, error) {
-	r := &reader{b: data}
-	if string(r.bytes(len(magic))) != magic {
-		return nil, nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	version := r.u32()
-	fp := r.u64()
-	nSec := r.u32()
-	if r.err != nil {
-		return nil, nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
-	}
-	if version != FormatVersion {
-		return nil, nil, fmt.Errorf("%w (artifact version %d, this build reads %d)",
-			ErrFormatVersion, version, FormatVersion)
+	fp, payloads, err := readSections(data)
+	if err != nil {
+		return nil, nil, err
 	}
 	if fp != a.Fingerprint() {
 		return nil, nil, fmt.Errorf("%w (artifact %016x, design %q %016x)",
 			ErrFingerprint, fp, a.G.Design.Name, a.Fingerprint())
 	}
-	if nSec != 5 {
-		return nil, nil, fmt.Errorf("%w: version %d carries 5 sections, found %d", ErrCorrupt, FormatVersion, nSec)
-	}
-
-	var meta *metaSection
-	var in *core.Inputs
-	var raw sweep.Raw
-	var avf []float64
-	for _, want := range []uint32{secMeta, secInputs, secPlan, secAVF, secFubState} {
-		payload, err := section(r, want)
-		if err != nil {
-			return nil, nil, err
-		}
-		switch want {
-		case secMeta:
-			meta, err = decodeMeta(payload, a)
-		case secInputs:
-			in, err = decodeInputs(payload)
-		case secPlan:
-			raw, err = decodePlan(payload, meta.numVerts)
-		case secAVF:
-			avf, err = decodeAVF(payload, meta.numVerts)
-		case secFubState:
-			// The analyzer regenerates per-FUB state from its own graph;
-			// the stored copy only needs to be self-consistent. (Its real
-			// consumer is DecodePrior, which has no analyzer.)
-			_, _, err = decodeFubState(payload, meta.uniLen, meta.numVerts)
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	if r.remaining() != 0 {
-		return nil, nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, r.remaining())
-	}
-
-	// Restore validates the CSR against the analyzer and builds the
-	// compiled plan on it; the result carries the same CSR as its set
-	// table.
-	plan, err := sweep.Restore(a, raw, meta.visited)
+	c, err := decodeSections(payloads)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return nil, nil, err
+	}
+	m := c.meta
+	if m.name != a.G.Design.Name {
+		return nil, nil, fmt.Errorf("%w: artifact design %q, analyzer design %q", ErrFingerprint, m.name, a.G.Design.Name)
+	}
+	if m.uniLen != a.Universe().Len() {
+		return nil, nil, fmt.Errorf("%w: artifact universe has %d terms, analyzer %d", ErrCorrupt, m.uniLen, a.Universe().Len())
+	}
+	if m.numVerts != a.G.NumVerts() {
+		return nil, nil, fmt.Errorf("%w: artifact covers %d vertices, design has %d", ErrCorrupt, m.numVerts, a.G.NumVerts())
 	}
 
 	// Env rebuilds from the stored inputs through the same code path the
 	// solver used, so it matches the original bit for bit.
-	if err := a.CheckInputs(in); err != nil {
+	if err := a.CheckInputs(c.in); err != nil {
 		return nil, nil, fmt.Errorf("%w: stored inputs rejected: %v", ErrCorrupt, err)
 	}
-	env, err := a.BuildEnv(in)
+	env, err := a.BuildEnv(c.in)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: stored inputs rejected: %v", ErrCorrupt, err)
 	}
 	res := &core.Result{
 		Analyzer:   a,
-		Inputs:     in,
+		Inputs:     c.in,
 		Env:        env,
-		Sets:       pavf.CSR{Off: raw.SetOff, IDs: raw.SetIDs},
-		Fwd:        raw.FwdIdx,
-		Bwd:        raw.BwdIdx,
-		AVF:        avf,
-		Visited:    meta.visited,
-		Iterations: meta.iterations,
-		Converged:  meta.converged,
+		Sets:       c.sets,
+		Fwd:        c.fwd,
+		Bwd:        c.bwd,
+		AVF:        c.avf,
+		Visited:    m.visited,
+		Iterations: m.iterations,
+		Converged:  m.converged,
+	}
+	plan, err := sweep.Compile(res)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return res, plan, nil
+}
+
+// readSections reads an artifact's header and its five section payloads,
+// each checked against its CRC32C: the one reader Decode and DecodePrior
+// share. No CRC covers the header fingerprint, so it is returned for the
+// caller to compare before anything is decoded.
+func readSections(data []byte) (fp uint64, payloads [5][]byte, err error) {
+	r := &reader{b: data}
+	if string(r.bytes(len(magic))) != magic {
+		return 0, payloads, fmt.Errorf("%w: bad magic", ErrCorrupt)
+	}
+	version := r.u32()
+	fp = r.u64()
+	nSec := r.u32()
+	if r.err != nil {
+		return 0, payloads, fmt.Errorf("%w: truncated header", ErrCorrupt)
+	}
+	if version != FormatVersion {
+		return 0, payloads, fmt.Errorf("%w (artifact version %d, this build reads %d)",
+			ErrFormatVersion, version, FormatVersion)
+	}
+	if nSec != uint32(len(payloads)) {
+		return 0, payloads, fmt.Errorf("%w: version %d carries %d sections, found %d",
+			ErrCorrupt, FormatVersion, len(payloads), nSec)
+	}
+	// Section IDs run from secMeta to secFubState, in that order.
+	for i := range payloads {
+		if payloads[i], err = section(r, uint32(i+1)); err != nil {
+			return 0, payloads, err
+		}
+	}
+	if r.remaining() != 0 {
+		return 0, payloads, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, r.remaining())
+	}
+	return fp, payloads, nil
+}
+
+// contents is an artifact's five sections, decoded and checked against
+// one another.
+type contents struct {
+	meta     *metaSection
+	in       *core.Inputs
+	sets     pavf.CSR
+	fwd, bwd []int32
+	avf      []float64
+	dict     []pavf.Term
+	fubs     []fubEntry
+}
+
+// decodeSections decodes the payloads readSections returned and checks
+// all that can be checked without an analyzer: the set table's rules
+// (checkTable) against the meta section's universe length, and the
+// per-vertex sections and per-FUB extents against its vertex count.
+func decodeSections(p [5][]byte) (*contents, error) {
+	c := &contents{}
+	var err error
+	if c.meta, err = decodeMeta(p[secMeta-1]); err != nil {
+		return nil, err
+	}
+	n, uniLen := c.meta.numVerts, c.meta.uniLen
+	if c.in, err = decodeInputs(p[secInputs-1]); err != nil {
+		return nil, err
+	}
+	if c.sets, c.fwd, c.bwd, err = decodePlan(p[secPlan-1], n, uniLen); err != nil {
+		return nil, err
+	}
+	if c.avf, err = decodeAVF(p[secAVF-1], n); err != nil {
+		return nil, err
+	}
+	if c.dict, c.fubs, err = decodeFubState(p[secFubState-1], uniLen, n); err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
 // section reads one section envelope (id, length, CRC32C, payload) off
@@ -303,28 +333,10 @@ func encodeMeta(res *core.Result) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// decodeMeta parses and validates the meta payload against the analyzer.
-func decodeMeta(payload []byte, a *core.Analyzer) (*metaSection, error) {
-	m, err := decodeMetaRaw(payload)
-	if err != nil {
-		return nil, err
-	}
-	if m.name != a.G.Design.Name {
-		return nil, fmt.Errorf("%w: artifact design %q, analyzer design %q", ErrFingerprint, m.name, a.G.Design.Name)
-	}
-	if m.uniLen != a.Universe().Len() {
-		return nil, fmt.Errorf("%w: artifact universe has %d terms, analyzer %d", ErrCorrupt, m.uniLen, a.Universe().Len())
-	}
-	if m.numVerts != a.G.NumVerts() {
-		return nil, fmt.Errorf("%w: artifact covers %d vertices, design has %d", ErrCorrupt, m.numVerts, a.G.NumVerts())
-	}
-	return m, nil
-}
-
-// decodeMetaRaw parses the meta payload with no analyzer to check
-// against — the DecodePrior path, where the artifact itself is the only
-// source of the design's shape.
-func decodeMetaRaw(payload []byte) (*metaSection, error) {
+// decodeMeta parses the meta payload. Decode checks it against the
+// analyzer; for DecodePrior the artifact itself is the only source of
+// the design's shape.
+func decodeMeta(payload []byte) (*metaSection, error) {
 	r := &reader{b: payload}
 	name := r.str()
 	uniLen := r.u32()
@@ -449,73 +461,105 @@ func decodeInputs(payload []byte) (*core.Inputs, error) {
 	return in, nil
 }
 
-func encodePlan(raw sweep.Raw) []byte {
+func encodePlan(sets pavf.CSR, fwd, bwd []int32) []byte {
 	var buf bytes.Buffer
-	buf.Grow(4 * (2 + len(raw.SetOff) + len(raw.SetIDs) + len(raw.FwdIdx) + len(raw.BwdIdx)))
-	writeU32(&buf, uint32(len(raw.SetOff)-1))
-	for _, off := range raw.SetOff {
+	buf.Grow(4 * (2 + len(sets.Off) + len(sets.IDs) + len(fwd) + len(bwd)))
+	writeU32(&buf, uint32(len(sets.Off)-1))
+	for _, off := range sets.Off {
 		writeU32(&buf, uint32(off))
 	}
-	writeU32(&buf, uint32(len(raw.SetIDs)))
-	for _, id := range raw.SetIDs {
+	writeU32(&buf, uint32(len(sets.IDs)))
+	for _, id := range sets.IDs {
 		writeU32(&buf, uint32(id))
 	}
-	for _, idx := range raw.FwdIdx {
+	for _, idx := range fwd {
 		writeU32(&buf, uint32(idx))
 	}
-	for _, idx := range raw.BwdIdx {
+	for _, idx := range bwd {
 		writeU32(&buf, uint32(idx))
 	}
 	return buf.Bytes()
 }
 
-// decodePlan reads the CSR subterm table. Structural validation beyond
-// counts (offset monotonicity, term ranges, index coverage) happens in
-// sweep.Restore, against the analyzer. The four arrays are read with
-// one bounds check each and a tight conversion loop — this is the
-// decode hot path.
-func decodePlan(payload []byte, numVerts int) (sweep.Raw, error) {
+// decodePlan reads the set table and the per-vertex slots and checks
+// them with checkTable against a universe of uniLen terms. The four
+// arrays are read with one bounds check each and a tight conversion
+// loop — this is the decode hot path.
+func decodePlan(payload []byte, numVerts, uniLen int) (sets pavf.CSR, fwd, bwd []int32, err error) {
 	r := &reader{b: payload}
 	nSets := r.count(4)
-	raw := sweep.Raw{}
 	if r.err != nil || r.remaining() < (nSets+1)*4 {
-		return raw, fmt.Errorf("%w: plan offsets truncated", ErrCorrupt)
+		return sets, nil, nil, fmt.Errorf("%w: plan offsets truncated", ErrCorrupt)
 	}
-	raw.SetOff = make([]int32, nSets+1)
+	sets.Off = make([]int32, nSets+1)
 	off := r.bytes(4 * (nSets + 1))
-	for i := range raw.SetOff {
-		v := binary.LittleEndian.Uint32(off[4*i:])
-		if v > uint32(len(payload)) { // offsets index SetIDs, bounded by payload size
-			return raw, fmt.Errorf("%w: plan offset %d out of range", ErrCorrupt, v)
-		}
-		raw.SetOff[i] = int32(v)
+	for i := range sets.Off {
+		sets.Off[i] = int32(binary.LittleEndian.Uint32(off[4*i:]))
 	}
 	nIDs := r.count(4)
 	if r.err != nil {
-		return raw, fmt.Errorf("%w: plan term table truncated", ErrCorrupt)
+		return sets, nil, nil, fmt.Errorf("%w: plan term table truncated", ErrCorrupt)
 	}
-	raw.SetIDs = make([]pavf.TermID, nIDs)
+	sets.IDs = make([]pavf.TermID, nIDs)
 	ids := r.bytes(4 * nIDs)
-	for i := range raw.SetIDs {
-		raw.SetIDs[i] = pavf.TermID(binary.LittleEndian.Uint32(ids[4*i:]))
+	for i := range sets.IDs {
+		sets.IDs[i] = pavf.TermID(binary.LittleEndian.Uint32(ids[4*i:]))
 	}
 	if r.remaining() != 2*numVerts*4 {
-		return raw, fmt.Errorf("%w: plan indexes %d bytes for %d vertices", ErrCorrupt, r.remaining(), numVerts)
+		return sets, nil, nil, fmt.Errorf("%w: plan indexes %d bytes for %d vertices", ErrCorrupt, r.remaining(), numVerts)
 	}
-	raw.FwdIdx = make([]int32, numVerts)
-	fwd := r.bytes(4 * numVerts)
-	for i := range raw.FwdIdx {
-		raw.FwdIdx[i] = int32(binary.LittleEndian.Uint32(fwd[4*i:]))
+	fwd = make([]int32, numVerts)
+	fb := r.bytes(4 * numVerts)
+	for i := range fwd {
+		fwd[i] = int32(binary.LittleEndian.Uint32(fb[4*i:]))
 	}
-	raw.BwdIdx = make([]int32, numVerts)
-	bwd := r.bytes(4 * numVerts)
-	for i := range raw.BwdIdx {
-		raw.BwdIdx[i] = int32(binary.LittleEndian.Uint32(bwd[4*i:]))
+	bwd = make([]int32, numVerts)
+	bb := r.bytes(4 * numVerts)
+	for i := range bwd {
+		bwd[i] = int32(binary.LittleEndian.Uint32(bb[4*i:]))
 	}
 	if r.err != nil || r.remaining() != 0 {
-		return raw, fmt.Errorf("%w: plan section malformed", ErrCorrupt)
+		return sets, nil, nil, fmt.Errorf("%w: plan section malformed", ErrCorrupt)
 	}
-	return raw, nil
+	return sets, fwd, bwd, checkTable(sets, fwd, bwd, uniLen)
+}
+
+// checkTable holds the structural rules of a persisted set table, the
+// ones evaluation, Result.Expr and the incremental seed rely on when
+// they index it without further checks: offsets run from 0 to len(IDs)
+// without decreasing (so none passes len(IDs)), each set's term IDs
+// ascend strictly from 0 and stay below uniLen, and every vertex slot
+// is -1 (unknown side) or names a set.
+func checkTable(sets pavf.CSR, fwd, bwd []int32, uniLen int) error {
+	off := sets.Off // decodePlan reads at least one
+	if off[0] != 0 || int(off[len(off)-1]) != len(sets.IDs) {
+		return fmt.Errorf("%w: plan offsets do not span the term table", ErrCorrupt)
+	}
+	for s := 1; s < len(off); s++ {
+		lo, hi := off[s-1], off[s]
+		if lo > hi || int(hi) > len(sets.IDs) {
+			return fmt.Errorf("%w: plan set %d extent [%d,%d) outside the term table of %d", ErrCorrupt, s-1, lo, hi, len(sets.IDs))
+		}
+		prev := pavf.TermID(-1) // so a negative ID fails the ascent
+		for _, id := range sets.IDs[lo:hi] {
+			if id <= prev {
+				return fmt.Errorf("%w: plan set %d terms not strictly ascending from 0 at %d", ErrCorrupt, s-1, id)
+			}
+			if int(id) >= uniLen {
+				return fmt.Errorf("%w: plan set %d references term %d outside universe of %d", ErrCorrupt, s-1, id, uniLen)
+			}
+			prev = id
+		}
+	}
+	nSets := int32(len(off) - 1)
+	for _, slots := range [2][]int32{fwd, bwd} {
+		for v, s := range slots {
+			if s < -1 || s >= nSets {
+				return fmt.Errorf("%w: plan vertex %d names set %d of %d", ErrCorrupt, v, s, nSets)
+			}
+		}
+	}
+	return nil
 }
 
 // encodeAVF stores the solved AVF vector as raw little-endian float64
@@ -660,121 +704,50 @@ func decodeFubState(payload []byte, uniLen, numVerts int) ([]pavf.Term, []fubEnt
 // caller here holds an edited design and wants the old design's per-FUB
 // walk state to seed core.ResolveIncremental. Everything is validated
 // from the artifact alone — the dictionary rebuilds the term universe,
-// the plan CSR is checked against it, and the per-FUB extents partition
+// the set table is checked against it, and the per-FUB extents partition
 // the vertex space — so corrupt, truncated, or version-skewed bytes fail
 // with explicit errors (ErrCorrupt / ErrFormatVersion), never a panic.
+// The header fingerprint is not checked: an edited design's differs by
+// construction.
 func DecodePrior(data []byte) (*core.PriorState, error) {
-	r := &reader{b: data}
-	if string(r.bytes(len(magic))) != magic {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
+	_, payloads, err := readSections(data)
+	if err != nil {
+		return nil, err
 	}
-	version := r.u32()
-	r.u64() // fingerprint: the edited design's differs by construction
-	nSec := r.u32()
-	if r.err != nil {
-		return nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
-	}
-	if version != FormatVersion {
-		return nil, fmt.Errorf("%w (artifact version %d, this build reads %d)",
-			ErrFormatVersion, version, FormatVersion)
-	}
-	if nSec != 5 {
-		return nil, fmt.Errorf("%w: version %d carries 5 sections, found %d", ErrCorrupt, FormatVersion, nSec)
-	}
-	var meta *metaSection
-	var in *core.Inputs
-	var raw sweep.Raw
-	var avf []float64
-	var dict []pavf.Term
-	var fubs []fubEntry
-	for _, want := range []uint32{secMeta, secInputs, secPlan, secAVF, secFubState} {
-		payload, err := section(r, want)
-		if err != nil {
-			return nil, err
-		}
-		switch want {
-		case secMeta:
-			meta, err = decodeMetaRaw(payload)
-		case secInputs:
-			in, err = decodeInputs(payload)
-		case secPlan:
-			raw, err = decodePlan(payload, meta.numVerts)
-		case secAVF:
-			avf, err = decodeAVF(payload, meta.numVerts)
-		case secFubState:
-			dict, fubs, err = decodeFubState(payload, meta.uniLen, meta.numVerts)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	if r.remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, r.remaining())
-	}
+	return decodePrior(payloads)
+}
 
+// decodePrior builds the prior state from the payloads readSections
+// returned.
+func decodePrior(payloads [5][]byte) (*core.PriorState, error) {
+	c, err := decodeSections(payloads)
+	if err != nil {
+		return nil, err
+	}
 	// Rebuild the universe in dictionary order: interning into a fresh
 	// universe assigns dense sequential IDs, so position i keeps ID i and
 	// the plan's term IDs apply unchanged.
 	uni := pavf.NewUniverse()
-	for i := 1; i < len(dict); i++ {
-		if id := uni.Intern(dict[i]); int(id) != i {
+	for i := 1; i < len(c.dict); i++ {
+		if id := uni.Intern(c.dict[i]); int(id) != i {
 			return nil, fmt.Errorf("%w: fubstate dictionary term %d re-interned as %d", ErrCorrupt, i, id)
 		}
 	}
-
-	// Validate the plan CSR against the dictionary — the same structural
-	// rules sweep.Restore enforces, minus the analyzer-specific ones.
-	nSets := len(raw.SetOff) - 1
-	if nSets < 0 || raw.SetOff[0] != 0 || int(raw.SetOff[nSets]) != len(raw.SetIDs) {
-		return nil, fmt.Errorf("%w: plan offsets do not cover the term table", ErrCorrupt)
-	}
-	sets := make([]pavf.Set, nSets)
-	for s := 0; s < nSets; s++ {
-		lo, hi := raw.SetOff[s], raw.SetOff[s+1]
-		if lo > hi || int(hi) > len(raw.SetIDs) {
-			return nil, fmt.Errorf("%w: plan set %d has malformed extent [%d,%d)", ErrCorrupt, s, lo, hi)
-		}
-		ids := raw.SetIDs[lo:hi]
-		for i, id := range ids {
-			if id < 0 || int(id) >= len(dict) {
-				return nil, fmt.Errorf("%w: plan set %d references term %d outside the dictionary", ErrCorrupt, s, id)
-			}
-			if i > 0 && ids[i-1] >= id {
-				return nil, fmt.Errorf("%w: plan set %d terms not strictly ascending", ErrCorrupt, s)
-			}
-		}
-		sets[s] = pavf.SetFromSorted(ids)
-	}
-	checkIdx := func(idx []int32) error {
-		for _, i := range idx {
-			if i < -1 || int(i) >= nSets {
-				return fmt.Errorf("%w: plan vertex references set %d of %d", ErrCorrupt, i, nSets)
-			}
-		}
-		return nil
-	}
-	if err := checkIdx(raw.FwdIdx); err != nil {
-		return nil, err
-	}
-	if err := checkIdx(raw.BwdIdx); err != nil {
-		return nil, err
-	}
-
 	ps := &core.PriorState{
-		Design:   meta.name,
+		Design:   c.meta.name,
 		Universe: uni,
-		Inputs:   in,
-		Sets:     sets,
-		Fubs:     make([]core.FubPrior, len(fubs)),
+		Inputs:   c.in,
+		Sets:     c.sets,
+		Fubs:     make([]core.FubPrior, len(c.fubs)),
 	}
 	off := 0
-	for i, fe := range fubs {
+	for i, fe := range c.fubs {
 		ps.Fubs[i] = core.FubPrior{
 			Name:        fe.name,
 			Fingerprint: fe.fingerprint,
-			FwdIdx:      raw.FwdIdx[off : off+fe.verts],
-			BwdIdx:      raw.BwdIdx[off : off+fe.verts],
-			AVF:         avf[off : off+fe.verts],
+			FwdIdx:      c.fwd[off : off+fe.verts],
+			BwdIdx:      c.bwd[off : off+fe.verts],
+			AVF:         c.avf[off : off+fe.verts],
 		}
 		off += fe.verts
 	}

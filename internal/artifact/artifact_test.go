@@ -79,7 +79,7 @@ func seededInputs(a *core.Analyzer, seed uint64) *core.Inputs {
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	_, res, _ := buildSolved(t, 7, 1001)
-	data, err := Encode(res, nil)
+	data, err := Encode(res)
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
@@ -118,35 +118,22 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 
 func TestEncodeDeterministic(t *testing.T) {
 	_, res, _ := buildSolved(t, 13, 5)
-	a, err := Encode(res, nil)
+	a, err := Encode(res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Encode(res, nil)
+	b, err := Encode(res)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(a) != string(b) {
 		t.Fatal("two encodes of the same result differ byte-wise")
 	}
-	// Encoding with a pre-compiled plan must produce the same bytes as
-	// letting Encode compile one.
-	p, err := sweep.Compile(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := Encode(res, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(a) != string(c) {
-		t.Fatal("encode with explicit plan differs from encode with compiled plan")
-	}
 }
 
 func TestDecodeVersionGate(t *testing.T) {
 	_, res, _ := buildSolved(t, 3, 9)
-	data, err := Encode(res, nil)
+	data, err := Encode(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +147,7 @@ func TestDecodeVersionGate(t *testing.T) {
 
 func TestDecodeFingerprintGate(t *testing.T) {
 	_, res, _ := buildSolved(t, 4, 9)
-	data, err := Encode(res, nil)
+	data, err := Encode(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +160,7 @@ func TestDecodeFingerprintGate(t *testing.T) {
 
 func TestDecodeCorruptionDetected(t *testing.T) {
 	_, res, _ := buildSolved(t, 6, 11)
-	data, err := Encode(res, nil)
+	data, err := Encode(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +197,7 @@ func TestStoreGetPutMissHit(t *testing.T) {
 	if got, plan, err := st.Get(a); err != nil || got != nil || plan != nil {
 		t.Fatalf("empty store Get = (%v, %v, %v), want clean miss", got, plan, err)
 	}
-	if err := st.Put(res, nil); err != nil {
+	if err := st.Put(res); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
 	if st.Len() != 1 {
@@ -259,7 +246,7 @@ func TestStoreRefusesCorruptEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, res, _ := buildSolved(t, 30, 1)
-	if err := st.Put(res, nil); err != nil {
+	if err := st.Put(res); err != nil {
 		t.Fatal(err)
 	}
 	arts, err := filepath.Glob(filepath.Join(dir, "*.sart"))
@@ -279,7 +266,7 @@ func TestStoreRefusesCorruptEntry(t *testing.T) {
 		t.Fatal("corrupted store entry served without error")
 	}
 	// Regeneration path: Put overwrites the bad entry and Get recovers.
-	if err := st.Put(res, nil); err != nil {
+	if err := st.Put(res); err != nil {
 		t.Fatal(err)
 	}
 	if got, _, err := st.Get(a); err != nil || got == nil {
@@ -291,7 +278,7 @@ func TestStoreEviction(t *testing.T) {
 	dir := t.TempDir()
 	// Size one artifact first so the bound admits roughly two.
 	a0, res0, _ := buildSolved(t, 40, 1)
-	probe, err := Encode(res0, nil)
+	probe, err := Encode(res0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +287,7 @@ func TestStoreEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Put(res0, nil); err != nil {
+	if err := st.Put(res0); err != nil {
 		t.Fatal(err)
 	}
 	// Make res0 strictly older than the entries that follow.
@@ -311,7 +298,7 @@ func TestStoreEviction(t *testing.T) {
 	}
 	for seed := uint64(41); seed <= 43; seed++ {
 		_, res, _ := buildSolved(t, seed, 1)
-		if err := st.Put(res, nil); err != nil {
+		if err := st.Put(res); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -362,7 +349,7 @@ func TestEngineSecondLevelStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, res, in := buildSolved(t, 50, 3)
-	if err := st.Put(res, nil); err != nil {
+	if err := st.Put(res); err != nil {
 		t.Fatal(err)
 	}
 

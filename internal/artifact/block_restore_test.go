@@ -8,11 +8,11 @@ import (
 	"seqavf/internal/sweep"
 )
 
-// TestRestoredPlanBlockBitIdentity: a plan restored from a decoded
-// artifact must drive the blocked kernel exactly like a freshly compiled
-// plan — Restore rebuilds the same pair-dedup and run-length broadcast
-// tables Compile builds, so the warm-start path gets the SoA kernel with
-// no arithmetic drift. Checked over seeded designs, against both the
+// TestRestoredPlanBlockBitIdentity: the plan Decode returns must drive
+// the blocked kernel exactly like the plan compiled from the original
+// result — Decode compiles the decoded set table, which rebuilds the
+// same pair-dedup and run-length broadcast tables, so the warm-start
+// path gets the SoA kernel with no arithmetic drift. Checked over seeded designs, against both the
 // fresh plan's EvalBlockInto and Result.Reevaluate, bit for bit.
 func TestRestoredPlanBlockBitIdentity(t *testing.T) {
 	for seed := uint64(0); seed < 20; seed++ {
@@ -21,7 +21,7 @@ func TestRestoredPlanBlockBitIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: Compile: %v", seed, err)
 		}
-		data, err := Encode(res, nil)
+		data, err := Encode(res)
 		if err != nil {
 			t.Fatalf("seed %d: Encode: %v", seed, err)
 		}

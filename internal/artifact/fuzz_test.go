@@ -24,7 +24,7 @@ func fuzzSetup(t testing.TB) (*core.Analyzer, []byte) {
 	fuzzOnce.Do(func() {
 		a, res, _ := buildSolved(t, 12, 34)
 		fuzzAn = a
-		fuzzSeed, fuzzErr = Encode(res, nil)
+		fuzzSeed, fuzzErr = Encode(res)
 	})
 	if fuzzErr != nil {
 		t.Fatalf("building fuzz seed artifact: %v", fuzzErr)
@@ -34,7 +34,8 @@ func fuzzSetup(t testing.TB) (*core.Analyzer, []byte) {
 
 // FuzzDecodeArtifact feeds arbitrary bytes to the artifact decoder:
 // every input must either decode into a structurally valid result+plan
-// or fail with a clean error — never panic, and never allocate
+// or fail with an error wrapping ErrCorrupt, ErrFormatVersion or
+// ErrFingerprint — never panic, and never allocate
 // proportionally to a declared (attacker-controlled) length rather than
 // the actual input size. Seeds include a fully valid artifact so the
 // mutator starts deep inside the format instead of dying on the magic.
@@ -55,6 +56,9 @@ func FuzzDecodeArtifact(f *testing.F) {
 		if err != nil {
 			if res != nil || plan != nil {
 				t.Fatal("Decode returned partial results alongside an error")
+			}
+			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrFormatVersion) && !errors.Is(err, ErrFingerprint) {
+				t.Fatalf("Decode failed without a sentinel error: %v", err)
 			}
 			return
 		}
@@ -128,8 +132,8 @@ func FuzzDecodeFUBState(f *testing.F) {
 			}
 			for i := range fp.FwdIdx {
 				for _, idx := range [2]int32{fp.FwdIdx[i], fp.BwdIdx[i]} {
-					if idx < -1 || int(idx) >= len(ps.Sets) {
-						t.Fatalf("FUB %s vertex %d set index %d outside table of %d", fp.Name, i, idx, len(ps.Sets))
+					if idx < -1 || int(idx) >= ps.Sets.Len() {
+						t.Fatalf("FUB %s vertex %d set index %d outside table of %d", fp.Name, i, idx, ps.Sets.Len())
 					}
 				}
 				if !(fp.AVF[i] >= 0 && fp.AVF[i] <= 1) {
@@ -137,8 +141,8 @@ func FuzzDecodeFUBState(f *testing.F) {
 				}
 			}
 		}
-		for _, s := range ps.Sets {
-			for _, id := range s.IDs() {
+		for s := 0; s < ps.Sets.Len(); s++ {
+			for _, id := range ps.Sets.SetIDs(int32(s)) {
 				if int(id) >= ps.Universe.Len() {
 					t.Fatalf("set term %d outside universe of %d", id, ps.Universe.Len())
 				}

@@ -58,7 +58,7 @@ func tinycoreSolved(t *testing.T) (*core.Analyzer, *core.Result) {
 // version).
 func TestGoldenArtifactBytes(t *testing.T) {
 	a, res := tinycoreSolved(t)
-	got, err := Encode(res, nil)
+	got, err := Encode(res)
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}

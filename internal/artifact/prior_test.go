@@ -16,7 +16,7 @@ import (
 // table references, fingerprints, and AVFs — with no analyzer in hand.
 func TestDecodePriorRoundTrip(t *testing.T) {
 	_, res, in := buildSolved(t, 21, 43)
-	data, err := Encode(res, nil)
+	data, err := Encode(res)
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
@@ -58,8 +58,7 @@ func TestDecodePriorRoundTrip(t *testing.T) {
 				if pair[0] < 0 {
 					continue
 				}
-				gs, ws := got.Sets[pair[0]], want.Sets[pair[1]]
-				gi, wi := gs.IDs(), ws.IDs()
+				gi, wi := got.Sets.SetIDs(pair[0]), want.Sets.SetIDs(pair[1])
 				if len(gi) != len(wi) {
 					t.Fatalf("FUB %s vertex %d side %d: set sizes %d vs %d", gf.Name, i, side, len(gi), len(wi))
 				}
@@ -86,7 +85,7 @@ func TestStorePrior(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, res, _ := buildSolved(t, 77, 99)
-	if err := st.Put(res, nil); err != nil {
+	if err := st.Put(res); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
 	ctx := context.Background()
@@ -147,7 +146,7 @@ func TestStorePriorSurvivesEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, res, in := buildSolved(t, 31, 62)
-	if err := st.Put(res, nil); err != nil {
+	if err := st.Put(res); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
@@ -166,7 +165,7 @@ func TestStorePriorSurvivesEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Put(res2, nil); err != nil {
+	if err := st.Put(res2); err != nil {
 		t.Fatal(err)
 	}
 	ps, err := st.Prior(ctx, name)

@@ -27,7 +27,7 @@ func TestPropertyRoundTripBitIdentical(t *testing.T) {
 	}
 	for seed := uint64(0); seed < seeds; seed++ {
 		a1, res, in := buildSolved(t, seed, seed^0xc0ffee)
-		data, err := Encode(res, nil)
+		data, err := Encode(res)
 		if err != nil {
 			t.Fatalf("seed %d: Encode: %v", seed, err)
 		}
@@ -86,7 +86,7 @@ func TestPropertyRoundTripBitIdentical(t *testing.T) {
 		// this seed's artifact, then Get with the next seed's analyzer —
 		// the content address differs, so it must miss cleanly, and a
 		// forged file under the wrong address must be rejected.
-		if err := st.Put(res, plan); err != nil {
+		if err := st.Put(res); err != nil {
 			t.Fatalf("seed %d: store Put: %v", seed, err)
 		}
 		other := freshAnalyzer(t, seed+seeds)
@@ -106,7 +106,7 @@ func TestPropertyRoundTripBitIdentical(t *testing.T) {
 	if err != nil || res0 == nil {
 		t.Fatalf("seed 0 re-Get: (%v, %v)", res0, err)
 	}
-	data, err := Encode(res0, nil)
+	data, err := Encode(res0)
 	if err != nil {
 		t.Fatal(err)
 	}

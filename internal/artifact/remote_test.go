@@ -43,7 +43,7 @@ func TestRemotePullThroughInstalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, res, in := buildSolved(t, 60, 7)
-	if err := src.Put(res, nil); err != nil {
+	if err := src.Put(res); err != nil {
 		t.Fatal(err)
 	}
 	peer := peerFor(t, src)
@@ -136,7 +136,7 @@ func TestRemoteCorruptPeerRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, res, _ := buildSolved(t, 62, 7)
-	if err := src.Put(res, nil); err != nil {
+	if err := src.Put(res); err != nil {
 		t.Fatal(err)
 	}
 	good := peerFor(t, src)
@@ -219,11 +219,11 @@ func TestRawRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, res, _ := buildSolved(t, 64, 7)
-	want, err := Encode(res, nil)
+	want, err := Encode(res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Put(res, nil); err != nil {
+	if err := st.Put(res); err != nil {
 		t.Fatal(err)
 	}
 	got, err := st.Raw(res.Analyzer.Fingerprint())

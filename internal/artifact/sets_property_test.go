@@ -91,7 +91,7 @@ func TestExprsMatchSetTable(t *testing.T) {
 		}
 		checkSetTable(t, fmt.Sprintf("seed %d ResolveIncremental(%v)", seed, kind), incr)
 
-		data, err := Encode(mono, nil)
+		data, err := Encode(mono)
 		if err != nil {
 			t.Fatalf("seed %d: Encode: %v", seed, err)
 		}

@@ -3,7 +3,6 @@ package artifact
 import (
 	"container/list"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -468,12 +467,11 @@ func (s *Store) touch(name string, size int) {
 	s.idx.use(name, int64(size))
 }
 
-// Put encodes res (compiling its plan when plan is nil) and installs it
-// under the design fingerprint via an atomic write-rename, then evicts
-// least-recently-used entries beyond MaxBytes. An existing entry for
-// the same fingerprint is replaced.
-func (s *Store) Put(res *core.Result, plan *sweep.Plan) error {
-	data, err := Encode(res, plan)
+// Put encodes res and installs it under the design fingerprint via an
+// atomic write-rename, then evicts least-recently-used entries beyond
+// MaxBytes. An existing entry for the same fingerprint is replaced.
+func (s *Store) Put(res *core.Result) error {
+	data, err := Encode(res)
 	if err != nil {
 		return err
 	}
@@ -570,7 +568,7 @@ func (s *Store) Prior(ctx context.Context, designName string) (*core.PriorState,
 		sp.SetAttr("outcome", "error")
 		return nil, fmt.Errorf("artifact: reading %s: %w", path, err)
 	}
-	ps, err := decodeHeadTarget(data, fp)
+	ps, err := priorAt(data, fp)
 	if err != nil {
 		s.opts.Obs.Counter("artifact.decode_errors").Inc()
 		sp.SetAttr("outcome", "error")
@@ -587,19 +585,20 @@ func (s *Store) Prior(ctx context.Context, designName string) (*core.PriorState,
 	return ps, nil
 }
 
-// decodeHeadTarget is DecodePrior for the artifact a head pointer led
-// to. DecodePrior skips the header fingerprint (an edited design's
-// differs by construction) and no section CRC covers the header, so a
-// damaged fingerprint would otherwise go unseen; here the head names the
-// fingerprint the bytes must carry, and a mismatch is corruption.
-func decodeHeadTarget(data []byte, fp uint64) (*core.PriorState, error) {
-	const at = len(magic) + 4 // fingerprint follows magic and version
-	if len(data) >= at+8 {
-		if got := binary.LittleEndian.Uint64(data[at:]); got != fp {
-			return nil, fmt.Errorf("%w: header fingerprint %016x, head names %016x", ErrCorrupt, got, fp)
-		}
+// priorAt decodes the prior state of the artifact a head pointer names.
+// No section CRC covers the header fingerprint, and DecodePrior skips
+// it (an edited design's differs by construction). The head names fp
+// as the fingerprint these bytes must carry, so a mismatch is
+// corruption.
+func priorAt(data []byte, fp uint64) (*core.PriorState, error) {
+	got, payloads, err := readSections(data)
+	if err != nil {
+		return nil, err
 	}
-	return DecodePrior(data)
+	if got != fp {
+		return nil, fmt.Errorf("%w: header fingerprint %016x, head names %016x", ErrCorrupt, got, fp)
+	}
+	return decodePrior(payloads)
 }
 
 // evictLocked runs after every write: it counts the write, rescans
@@ -708,8 +707,10 @@ func (s *Store) GetPlan(ctx context.Context, res *core.Result) (*sweep.Plan, err
 	return plan, err
 }
 
-// PutPlan persists the compiled plan (with its source result) under the
-// design fingerprint.
+// PutPlan persists res under the design fingerprint. p is unused: the
+// result carries the set table the plan was compiled from, and that
+// table is what the artifact stores. The parameter stays because
+// PutPlan implements sweep.PlanStore.
 func (s *Store) PutPlan(res *core.Result, p *sweep.Plan) error {
-	return s.Put(res, p)
+	return s.Put(res)
 }

@@ -26,7 +26,7 @@ func globCount(t *testing.T, dir, pattern string) int {
 func TestEvictionSweepsHeads(t *testing.T) {
 	dir := t.TempDir()
 	_, res0, _ := buildSolved(t, 70, 1)
-	probe, err := Encode(res0, nil)
+	probe, err := Encode(res0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestEvictionSweepsHeads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Put(res0, nil); err != nil {
+	if err := st.Put(res0); err != nil {
 		t.Fatal(err)
 	}
 	// Age the first entry so it is the LRU victim.
@@ -46,7 +46,7 @@ func TestEvictionSweepsHeads(t *testing.T) {
 	}
 	for seed := uint64(71); seed <= 74; seed++ {
 		_, res, _ := buildSolved(t, seed, 1)
-		if err := st.Put(res, nil); err != nil {
+		if err := st.Put(res); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -92,7 +92,7 @@ func globList(t *testing.T, dir, pattern string) []string {
 func TestEvictionSweepsOrphanHeads(t *testing.T) {
 	dir := t.TempDir()
 	_, res, _ := buildSolved(t, 75, 1)
-	probe, err := Encode(res, nil)
+	probe, err := Encode(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestEvictionSweepsOrphanHeads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Put(res, nil); err != nil {
+	if err := st.Put(res); err != nil {
 		t.Fatal(err)
 	}
 	// Orphan the head: delete its artifact directly, and drop in a
@@ -116,7 +116,7 @@ func TestEvictionSweepsOrphanHeads(t *testing.T) {
 	}
 	// Any Put triggers the sweep.
 	_, res2, _ := buildSolved(t, 76, 1)
-	if err := st.Put(res2, nil); err != nil {
+	if err := st.Put(res2); err != nil {
 		t.Fatal(err)
 	}
 	for _, head := range globList(t, dir, "*"+headExt) {
@@ -142,7 +142,7 @@ func TestSizeBytesIncludesHeads(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, res, _ := buildSolved(t, 77, 1)
-	if err := st.Put(res, nil); err != nil {
+	if err := st.Put(res); err != nil {
 		t.Fatal(err)
 	}
 	var want int64
@@ -217,7 +217,7 @@ func TestPriorStrictHeadParse(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := st.Put(res, nil); err != nil {
+			if err := st.Put(res); err != nil {
 				t.Fatal(err)
 			}
 			name := res.Analyzer.G.Design.Name

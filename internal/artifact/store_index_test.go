@@ -154,7 +154,7 @@ func TestStoreIndexMatchesDisk(t *testing.T) {
 	items := make([]solved, designs)
 	for i := range items {
 		_, res, _ := buildSolved(t, uint64(90+i), 1)
-		data, err := Encode(res, nil)
+		data, err := Encode(res)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +195,7 @@ func TestStoreIndexMatchesDisk(t *testing.T) {
 				wrote := false
 				switch rng.Intn(6) {
 				case 0:
-					if err := st.Put(it.res, nil); err != nil {
+					if err := st.Put(it.res); err != nil {
 						t.Fatal(err)
 					}
 					lastWrite, wrote = int64(len(it.data)), true

@@ -34,7 +34,7 @@ func TestStoreSharedDirConcurrent(t *testing.T) {
 		_, res, _ := buildSolved(t, seed, 1)
 		items[i] = solved{res: res, a: freshAnalyzer(t, seed), name: res.Analyzer.G.Design.Name}
 		if i == 0 {
-			probe, err := Encode(res, nil)
+			probe, err := Encode(res)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -65,7 +65,7 @@ func TestStoreSharedDirConcurrent(t *testing.T) {
 					it := items[(r+w)%designs]
 					switch r % 3 {
 					case 0:
-						if err := st.Put(it.res, nil); err != nil {
+						if err := st.Put(it.res); err != nil {
 							t.Errorf("Put: %v", err)
 							return
 						}

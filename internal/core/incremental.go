@@ -64,7 +64,7 @@ func (a *Analyzer) fubExtents() []fubExtent {
 func (a *Analyzer) FubFingerprints() []uint64 { return a.fubFps }
 
 // FubPrior is one FUB's slice of a prior solve: its fingerprint at solve
-// time plus, per local vertex, indices into PriorState.Sets for the
+// time plus, per local vertex, slots in PriorState.Sets for the
 // converged forward/backward sets (-1 = that side unknown) and the
 // evaluated AVF.
 type FubPrior struct {
@@ -85,16 +85,18 @@ type PriorState struct {
 	Universe *pavf.Universe
 	// Inputs the prior AVFs were evaluated under; may be nil (unknown).
 	Inputs *Inputs
-	Sets   []pavf.Set
-	Fubs   []FubPrior
+	// Sets is the prior solve's set table, aliased from the result or the
+	// decoded artifact; read-only.
+	Sets pavf.CSR
+	Fubs []FubPrior
 }
 
 // PriorState distills this result into the seed form ResolveIncremental
-// consumes. It slices the result's set table and per-vertex slots per
-// FUB: the table is already deduplicated in first-sighting order, and is
-// typically orders of magnitude smaller than two sets per vertex. The
-// per-FUB slot slices alias the result's (both are read-only); the AVFs
-// are copied, because Reevaluate rewrites the result's in place.
+// consumes. It shares the result's set table, already deduplicated in
+// first-sighting order and typically orders of magnitude smaller than
+// two sets per vertex, and slices the per-vertex slots per FUB. Table
+// and slots alias the result's (all are read-only); the AVFs are copied,
+// because Reevaluate rewrites the result's in place.
 func (r *Result) PriorState() (*PriorState, error) {
 	a := r.Analyzer
 	n := a.G.NumVerts()
@@ -103,13 +105,9 @@ func (r *Result) PriorState() (*PriorState, error) {
 			len(r.Fwd), len(r.Bwd), len(r.AVF), a.G.Design.Name, n)
 	}
 	fps := a.FubFingerprints()
-	sets := make([]pavf.Set, r.Sets.Len())
-	for s := range sets {
-		sets[s] = r.Sets.Set(int32(s))
-	}
 	avf := append([]float64(nil), r.AVF...)
 	ps := &PriorState{Design: a.G.Design.Name, Universe: a.universe, Inputs: r.Inputs,
-		Sets: sets, Fubs: make([]FubPrior, len(a.exts))}
+		Sets: r.Sets, Fubs: make([]FubPrior, len(a.exts))}
 	for f, ext := range a.exts {
 		lo, hi := ext.start, ext.end
 		ps.Fubs[f] = FubPrior{
@@ -331,13 +329,13 @@ func remapSets(prior *PriorState, uni *pavf.Universe, t *pavf.SetTable) []int32 
 			termMap[id] = nid
 		}
 	}
-	slots := make([]int32, len(prior.Sets))
+	slots := make([]int32, prior.Sets.Len())
 	mapped := make([]pavf.TermID, 0, 16)
-	for i, s := range prior.Sets {
+	for i := range slots {
 		mapped = mapped[:0]
 		slots[i] = pavf.UnknownSlot
 		ok := true
-		for _, id := range s.IDs() {
+		for _, id := range prior.Sets.SetIDs(int32(i)) {
 			if id < 0 || int(id) >= pLen || termMap[id] < 0 {
 				ok = false
 				break

@@ -522,11 +522,11 @@ func TestPriorStateMatchesContentDedup(t *testing.T) {
 					v++
 				}
 			}
-			if len(got.Sets) != len(sets) {
-				t.Fatalf("seed %d: %d sets, want %d", seed, len(got.Sets), len(sets))
+			if got.Sets.Len() != len(sets) {
+				t.Fatalf("seed %d: %d sets, want %d", seed, got.Sets.Len(), len(sets))
 			}
 			for i := range sets {
-				if !got.Sets[i].Equal(sets[i]) {
+				if !got.Sets.Set(int32(i)).Equal(sets[i]) {
 					t.Fatalf("seed %d: set %d differs", seed, i)
 				}
 			}

@@ -202,13 +202,13 @@ func (m *legacyModel) sweep(budgets []float64, solver string) ([]*Protection, er
 
 // legacyTermDerivs is TermDerivs over a sequential-vertex list.
 func legacyTermDerivs(p *sweep.Plan, env pavf.Env) []float64 {
-	raw := p.Raw()
-	nSets := p.NumSets()
+	sets, fwd, bwd := p.Table()
+	nSets := sets.Len()
 	value := make([]float64, nSets)
 	capped := make([]bool, nSets)
 	for s := 0; s < nSets; s++ {
 		sum := 0.0
-		for _, id := range raw.SetIDs[raw.SetOff[s]:raw.SetOff[s+1]] {
+		for _, id := range sets.SetIDs(int32(s)) {
 			sum += env[id]
 			if sum >= 1 {
 				sum = 1
@@ -221,7 +221,7 @@ func legacyTermDerivs(p *sweep.Plan, env pavf.Env) []float64 {
 	seq := seqVerts(p.Analyzer)
 	wins := make([]int64, nSets)
 	for _, v := range seq {
-		fi, bi := raw.FwdIdx[v], raw.BwdIdx[v]
+		fi, bi := fwd[v], bwd[v]
 		f, b := 1.0, 1.0
 		if fi >= 0 {
 			f = value[fi]
@@ -247,7 +247,7 @@ func legacyTermDerivs(p *sweep.Plan, env pavf.Env) []float64 {
 			continue
 		}
 		w := float64(wins[s]) / n
-		for _, id := range raw.SetIDs[raw.SetOff[s]:raw.SetOff[s+1]] {
+		for _, id := range sets.SetIDs(int32(s)) {
 			deriv[id] += w
 		}
 	}

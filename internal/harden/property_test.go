@@ -44,13 +44,13 @@ func TestPropertySensitivityMatchesFD(t *testing.T) {
 		// containing it has a raw (uncapped) sum within the guard band of
 		// 1.0, and no vertex referencing it has its two MIN sides within
 		// the band of each other.
-		raw := p.Raw()
-		nSets := p.NumSets()
+		sets, fwd, bwd := p.Table()
+		nSets := sets.Len()
 		rawSum := make([]float64, nSets)
 		capVal := make([]float64, nSets)
 		for s := 0; s < nSets; s++ {
 			sum := 0.0
-			for _, id := range raw.SetIDs[raw.SetOff[s]:raw.SetOff[s+1]] {
+			for _, id := range sets.SetIDs(int32(s)) {
 				sum += env[id]
 			}
 			rawSum[s] = sum
@@ -58,7 +58,7 @@ func TestPropertySensitivityMatchesFD(t *testing.T) {
 		}
 		unsafe := make([]bool, len(env))
 		markSet := func(s int32) {
-			for _, id := range raw.SetIDs[raw.SetOff[s]:raw.SetOff[s+1]] {
+			for _, id := range sets.SetIDs(s) {
 				unsafe[id] = true
 			}
 		}
@@ -75,7 +75,7 @@ func TestPropertySensitivityMatchesFD(t *testing.T) {
 		// slope 0 everywhere.
 		movable := func(s int32) bool { return s >= 0 && rawSum[s] < 1+guard }
 		for v := 0; v < p.NumVerts(); v++ {
-			fi, bi := raw.FwdIdx[v], raw.BwdIdx[v]
+			fi, bi := fwd[v], bwd[v]
 			if fi == bi {
 				continue
 			}

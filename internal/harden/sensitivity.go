@@ -90,8 +90,8 @@ func TermDerivs(p *sweep.Plan, env pavf.Env) ([]float64, error) {
 	if err := env.Validate(); err != nil {
 		return nil, err
 	}
-	raw := p.Raw()
-	nSets := p.NumSets()
+	sets, fwd, bwd := p.Table()
+	nSets := sets.Len()
 
 	// Per-set capped sums, replaying the kernel's arithmetic (ascending
 	// IDs, early break at >= 1) so "capped" means exactly what Eval saw.
@@ -99,7 +99,7 @@ func TermDerivs(p *sweep.Plan, env pavf.Env) ([]float64, error) {
 	capped := make([]bool, nSets)
 	for s := 0; s < nSets; s++ {
 		sum := 0.0
-		for _, id := range raw.SetIDs[raw.SetOff[s]:raw.SetOff[s+1]] {
+		for _, id := range sets.SetIDs(int32(s)) {
 			sum += env[id]
 			if sum >= 1 {
 				sum = 1
@@ -113,12 +113,12 @@ func TermDerivs(p *sweep.Plan, env pavf.Env) ([]float64, error) {
 	// Count, per set, the sequential bits whose MIN it wins uncapped.
 	wins := make([]int64, nSets)
 	seq := 0
-	for v := range raw.FwdIdx {
+	for v := range fwd {
 		if !isSeqBit(a, graph.VertexID(v)) {
 			continue
 		}
 		seq++
-		fi, bi := raw.FwdIdx[v], raw.BwdIdx[v]
+		fi, bi := fwd[v], bwd[v]
 		f, b := 1.0, 1.0
 		if fi >= 0 {
 			f = value[fi]
@@ -146,7 +146,7 @@ func TermDerivs(p *sweep.Plan, env pavf.Env) ([]float64, error) {
 			continue
 		}
 		w := float64(wins[s]) / n
-		for _, id := range raw.SetIDs[raw.SetOff[s]:raw.SetOff[s+1]] {
+		for _, id := range sets.SetIDs(int32(s)) {
 			deriv[id] += w
 		}
 	}

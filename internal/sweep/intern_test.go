@@ -10,12 +10,18 @@ import (
 	"seqavf/internal/pavf"
 )
 
+// internedTable is a plan's set table with its per-vertex slots.
+type internedTable struct {
+	Sets     pavf.CSR
+	Fwd, Bwd []int32
+}
+
 // contentIntern is Compile's set table built by content alone: every
 // known side packs its term IDs into a key, and a key seen for the
 // first time takes the next slot.
-func contentIntern(res *core.Result) Raw {
+func contentIntern(res *core.Result) internedTable {
 	n := len(res.Fwd)
-	raw := Raw{SetOff: []int32{0}, FwdIdx: make([]int32, n), BwdIdx: make([]int32, n)}
+	tab := internedTable{Sets: pavf.CSR{Off: []int32{0}}, Fwd: make([]int32, n), Bwd: make([]int32, n)}
 	index := make(map[string]int32)
 	intern := func(s pavf.Set, known bool) int32 {
 		if !known {
@@ -28,26 +34,25 @@ func contentIntern(res *core.Result) Raw {
 		if i, ok := index[string(key)]; ok {
 			return i
 		}
-		i := int32(len(raw.SetOff) - 1)
+		i := int32(tab.Sets.Len())
 		index[string(key)] = i
-		raw.SetIDs = append(raw.SetIDs, s.IDs()...)
-		raw.SetOff = append(raw.SetOff, int32(len(raw.SetIDs)))
+		tab.Sets.IDs = append(tab.Sets.IDs, s.IDs()...)
+		tab.Sets.Off = append(tab.Sets.Off, int32(len(tab.Sets.IDs)))
 		return i
 	}
-	for v := range raw.FwdIdx {
+	for v := range tab.Fwd {
 		x := res.Expr(graph.VertexID(v))
-		raw.FwdIdx[v] = intern(x.Fwd, x.KnownFwd)
-		raw.BwdIdx[v] = intern(x.Bwd, x.KnownBwd)
+		tab.Fwd[v] = intern(x.Fwd, x.KnownFwd)
+		tab.Bwd[v] = intern(x.Bwd, x.KnownBwd)
 	}
-	return raw
+	return tab
 }
 
 // TestCompileInternMatchesContent: Compile's intern, which reuses a
 // side's last slot when the next set on that side is equal, gives the
 // set table, slot order and per-vertex slots that interning by content
-// alone gives, on 200 seeded designs, and the Results a plan restored
-// from that table hands out render every vertex's equation as the
-// solved result does.
+// alone gives, on 200 seeded designs, and the Results the plan hands
+// out render every vertex's equation as the solved result does.
 func TestCompileInternMatchesContent(t *testing.T) {
 	for seed := uint64(0); seed < 200; seed++ {
 		d, err := graphtest.Generate(graphtest.Small(seed))
@@ -67,21 +72,19 @@ func TestCompileInternMatchesContent(t *testing.T) {
 			t.Fatalf("seed %d: Compile: %v", seed, err)
 		}
 		want := contentIntern(res)
-		if got := p.Raw(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: identity intern gave %+v, content intern %+v", seed, got, want)
+		var tab internedTable
+		tab.Sets, tab.Fwd, tab.Bwd = p.Table()
+		if !reflect.DeepEqual(tab, want) {
+			t.Fatalf("seed %d: identity intern gave %+v, content intern %+v", seed, tab, want)
 		}
 
-		rp, err := Restore(a, p.Raw(), res.Visited)
-		if err != nil {
-			t.Fatalf("seed %d: Restore: %v", seed, err)
-		}
 		got := make([]*core.Result, 1)
-		if err := rp.EvalBlockInto([]Workload{{Inputs: res.Inputs}}, nil, nil, got); err != nil {
+		if err := p.EvalBlockInto([]Workload{{Inputs: res.Inputs}}, nil, nil, got); err != nil {
 			t.Fatalf("seed %d: EvalBlockInto: %v", seed, err)
 		}
 		for v := range res.Fwd {
 			if g, w := got[0].Equation(graph.VertexID(v)), res.Equation(graph.VertexID(v)); g != w {
-				t.Fatalf("seed %d vertex %d: restored plan's equation %q, solved %q", seed, v, g, w)
+				t.Fatalf("seed %d vertex %d: plan's equation %q, solved %q", seed, v, g, w)
 			}
 		}
 	}

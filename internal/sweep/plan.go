@@ -107,8 +107,9 @@ func Compile(res *core.Result) (*Plan, error) {
 
 // buildPairs fills the unique (fwd, bwd) slot-pair table, its
 // run-length-encoded vertex map, and the pair-indexed summary layout.
-// Derived entirely from fwdIdx/bwdIdx and the visited bitmap, so both
-// Compile and Restore produce identical tables for the same CSR plan.
+// Derived entirely from fwdIdx/bwdIdx and the visited bitmap, so a
+// result decoded from an artifact compiles to the same tables as the
+// result it was encoded from.
 func (p *Plan) buildPairs() {
 	n := len(p.fwdIdx)
 	seen := make(map[uint64]int32, 64)
@@ -142,90 +143,11 @@ func (p *Plan) buildPairs() {
 	p.visitedFrac = p.Analyzer.VisitedFraction(p.visited)
 }
 
-// Raw is the plan's CSR subterm table in serializable form. Slices alias
-// the plan's internal storage and must not be modified.
-type Raw struct {
-	// SetOff/SetIDs are the deduplicated set table in CSR form: set s
-	// covers SetIDs[SetOff[s]:SetOff[s+1]], term IDs strictly ascending.
-	SetOff []int32
-	SetIDs []pavf.TermID
-	// FwdIdx/BwdIdx give each vertex's set slot per direction, -1 when the
-	// walk never reached that side.
-	FwdIdx []int32
-	BwdIdx []int32
-}
-
-// Raw exposes the plan's CSR subterm table for persistence
-// (internal/artifact). The returned slices alias the plan and are
-// read-only.
-func (p *Plan) Raw() Raw {
-	return Raw{SetOff: p.sets.Off, SetIDs: p.sets.IDs, FwdIdx: p.fwdIdx, BwdIdx: p.bwdIdx}
-}
-
-// Restore reconstructs a compiled plan from a persisted CSR table. It
-// validates every structural invariant evaluation relies on — offsets
-// monotone and in range, per-set term IDs strictly ascending and inside
-// a's term universe, per-vertex indices in range — so a corrupted or
-// adversarial table is refused instead of producing out-of-range
-// indexing at evaluation time, and a core.Result built on the same
-// arrays may read its closed forms from them unchecked. The plan adopts
-// raw's arrays; a plan restored from the CSR written by Raw is
-// bit-identical in behavior to a fresh Compile. This is the
-// artifact-decode hot path: validation is a single pass, and no set is
-// copied.
-func Restore(a *core.Analyzer, raw Raw, visited []bool) (*Plan, error) {
-	n := a.G.NumVerts()
-	if len(raw.FwdIdx) != n || len(raw.BwdIdx) != n {
-		return nil, fmt.Errorf("sweep: raw plan covers %d/%d vertices but design has %d",
-			len(raw.FwdIdx), len(raw.BwdIdx), n)
-	}
-	if len(visited) != n {
-		return nil, fmt.Errorf("sweep: %d visited flags for %d vertices", len(visited), n)
-	}
-	if len(raw.SetOff) < 1 || raw.SetOff[0] != 0 || int(raw.SetOff[len(raw.SetOff)-1]) != len(raw.SetIDs) {
-		return nil, fmt.Errorf("sweep: raw plan offsets malformed (%d offsets, %d term IDs)",
-			len(raw.SetOff), len(raw.SetIDs))
-	}
-	nSets := len(raw.SetOff) - 1
-	uniLen := pavf.TermID(a.Universe().Len())
-	for s := 0; s < nSets; s++ {
-		lo, hi := raw.SetOff[s], raw.SetOff[s+1]
-		if lo > hi {
-			return nil, fmt.Errorf("sweep: raw plan set %d has negative extent [%d,%d)", s, lo, hi)
-		}
-		prev := pavf.TermID(-1)
-		for _, id := range raw.SetIDs[lo:hi] {
-			if id < 0 || id >= uniLen {
-				return nil, fmt.Errorf("sweep: raw plan set %d references term %d outside universe of %d", s, id, uniLen)
-			}
-			if id <= prev {
-				return nil, fmt.Errorf("sweep: raw plan set %d terms not strictly ascending at %d", s, id)
-			}
-			prev = id
-		}
-	}
-	// Validate the per-vertex indices in their own linear scans (cheap:
-	// two int32 arrays, no stores).
-	for v, fi := range raw.FwdIdx {
-		if fi < -1 || int(fi) >= nSets {
-			return nil, fmt.Errorf("sweep: raw plan vertex %d forward index %d out of range (%d sets)", v, fi, nSets)
-		}
-	}
-	for v, bi := range raw.BwdIdx {
-		if bi < -1 || int(bi) >= nSets {
-			return nil, fmt.Errorf("sweep: raw plan vertex %d backward index %d out of range (%d sets)", v, bi, nSets)
-		}
-	}
-	p := &Plan{
-		Analyzer:    a,
-		Fingerprint: a.Fingerprint(),
-		visited:     visited,
-		sets:        pavf.CSR{Off: raw.SetOff, IDs: raw.SetIDs},
-		fwdIdx:      raw.FwdIdx,
-		bwdIdx:      raw.BwdIdx,
-	}
-	p.buildPairs()
-	return p, nil
+// Table returns the plan's set table and each vertex's forward and
+// backward slot (-1 = that side unknown). They alias the plan and its
+// source result, and are read-only.
+func (p *Plan) Table() (sets pavf.CSR, fwd, bwd []int32) {
+	return p.sets, p.fwdIdx, p.bwdIdx
 }
 
 // NumVerts returns the number of bit equations in the plan.

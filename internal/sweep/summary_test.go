@@ -34,9 +34,9 @@ func checkReduced(t *testing.T, ctxt string, sum core.Summary, nodes map[string]
 // 200 seeded random designs: for every lane width, ragged tails
 // included, the summaries and node maps reduced straight from the
 // kernel's pair values must equal Summarize and SeqAVFByNode of
-// Result.Reevaluate's per-workload result — through the engine (a Compiled plan)
-// and block by block through a plan Restored from its CSR table. The
-// materializing sweep's Batch.Summaries must agree too.
+// Result.Reevaluate's per-workload result — through the engine and
+// block by block through the compiled plan. The materializing sweep's
+// Batch.Summaries must agree too.
 func TestPropertySummarySinkEquality(t *testing.T) {
 	const seeds = 200
 	engines := make(map[int]*Engine, len(summaryWidths))
@@ -48,10 +48,6 @@ func TestPropertySummarySinkEquality(t *testing.T) {
 		p, err := Compile(res)
 		if err != nil {
 			t.Fatalf("seed %d: Compile: %v", seed, err)
-		}
-		rp, err := Restore(res.Analyzer, p.Raw(), res.Visited)
-		if err != nil {
-			t.Fatalf("seed %d: Restore: %v", seed, err)
 		}
 		n := int(seed % 37) // 0..36: empty, sub-block, and multi-block batches
 		ws := make([]Workload, n)
@@ -84,16 +80,16 @@ func TestPropertySummarySinkEquality(t *testing.T) {
 			}
 
 			var m EnvMatrix
-			scratch := make([]float64, rp.ScratchLen(width))
+			scratch := make([]float64, p.ScratchLen(width))
 			for lo := 0; lo < n; lo += width {
 				hi := min(lo+width, n)
 				sums := make([]core.Summary, hi-lo)
 				nodes := make([]map[string]float64, hi-lo)
-				if err := rp.evalBlock(ws[lo:hi], &m, scratch, nil, sums, nodes); err != nil {
-					t.Fatalf("seed %d width %d: restored evalBlock: %v", seed, width, err)
+				if err := p.evalBlock(ws[lo:hi], &m, scratch, nil, sums, nodes); err != nil {
+					t.Fatalf("seed %d width %d: evalBlock: %v", seed, width, err)
 				}
 				for i := lo; i < hi; i++ {
-					checkReduced(t, fmt.Sprintf("seed %d width %d restored %s", seed, width, ws[i].Name),
+					checkReduced(t, fmt.Sprintf("seed %d width %d blocks %s", seed, width, ws[i].Name),
 						sums[i-lo], nodes[i-lo], refs[i])
 				}
 			}
