@@ -49,6 +49,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzParseIntervalTable -fuzztime=10s ./internal/pavfio/
 	$(GO) test -run=^$$ -fuzz=FuzzParseMatchesOracle -fuzztime=10s ./internal/pavfio/
 	$(GO) test -run=^$$ -fuzz=FuzzSetTable -fuzztime=10s ./internal/pavf/
+	$(GO) test -run=^$$ -fuzz=FuzzResolveIncremental -fuzztime=10s ./internal/core/
 	$(GO) test -run=^$$ -fuzz=FuzzCompilePlan -fuzztime=10s ./internal/sweep/
 	$(GO) test -run=^$$ -fuzz=FuzzEnvMatrix -fuzztime=10s ./internal/sweep/
 	$(GO) test -run=^$$ -fuzz=FuzzReportJSON -fuzztime=10s ./internal/sweep/

@@ -770,9 +770,10 @@ func BenchmarkWarmStartVsSolve(b *testing.B) {
 // design: after a single-FUB netlist edit (add-flop), a full
 // FUB-partitioned re-solve of the edited design versus
 // ResolveIncremental seeded from the pre-edit artifact state. The
-// incremental path diffs per-FUB fingerprints, re-walks only the dirty
-// FUB plus its cross-edge neighbours, and reuses every other FUB's
-// closed forms from the prior — the acceptance target is a >=5x
+// incremental path diffs per-FUB fingerprints and runs Solve's walk over
+// only the dirty FUB, its cross-edge neighbours and whatever their moved
+// slots reach; every other vertex keeps its closed form from the prior
+// — the acceptance target is a >=5x
 // speedup for single-FUB edits (EXPERIMENTS.md records the measured
 // ratio). PriorState construction is excluded from the incremental
 // side: a production ECO loop decodes it once from the artifact store,

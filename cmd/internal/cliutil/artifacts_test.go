@@ -2,7 +2,6 @@ package cliutil
 
 import (
 	"context"
-	"math"
 	"testing"
 
 	"seqavf/internal/artifact"
@@ -68,8 +67,8 @@ func TestSolveWithStoreDispositions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := core.MaxAbsDiff(res, cold); math.IsNaN(d) || d > a.Opts.Epsilon {
-			t.Fatalf("incremental start diverges from a cold solve by %v", d)
+		if d := core.MaxAbsDiff(res, cold); d != 0 {
+			t.Fatalf("incremental start differs from a cold solve by %v", d)
 		}
 	}
 }

@@ -151,8 +151,8 @@ func run(reg *obs.Registry, arts *cliutil.Artifacts, nlPath, pavfPath string, lo
 		case disp.Warm():
 			fmt.Fprintf(os.Stderr, "sartool: warm start from artifact store (fingerprint %016x)\n", a.Fingerprint())
 		case disp.Kind == "incremental":
-			fmt.Fprintf(os.Stderr, "sartool: incremental re-solve from prior artifact (%d of %d FUBs reused, %d iterations)\n",
-				disp.Incremental.FubsReused, disp.Incremental.FubsTotal, disp.Incremental.Iterations)
+			fmt.Fprintf(os.Stderr, "sartool: incremental re-solve from prior artifact (%d of %d FUBs reused, %d dirty)\n",
+				disp.Incremental.FubsReused, disp.Incremental.FubsTotal, disp.Incremental.FubsDirty)
 		}
 	}
 	if err != nil {

@@ -158,8 +158,8 @@ func run(reg *obs.Registry, arts *cliutil.Artifacts, nlPath, dir, glob string, w
 	case disp.Warm():
 		fmt.Fprintf(os.Stderr, "sweeprun: warm start from artifact store (fingerprint %016x)\n", a.Fingerprint())
 	case disp.Kind == "incremental":
-		fmt.Fprintf(os.Stderr, "sweeprun: incremental re-solve from prior artifact (%d of %d FUBs reused, %d iterations)\n",
-			disp.Incremental.FubsReused, disp.Incremental.FubsTotal, disp.Incremental.Iterations)
+		fmt.Fprintf(os.Stderr, "sweeprun: incremental re-solve from prior artifact (%d of %d FUBs reused, %d dirty)\n",
+			disp.Incremental.FubsReused, disp.Incremental.FubsTotal, disp.Incremental.FubsDirty)
 	}
 	engOpts := sweep.Options{Workers: workers, Obs: reg}
 	if st != nil {

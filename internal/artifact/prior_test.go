@@ -128,12 +128,12 @@ func TestStorePrior(t *testing.T) {
 	if stats.FubsDirty == 0 || stats.FubsDirty >= stats.FubsTotal {
 		t.Fatalf("edit %q dirtied %d of %d FUBs", edit.Desc, stats.FubsDirty, stats.FubsTotal)
 	}
-	scratch, err := a2.SolvePartitioned(seededInputs(a2, 99))
+	scratch, err := a2.Solve(seededInputs(a2, 99))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := core.MaxAbsDiff(incr, scratch); !(d <= a2.Opts.Epsilon) {
-		t.Fatalf("stored-prior re-solve diverges from scratch by %v", d)
+	if d := core.MaxAbsDiff(incr, scratch); d != 0 {
+		t.Fatalf("stored-prior re-solve differs from scratch by %v", d)
 	}
 }
 

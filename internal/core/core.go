@@ -18,9 +18,9 @@
 //   - debug/DFX logic is stripped from the analysis, and undriven design
 //     boundary ports attach to pseudo-structures (§5.1),
 //   - a FUB-partitioned relaxation reproduces the paper's operational tool
-//     flow (per-FUB walks plus a FUBIO merge each iteration, §5.2); the
-//     same loop, seeded from a prior solve and started on the FUBs an
-//     edit dirtied, is the incremental (ECO) re-solve,
+//     flow (per-FUB walks plus a FUBIO merge each iteration, §5.2),
+//   - the incremental (ECO) re-solve runs Solve's own walk seeded from a
+//     prior solve, recomputing only what the FUBs an edit dirtied change,
 //   - every node ends with a closed-form symbolic AVF equation that can be
 //     re-evaluated against fresh pAVF measurements without re-walking.
 package core
@@ -51,13 +51,10 @@ type Options struct {
 	ControlRegPrefixes []string
 	// ControlRegClocks lists clock names identifying control registers.
 	ControlRegClocks []string
-	// Iterations bounds the FUB relaxation that SolvePartitioned and
-	// ResolveIncremental run. The paper found 20 sufficient for a
-	// Xeon-class design.
+	// Iterations bounds the FUB relaxation that SolvePartitioned runs.
+	// The paper found 20 sufficient for a Xeon-class design. Solve and
+	// ResolveIncremental walk once and ignore it.
 	Iterations int
-	// Epsilon is the relaxation's convergence threshold on the largest
-	// per-vertex AVF change between two iterations.
-	Epsilon float64
 	// DefaultPortPAVF, when non-negative, substitutes for structure ports
 	// missing from the Inputs tables instead of failing. Use -1 (the
 	// DefaultOptions value) to require complete inputs.
@@ -87,7 +84,6 @@ func DefaultOptions() Options {
 		ControlRegPrefixes: []string{"cfg_"},
 		ControlRegClocks:   []string{"cfgclk"},
 		Iterations:         20,
-		Epsilon:            1e-9,
 		DefaultPortPAVF:    -1,
 	}
 }
@@ -235,7 +231,11 @@ type Analyzer struct {
 	pseudoIn  map[graph.VertexID]pavf.TermID // per undriven input port node
 	pseudoOut map[graph.VertexID]pavf.TermID // per unconsumed output port node
 
-	topo []graph.VertexID // topological order of normal vertices
+	// topo orders the vertices with a propagated forward side so every
+	// edge between two of them runs forward; bwdTopo does the same for a
+	// propagated backward side, and the backward walk reads it in
+	// reverse. Both are computed once, in NewAnalyzerFrom.
+	topo, bwdTopo []graph.VertexID
 
 	// exts is each FUB's contiguous vertex range, indexed like G.FubNames.
 	exts []fubExtent
@@ -257,9 +257,9 @@ type Analyzer struct {
 	// Per-FUB topological schedules and the visited bitmap are
 	// structural properties of the graph — independent of inputs — so
 	// they are computed once and shared by every subsequent solve on
-	// this analyzer. A FUB's schedule is built the first time that FUB
-	// is walked: an incremental (ECO) re-solve must not pay O(V+E)
-	// schedule construction for FUBs it never walks.
+	// this analyzer. A FUB's schedule is built the first time
+	// SolvePartitioned walks that FUB, so an analyzer that only runs
+	// Solve and ResolveIncremental never builds one.
 	scheds []fubSchedule
 
 	visitedOnce sync.Once
@@ -314,7 +314,11 @@ func NewAnalyzerFrom(g *graph.Graph, opts Options, prior *Analyzer) (*Analyzer, 
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	a.topo = topo
+	bwdTopo, err := g.TopoOrder(func(v graph.VertexID) bool { return a.bwdFixed[v] })
+	if err != nil {
+		return nil, fmt.Errorf("core: backward order: %w", err)
+	}
+	a.topo, a.bwdTopo = topo, bwdTopo
 	a.exts = a.fubExtents()
 	a.scheds = make([]fubSchedule, len(a.exts))
 	a.fubFps = a.computeFubFingerprints(prior)

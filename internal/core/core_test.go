@@ -812,9 +812,9 @@ func TestSolveObservability(t *testing.T) {
 		t.Fatalf("iter_delta observations = %d, want %d", h.Count, part.Iterations)
 	}
 
-	// The edit path runs the same relaxation and must report it the same
-	// way: one iteration span per iteration with both convergence attrs,
-	// one iter_delta observation each, and one trace row each.
+	// The edit path runs Solve's walk and reports it the same way: the
+	// env, fwd, bwd and finish phases under its own root, the walk
+	// counters, and no relaxation iterations.
 	h := buildEditHarness(t, 1, graphtest.EditAddFlop)
 	ireg := obs.New()
 	iopts := h.aNew.Opts
@@ -827,39 +827,24 @@ func TestSolveObservability(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ResolveIncremental: %v", err)
 	}
-	if st.FubsDirty == 0 || incr.Iterations < 1 {
-		t.Fatalf("edit did not reach the relaxation: %+v", st)
+	if st.FubsDirty == 0 || incr.Iterations != 1 || incr.Trace != nil {
+		t.Fatalf("edit did not run one pass: %+v, %d trace rows", st, len(incr.Trace))
 	}
 	isnap := ireg.Snapshot()
 	if len(isnap.Spans) != 1 || isnap.Spans[0].Name != "solve_incremental" {
 		t.Fatalf("incremental root spans = %v, want one solve_incremental", isnap.Spans)
 	}
-	iters := 0
-	for _, c := range isnap.Spans[0].Children {
-		if c.Name != "iteration" {
-			continue
-		}
-		iters++
-		if _, ok := c.Attrs["max_delta"]; !ok {
-			t.Fatalf("incremental iteration span missing max_delta: %v", c.Attrs)
-		}
-		if _, ok := c.Attrs["fub_avg_pavf"]; !ok {
-			t.Fatalf("incremental iteration span missing fub_avg_pavf: %v", c.Attrs)
+	ip := phases(isnap.Spans[0].Children)
+	for _, want := range []string{"env", "fwd", "bwd", "finish"} {
+		if ip[want] != 1 {
+			t.Fatalf("incremental phases = %v, missing %q", ip, want)
 		}
 	}
-	if iters != incr.Iterations {
-		t.Fatalf("incremental iteration spans = %d, want %d", iters, incr.Iterations)
+	if ip["iteration"] != 0 || isnap.Histograms["core.iter_delta"].Count != 0 || isnap.Counters["core.iterations"] != 0 {
+		t.Fatalf("incremental re-solve reports relaxation iterations: phases %v", ip)
 	}
-	if hd := isnap.Histograms["core.iter_delta"]; hd.Count != uint64(incr.Iterations) {
-		t.Fatalf("incremental iter_delta observations = %d, want %d", hd.Count, incr.Iterations)
-	}
-	if len(incr.Trace) != incr.Iterations {
-		t.Fatalf("incremental trace rows = %d, want %d", len(incr.Trace), incr.Iterations)
-	}
-	for i, row := range incr.Trace {
-		if len(row) != len(ai.G.FubNames) {
-			t.Fatalf("incremental trace row %d has %d entries, want %d", i, len(row), len(ai.G.FubNames))
-		}
+	if isnap.Counters["core.fwd_vertices"] <= 0 || isnap.Counters["core.bwd_vertices"] <= 0 {
+		t.Fatalf("incremental walk counters: %v", isnap.Counters)
 	}
 	if got := isnap.Counters["solve.fubs_dirty"]; got != int64(st.FubsDirty) {
 		t.Fatalf("solve.fubs_dirty = %d, want %d", got, st.FubsDirty)

@@ -6,22 +6,24 @@ import (
 	"slices"
 	"time"
 
-	"seqavf/internal/graph"
 	"seqavf/internal/obs"
 	"seqavf/internal/pavf"
 )
 
 // This file implements incremental (ECO) re-solving: after a local netlist
-// edit, only the FUBs whose structure actually changed — plus whatever
-// FUBIO neighborhood the change perturbs — are re-walked, while every
-// other FUB's converged walk state is reused verbatim from a prior solve.
+// edit, Solve's own walk runs seeded with a prior solve's slots, and
+// recomputes only the vertices the FUBs whose structure changed can
+// reach through slots that actually moved. Everything else keeps its
+// prior state verbatim.
 //
-// The scheme rests on two facts about the partitioned relaxation (§5.2):
+// The scheme rests on two facts:
 //
-//  1. Loop cutting makes the non-fixed dependency graph a global DAG
-//     (NewAnalyzer's TopoOrder proves it), so the relaxation fixpoint is
-//     unique. Seeding from any state — including the previous design's
-//     converged state — converges to the same sets as solving cold.
+//  1. Loop cutting makes the non-fixed dependency graph a DAG
+//     (NewAnalyzer's TopoOrder proves it), so each vertex's set is a
+//     function of its neighbours' final sets. A vertex whose equation
+//     and inputs are unchanged keeps its prior set, and one pass over
+//     the topological order that recomputes the rest reaches exactly
+//     the sets a cold Solve computes.
 //  2. Term names ("Struct.port", "fub/node", "EXT:FUB.node") are stable
 //     across edits, so a prior universe's term IDs can be remapped onto
 //     an edited design's universe by name; a term that no longer exists
@@ -129,34 +131,37 @@ type Incremental struct {
 	// FubsDirty counts FUBs whose prior state was unusable: fingerprint
 	// mismatch, no prior entry, or a term remap failure.
 	FubsDirty int `json:"fubs_dirty"`
-	// FubsActive counts FUBs the relaxation actually walked: the dirty
-	// set, its FUBIO neighbors, and any frontier growth.
+	// FubsActive counts the dirty FUBs plus the clean FUBs in which the
+	// walk moved some slot.
 	FubsActive int `json:"fubs_active"`
 	// FubsReused counts FUBs whose converged state was taken verbatim
 	// from the prior solve (FubsTotal - FubsActive).
-	FubsReused int  `json:"fubs_reused"`
+	FubsReused int `json:"fubs_reused"`
+	// Iterations is 1 when some FUB is dirty and the walk ran, 0 when
+	// none is. Converged is always true: the single pass is exact.
 	Iterations int  `json:"iterations"`
 	Converged  bool `json:"converged"`
 }
 
 // ResolveIncremental solves the design seeded from a prior solve's
 // converged state: per-FUB fingerprints are diffed against the prior,
-// clean FUBs keep their walk state, and SolvePartitioned's relaxation
-// iterates only the dirty FUBs plus their FUBIO neighbors — expanding
-// that frontier whenever a walk moves a boundary set an inactive FUB
-// consumes — until the active region converges. The fixpoint is unique (the loop-cut
-// dependency graph is a DAG), so under the inputs the prior was solved
-// with the result matches a from-scratch SolvePartitioned within
-// Epsilon. Under different inputs the reused FUBs follow the §5.1
-// closed-form contract instead — prior equations re-evaluated, exactly
-// like a warm-start Reevaluate; with zero dirty FUBs and Equal inputs
-// the prior AVFs are returned bit-identically.
+// every clean FUB is seeded with its remapped prior slots, and Solve's
+// walk recomputes the dirty FUBs' vertices and their FUBIO neighbours,
+// spreading to a vertex's successors (predecessors on the backward walk)
+// only when its slot changed. The result's Sets, Fwd and Bwd equal a cold
+// Solve's whenever the prior's do. The reused vertices keep their prior
+// closed forms, so under inputs other than the prior's they follow the
+// §5.1 closed-form contract — prior equations re-evaluated, exactly like
+// a warm-start Reevaluate. Under Equal inputs a FUB in which no slot
+// moved keeps its prior AVFs bit for bit; with zero dirty FUBs nothing
+// is walked at all.
 func (a *Analyzer) ResolveIncremental(in *Inputs, prior *PriorState) (*Result, *Incremental, error) {
 	return a.ResolveIncrementalContext(context.Background(), in, prior)
 }
 
 // ResolveIncrementalContext is ResolveIncremental with request-scoped
-// tracing: the solve_incremental span nests under ctx's current span.
+// tracing: the solve_incremental span, with Solve's env, fwd, bwd and
+// finish children, nests under ctx's current span.
 func (a *Analyzer) ResolveIncrementalContext(ctx context.Context, in *Inputs, prior *PriorState) (*Result, *Incremental, error) {
 	if prior == nil {
 		return nil, nil, fmt.Errorf("core: ResolveIncremental: nil prior state")
@@ -189,130 +194,97 @@ func (a *Analyzer) ResolveIncrementalContext(ctx context.Context, in *Inputs, pr
 	for i := range prior.Fubs {
 		priorByName[prior.Fubs[i].Name] = &prior.Fubs[i]
 	}
-	dirty := make([]bool, numFubs)
+	// moved marks the FUBs whose prior state does not stand: first the
+	// dirty ones, then every FUB in which the walk moves a slot.
+	moved := make([]bool, numFubs)
 	fubPrior := make([]*FubPrior, numFubs)
+	fwd, bwd := make([]int32, n), make([]int32, n)
 	nDirty := 0
 	for f := 0; f < numFubs; f++ {
 		p := priorByName[a.G.FubNames[f]]
 		sz := exts[f].end - exts[f].start
 		ok := p != nil && p.Fingerprint == fps[f] &&
-			len(p.FwdIdx) == sz && len(p.BwdIdx) == sz && len(p.AVF) == sz
-		if ok {
-			ok = idxUsable(p.FwdIdx, slots) && idxUsable(p.BwdIdx, slots)
-		}
-		if ok {
-			fubPrior[f] = p
-		} else {
-			dirty[f] = true
+			len(p.FwdIdx) == sz && len(p.BwdIdx) == sz && len(p.AVF) == sz &&
+			idxUsable(p.FwdIdx, slots) && idxUsable(p.BwdIdx, slots)
+		if !ok {
+			moved[f] = true
 			nDirty++
-		}
-	}
-	// slot is a usable prior index's slot in t (-1 stays unknown).
-	slot := func(idx int32) int32 {
-		if idx < 0 {
-			return pavf.UnknownSlot
-		}
-		return slots[idx]
-	}
-
-	st := &Incremental{FubsTotal: numFubs, FubsDirty: nDirty}
-	finishUp := func(r *Result) {
-		reg.Counter("solve.fubs_dirty").Add(int64(st.FubsDirty))
-		reg.Counter("solve.fubs_reused").Add(int64(st.FubsReused))
-		reg.FixedHistogram("solve.incremental_seconds", obs.LatencyBuckets).Observe(time.Since(start).Seconds())
-		reg.Counter("core.solves").Inc()
-		sp.SetAttr("fubs_dirty", st.FubsDirty)
-		sp.SetAttr("fubs_reused", st.FubsReused)
-		sp.SetAttr("iterations", st.Iterations)
-		sp.SetAttr("converged", st.Converged)
-		r.Iterations = st.Iterations
-		r.Converged = st.Converged
-	}
-
-	if nDirty == 0 {
-		// Structurally untouched design: every FUB's closed forms carry
-		// over. With Equal inputs even the evaluated AVFs are reused
-		// bit-for-bit — a pAVF-only edit costs one evaluation at most.
-		fwd, bwd := make([]int32, n), make([]int32, n)
-		for f, p := range fubPrior {
-			base := exts[f].start
-			for i := range p.FwdIdx {
-				fwd[base+i], bwd[base+i] = slot(p.FwdIdx[i]), slot(p.BwdIdx[i])
-			}
-		}
-		var reuse []*FubPrior
-		if prior.Inputs.Equal(in) {
-			reuse = fubPrior
-		}
-		r := a.finishReuse(in, env, t, fwd, bwd, reuse)
-		st.FubsReused = numFubs
-		st.Converged = true
-		finishUp(r)
-		return r, st, nil
-	}
-
-	// Initial active set: dirty FUBs plus FUBIO neighbors, both edge
-	// directions (a dirty FUB perturbs downstream forward values and
-	// upstream backward values alike).
-	active := make([]bool, numFubs)
-	copy(active, dirty)
-	for _, e := range a.G.CrossEdges {
-		ff, tf := a.G.Verts[e.From].Fub, a.G.Verts[e.To].Fub
-		if dirty[ff] {
-			active[tf] = true
-		}
-		if dirty[tf] {
-			active[ff] = true
-		}
-	}
-
-	// Seed every clean FUB — active or not — with its converged state.
-	// Active clean FUBs start the relaxation from the old fixpoint;
-	// inactive ones publish it as their boundary contribution.
-	rx := a.newRelaxation(t)
-	for f, p := range fubPrior {
-		if p == nil {
 			continue
 		}
+		fubPrior[f] = p
 		base := exts[f].start
 		for i := range p.FwdIdx {
-			v := base + i
-			if !a.fwdFixed[v] {
-				rx.fwdPrev[v] = slot(p.FwdIdx[i])
-			}
-			if !a.bwdFixed[v] {
-				rx.bwdPrev[v] = slot(p.BwdIdx[i])
-			}
-			rx.prevVal[v] = a.vertexValue(t, graph.VertexID(v), rx.fwdPrev[v], rx.bwdPrev[v], env)
+			fwd[base+i], bwd[base+i] = slot(p.FwdIdx[i], slots), slot(p.BwdIdx[i], slots)
 		}
 	}
-	if err := a.relax(sp, env, rx, active); err != nil {
-		return nil, nil, err
+
+	if nDirty > 0 {
+		// Recompute every vertex of a dirty FUB, and every vertex reading
+		// one across a FUBIO edge: a dirty FUB has no prior slots to
+		// compare against, and its boundary vertices may have changed
+		// role, so its boundary counts as moved.
+		fwdMark, bwdMark := make([]bool, n), make([]bool, n)
+		for f, ext := range exts {
+			if moved[f] {
+				for v := ext.start; v < ext.end; v++ {
+					fwdMark[v], bwdMark[v] = true, true
+				}
+			}
+		}
+		for _, e := range a.G.CrossEdges {
+			if moved[a.G.Verts[e.From].Fub] {
+				fwdMark[e.To] = true
+			}
+			if moved[a.G.Verts[e.To].Fub] {
+				bwdMark[e.From] = true
+			}
+		}
+		a.propagate(sp, t, fwd, bwd, fwdMark, bwdMark, moved)
 	}
-	// FUBs that were never walked still hold the prior fixpoint exactly;
-	// under identical inputs their prior AVFs ARE the evaluation result,
-	// so skip re-evaluating them vertex by vertex.
+	// A FUB in which no slot moved holds the prior fixpoint exactly;
+	// under identical inputs its prior AVFs ARE the evaluation result,
+	// so skip re-evaluating it vertex by vertex.
 	var reuse []*FubPrior
 	if prior.Inputs.Equal(in) {
 		reuse = make([]*FubPrior, numFubs)
 		for f, p := range fubPrior {
-			if !rx.walked[f] {
+			if !moved[f] {
 				reuse[f] = p
 			}
 		}
 	}
-	fin := a.finishReuse(in, env, t, rx.fwdCur, rx.bwdCur, reuse)
-	fin.Trace = rx.trace
-	for f := range active {
-		if active[f] {
+	nsp := sp.Child("finish")
+	r := a.finishReuse(in, env, t, fwd, bwd, reuse)
+	nsp.End()
+	st := &Incremental{FubsTotal: numFubs, FubsDirty: nDirty, Converged: true}
+	for _, m := range moved {
+		if m {
 			st.FubsActive++
 		}
 	}
 	st.FubsReused = numFubs - st.FubsActive
-	st.Iterations = rx.iterations
-	st.Converged = rx.converged
-	finishUp(fin)
-	return fin, st, nil
+	if nDirty > 0 {
+		st.Iterations = 1
+	}
+	r.Iterations, r.Converged = st.Iterations, st.Converged
+	reg.Counter("solve.fubs_dirty").Add(int64(st.FubsDirty))
+	reg.Counter("solve.fubs_reused").Add(int64(st.FubsReused))
+	reg.FixedHistogram("solve.incremental_seconds", obs.LatencyBuckets).Observe(time.Since(start).Seconds())
+	reg.Counter("core.solves").Inc()
+	sp.SetAttr("fubs_dirty", st.FubsDirty)
+	sp.SetAttr("fubs_reused", st.FubsReused)
+	sp.SetAttr("iterations", st.Iterations)
+	sp.SetAttr("converged", st.Converged)
+	return r, st, nil
+}
+
+// slot is a usable prior set index's slot in the solve's table: -1, an
+// unknown side, stays unknown.
+func slot(idx int32, slots []int32) int32 {
+	if idx < 0 {
+		return pavf.UnknownSlot
+	}
+	return slots[idx]
 }
 
 // remapSets translates the prior's deduplicated set table into uni's

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -10,6 +11,7 @@ import (
 	"seqavf/internal/graph"
 	"seqavf/internal/graph/graphtest"
 	"seqavf/internal/netlist"
+	"seqavf/internal/obs"
 	"seqavf/internal/pavf"
 	"seqavf/internal/stats"
 )
@@ -32,6 +34,29 @@ func randPortInputs(a *Analyzer, seed uint64) *Inputs {
 	return in
 }
 
+// neutralInputs assigns 0.5 to every structure port of a, as seqavfd
+// does for its symbolic solves. Under it any set with two port terms
+// evaluates to 1, the value of {⊤}, so values alone cannot tell such a
+// set from ⊤.
+func neutralInputs(a *Analyzer) *Inputs {
+	in := NewInputs()
+	for _, sp := range a.ReadPortTerms() {
+		in.ReadPorts[sp] = 0.5
+	}
+	for _, sp := range a.WritePortTerms() {
+		in.WritePorts[sp] = 0.5
+	}
+	return in
+}
+
+// harnessCfg selects one differential case's shape: the FUB count, the
+// solver the prior comes from, and the pAVF tables both solves use.
+type harnessCfg struct {
+	fubs        int
+	partitioned bool // prior from SolvePartitioned, else from Solve
+	neutral     bool // neutralInputs, else randPortInputs
+}
+
 // editHarness solves a seeded base design, applies one seeded edit, and
 // returns everything the differential assertions need.
 type editHarness struct {
@@ -41,15 +66,32 @@ type editHarness struct {
 	aNew    *Analyzer
 	edit    *graphtest.Edit
 	inSeed  uint64
+	neutral bool
 }
 
+// inputs returns the harness's pAVF table for a: the same values on
+// either side of the edit.
+func (h *editHarness) inputs(a *Analyzer) *Inputs {
+	if h.neutral {
+		return neutralInputs(a)
+	}
+	return randPortInputs(a, h.inSeed)
+}
+
+// buildEditHarness is buildEditHarnessCfg at four FUBs with a
+// SolvePartitioned prior under seeded tables.
 func buildEditHarness(t *testing.T, seed uint64, kind graphtest.EditKind) *editHarness {
 	t.Helper()
-	cfg := graphtest.Small(seed)
 	// Four FUBs so even a three-FUB rewire leaves a clean one: the
 	// locality assertion (dirty < total) must be satisfiable for every
 	// edit kind.
-	cfg.Fubs = 4
+	return buildEditHarnessCfg(t, seed, kind, harnessCfg{fubs: 4, partitioned: true})
+}
+
+func buildEditHarnessCfg(t *testing.T, seed uint64, kind graphtest.EditKind, hc harnessCfg) *editHarness {
+	t.Helper()
+	cfg := graphtest.Small(seed)
+	cfg.Fubs = hc.fubs
 	base, err := graphtest.Generate(cfg)
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
@@ -58,76 +100,133 @@ func buildEditHarness(t *testing.T, seed uint64, kind graphtest.EditKind) *editH
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
-	inSeed := seed ^ 0xABCD1234
-	res, err := aBase.SolvePartitioned(randPortInputs(aBase, inSeed))
-	if err != nil {
+	h := &editHarness{base: base, inSeed: seed ^ 0xABCD1234, neutral: hc.neutral}
+	solve := aBase.Solve
+	if hc.partitioned {
+		solve = aBase.SolvePartitioned
+	}
+	if h.baseRes, err = solve(h.inputs(aBase)); err != nil {
 		t.Fatalf("seed %d: base solve: %v", seed, err)
 	}
-	prior, err := res.PriorState()
-	if err != nil {
+	if h.prior, err = h.baseRes.PriorState(); err != nil {
 		t.Fatalf("seed %d: PriorState: %v", seed, err)
 	}
 	_, g2, edit, err := base.ApplyEdit(kind, seed^0x9E3779B97F4A7C15)
 	if err != nil {
 		t.Fatalf("seed %d kind %v: %v", seed, kind, err)
 	}
-	aNew, err := NewAnalyzer(g2, DefaultOptions())
-	if err != nil {
+	if h.aNew, err = NewAnalyzer(g2, DefaultOptions()); err != nil {
 		t.Fatalf("seed %d kind %v: edited analyzer: %v", seed, kind, err)
 	}
-	return &editHarness{base: base, baseRes: res, prior: prior, aNew: aNew, edit: edit, inSeed: inSeed}
+	h.edit = edit
+	return h
+}
+
+// closedFormDiff compares two results over one analyzer closed form for
+// closed form: per vertex side, then the set tables and slot arrays
+// themselves. It returns "" when they are equal, else the number of
+// differing vertex sides and the first one, rendered both ways.
+func closedFormDiff(got, want *Result) string {
+	u := want.Analyzer.Universe()
+	side := func(s pavf.Set, known bool) string {
+		if !known {
+			return "unknown"
+		}
+		return s.Format(u)
+	}
+	n, first := 0, ""
+	for v := range want.Fwd {
+		g, w := got.Expr(graph.VertexID(v)), want.Expr(graph.VertexID(v))
+		for _, d := range []struct {
+			dir    string
+			gs, ws pavf.Set
+			gk, wk bool
+		}{{"fwd", g.Fwd, w.Fwd, g.KnownFwd, w.KnownFwd}, {"bwd", g.Bwd, w.Bwd, g.KnownBwd, w.KnownBwd}} {
+			if d.gk == d.wk && (!d.gk || d.gs.Equal(d.ws)) {
+				continue
+			}
+			if n++; first == "" {
+				first = fmt.Sprintf("%s %s: %s, want %s", want.Analyzer.G.Name(graph.VertexID(v)), d.dir, side(d.gs, d.gk), side(d.ws, d.wk))
+			}
+		}
+	}
+	if n > 0 {
+		return fmt.Sprintf("%d vertex sides differ, first %s", n, first)
+	}
+	if !slices.Equal(got.Fwd, want.Fwd) || !slices.Equal(got.Bwd, want.Bwd) ||
+		!slices.Equal(got.Sets.Off, want.Sets.Off) || !slices.Equal(got.Sets.IDs, want.Sets.IDs) {
+		return "equal closed forms in differently ordered set tables"
+	}
+	return ""
 }
 
 // TestIncrementalMatchesFromScratch is the differential harness: across
-// 200 seeds spread over the four structural edit kinds, an incremental
-// re-solve seeded from the pre-edit artifact state must converge to the
-// same per-node AVFs as solving the edited design from scratch, while
+// 50 seeds for each of the four structural edit kinds, at 4 and 8 FUBs,
+// with the prior from Solve and from SolvePartitioned, under neutral
+// and seeded pAVF tables, an incremental re-solve seeded from the
+// pre-edit state must hold exactly a cold Solve's closed forms — every
+// vertex side's set, the set table and the slots — and AVFs, while
 // dirtying no more FUBs than the edit actually touched.
 func TestIncrementalMatchesFromScratch(t *testing.T) {
 	kinds := []graphtest.EditKind{
 		graphtest.EditAddFlop, graphtest.EditRemoveFlop,
 		graphtest.EditRetimeCell, graphtest.EditRewireFubio,
 	}
-	const seeds = 50 // × 4 kinds = 200 differential cases
+	const seeds = 50
 	for _, kind := range kinds {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
 			t.Parallel()
-			for seed := uint64(1); seed <= seeds; seed++ {
-				h := buildEditHarness(t, seed, kind)
-				in := randPortInputs(h.aNew, h.inSeed)
-				incr, st, err := h.aNew.ResolveIncremental(in, h.prior)
-				if err != nil {
-					t.Fatalf("seed %d (%s): ResolveIncremental: %v", seed, h.edit.Desc, err)
-				}
-				scratch, err := h.aNew.SolvePartitioned(randPortInputs(h.aNew, h.inSeed))
-				if err != nil {
-					t.Fatalf("seed %d: scratch solve: %v", seed, err)
-				}
-				d := MaxAbsDiff(incr, scratch)
-				if math.IsNaN(d) || d > h.aNew.Opts.Epsilon {
-					t.Fatalf("seed %d (%s): incremental diverges from scratch by %v (dirty=%d active=%d iters=%d)",
-						seed, h.edit.Desc, d, st.FubsDirty, st.FubsActive, st.Iterations)
-				}
-				if !incr.Converged || !scratch.Converged {
-					t.Fatalf("seed %d (%s): converged incremental=%v scratch=%v",
-						seed, h.edit.Desc, incr.Converged, scratch.Converged)
-				}
-				// Locality: the fingerprint diff may dirty only FUBs the
-				// edit touched, and a local edit must leave reuse on the
-				// table.
-				if st.FubsDirty > len(h.edit.TouchedFubs) {
-					t.Fatalf("seed %d (%s): %d FUBs dirty but the edit touched only %v",
-						seed, h.edit.Desc, st.FubsDirty, h.edit.TouchedFubs)
-				}
-				if st.FubsDirty >= st.FubsTotal {
-					t.Fatalf("seed %d (%s): local edit dirtied all %d FUBs", seed, h.edit.Desc, st.FubsTotal)
-				}
-				if st.FubsActive+st.FubsReused != st.FubsTotal {
-					t.Fatalf("seed %d: inconsistent stats %+v", seed, st)
+			for _, fubs := range []int{4, 8} {
+				for seed := uint64(1); seed <= seeds; seed++ {
+					for _, hc := range []harnessCfg{
+						{fubs: fubs, partitioned: false, neutral: true},
+						{fubs: fubs, partitioned: true, neutral: true},
+						{fubs: fubs, partitioned: false, neutral: false},
+						{fubs: fubs, partitioned: true, neutral: false},
+					} {
+						checkIncremental(t, seed, kind, hc)
+					}
 				}
 			}
 		})
+	}
+}
+
+// checkIncremental runs one differential case of the harness.
+func checkIncremental(t *testing.T, seed uint64, kind graphtest.EditKind, hc harnessCfg) {
+	t.Helper()
+	h := buildEditHarnessCfg(t, seed, kind, hc)
+	where := fmt.Sprintf("seed %d %+v (%s)", seed, hc, h.edit.Desc)
+	incr, st, err := h.aNew.ResolveIncremental(h.inputs(h.aNew), h.prior)
+	if err != nil {
+		t.Fatalf("%s: ResolveIncremental: %v", where, err)
+	}
+	cold, err := h.aNew.Solve(h.inputs(h.aNew))
+	if err != nil {
+		t.Fatalf("%s: cold solve: %v", where, err)
+	}
+	if d := closedFormDiff(incr, cold); d != "" {
+		t.Fatalf("%s: incremental closed forms differ from a cold Solve: %s (stats %+v)", where, d, st)
+	}
+	for v := range cold.AVF {
+		if math.Float64bits(incr.AVF[v]) != math.Float64bits(cold.AVF[v]) {
+			t.Fatalf("%s: vertex %d AVF %v, cold Solve %v", where, v, incr.AVF[v], cold.AVF[v])
+		}
+	}
+	if !incr.Converged || !st.Converged || st.Iterations != 1 {
+		t.Fatalf("%s: stats %+v, want one converged pass", where, st)
+	}
+	// Locality: the fingerprint diff may dirty only FUBs the edit
+	// touched, and a local edit must leave reuse on the table.
+	if st.FubsDirty > len(h.edit.TouchedFubs) {
+		t.Fatalf("%s: %d FUBs dirty but the edit touched only %v", where, st.FubsDirty, h.edit.TouchedFubs)
+	}
+	if st.FubsDirty >= st.FubsTotal {
+		t.Fatalf("%s: local edit dirtied all %d FUBs", where, st.FubsTotal)
+	}
+	if st.FubsDirty > st.FubsActive || st.FubsActive+st.FubsReused != st.FubsTotal {
+		t.Fatalf("%s: inconsistent stats %+v", where, st)
 	}
 }
 
@@ -154,8 +253,7 @@ func TestPavfOnlyEditDirtiesNothing(t *testing.T) {
 		}
 		// The differential baseline for unchanged structure + new inputs is
 		// the repo's standing warm-start semantics: plug the new pAVFs into
-		// the prior closed forms (Reevaluate), not a fresh walk — the walk's
-		// value-based stopping rule makes fresh sets env-dependent.
+		// the prior closed forms (Reevaluate), not a fresh walk.
 		if err := h.baseRes.Reevaluate(randPortInputs(h.baseRes.Analyzer, h.inSeed+777)); err != nil {
 			t.Fatalf("seed %d: Reevaluate: %v", seed, err)
 		}
@@ -300,12 +398,15 @@ func chainDesign(t *testing.T, widened, cForwards bool) (*Analyzer, *Inputs) {
 	return a, in
 }
 
-// TestFrontierWalksOnlyMovedBoundaries pins the frontier rule on a FUB
-// chain A→B→C→D with A dirty: A and its neighbour B start active, B's
-// moved output activates C, and D joins only if C's walked boundary
-// moves. A FUB the scan has just activated has not been walked, so its
-// boundary must not count as moved in the same scan.
-func TestFrontierWalksOnlyMovedBoundaries(t *testing.T) {
+// TestPropagationStopsAtUnmovedSlots pins the propagation rule on a FUB
+// chain A→B→C→D with A dirty: A is recomputed, its moved output moves
+// B, and B's moves C. D moves only if C's output set moves, which it
+// does only when C forwards its input; when C drives D from its own read
+// port the walk stops inside C and D keeps its prior state. Either way
+// the result is a cold Solve's, set for set, and the walk recomputes
+// fewer vertex sides than the cold Solve does.
+func TestPropagationStopsAtUnmovedSlots(t *testing.T) {
+	walked := make(map[bool]int64)
 	for _, tc := range []struct {
 		cForwards  bool
 		wantActive int
@@ -314,7 +415,7 @@ func TestFrontierWalksOnlyMovedBoundaries(t *testing.T) {
 		{cForwards: true, wantActive: 4},
 	} {
 		base, in := chainDesign(t, false, tc.cForwards)
-		res, err := base.SolvePartitioned(in)
+		res, err := base.Solve(in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -323,32 +424,97 @@ func TestFrontierWalksOnlyMovedBoundaries(t *testing.T) {
 			t.Fatal(err)
 		}
 		edited, in := chainDesign(t, true, tc.cForwards)
+		reg := obs.New()
+		edited.Opts.Obs = reg
 		incr, st, err := edited.ResolveIncremental(in, prior)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.FubsDirty != 1 || st.FubsActive != tc.wantActive || !st.Converged {
-			t.Fatalf("cForwards=%v: stats %+v, want 1 dirty and %d active", tc.cForwards, st, tc.wantActive)
+		if st.FubsDirty != 1 || st.FubsActive != tc.wantActive || st.Iterations != 1 || !st.Converged {
+			t.Fatalf("cForwards=%v: stats %+v, want 1 dirty and %d active in one pass", tc.cForwards, st, tc.wantActive)
 		}
-		cold, err := edited.SolvePartitioned(in)
+		snap := reg.Snapshot()
+		walked[tc.cForwards] = snap.Counters["core.fwd_vertices"] + snap.Counters["core.bwd_vertices"]
+		cold, err := edited.Solve(in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := MaxAbsDiff(incr, cold); math.IsNaN(d) || d > edited.Opts.Epsilon {
-			t.Fatalf("cForwards=%v: incremental diverges from cold by %v", tc.cForwards, d)
+		if d := closedFormDiff(incr, cold); d != "" {
+			t.Fatalf("cForwards=%v: %s", tc.cForwards, d)
+		}
+		snap = reg.Snapshot()
+		coldWalked := snap.Counters["core.fwd_vertices"] + snap.Counters["core.bwd_vertices"] - walked[tc.cForwards]
+		if walked[tc.cForwards] >= coldWalked {
+			t.Fatalf("cForwards=%v: the edit recomputed %d vertex sides, a cold Solve %d", tc.cForwards, walked[tc.cForwards], coldWalked)
+		}
+	}
+	if walked[false] >= walked[true] {
+		t.Fatalf("the walk stopping inside C recomputed %d vertex sides, reaching D %d", walked[false], walked[true])
+	}
+}
+
+// TestDirtyBoundaryMarksNeighbours: a dirty FUB has no prior slots, so
+// whether its boundary moved cannot be read off its own walk, and the
+// neighbours reading it across a FUBIO edge are recomputed regardless.
+// On a pair A→B, each edit routes one side of the edge through a
+// stripped debug node, so the dirty FUB's boundary set becomes ∅, the
+// slot a dirty vertex holds before its walk: A's output forward, or B's
+// input backward. The clean neighbour must still move to ∅.
+func TestDirtyBoundaryMarksNeighbours(t *testing.T) {
+	build := func(aDebug, bDebug bool) *Analyzer {
+		d := netlist.NewDesign("pair")
+		d.AddStructure("IA", 4, 1)
+		d.AddStructure("WB", 4, 1)
+		// via returns src, or a debug flop fed by src in its place.
+		via := func(b *netlist.Builder, debug bool, src string) string {
+			if !debug {
+				return src
+			}
+			b.M.Add(&netlist.Node{Name: "dbg", Kind: netlist.KindSeq, Width: 1,
+				Inputs: []string{src}, Class: netlist.ClassDebug})
+			return "dbg"
+		}
+		ab := netlist.Build(d.AddModule("a"))
+		ab.Out("o", 1, ab.Seq("ar", 1, via(ab, aDebug, ab.SRead("ra", 1, "IA", "rd"))))
+		bb := netlist.Build(d.AddModule("b"))
+		bb.SWrite("wb", "WB", "wr", bb.Seq("br", 1, via(bb, bDebug, bb.In("i", 1))))
+		d.AddFub("A", "a")
+		d.AddFub("B", "b")
+		d.ConnectPorts("A", "o", "B", "i")
+		return mustAnalyze(t, d, DefaultOptions())
+	}
+	base := build(false, false)
+	res, err := base.Solve(neutralInputs(base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prior, err := res.PriorState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, edited := range []*Analyzer{build(true, false), build(false, true)} {
+		incr, st, err := edited.ResolveIncremental(neutralInputs(edited), prior)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.FubsDirty != 1 || st.FubsActive != 2 {
+			t.Fatalf("stats %+v, want one FUB dirty and its neighbour moved", st)
+		}
+		cold, err := edited.Solve(neutralInputs(edited))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := closedFormDiff(incr, cold); d != "" {
+			t.Fatal(d)
 		}
 	}
 }
 
-// TestActivatedFubsBoundaryMovement checks whether ResolveIncremental's
-// initial active set is over-eager on one add-flop edit: graphtest
-// Small(3) at four FUBs, EditAddFlop seed 5, one dirty FUB, and every
-// FUB activated — the dirty one and each FUBIO neighbour. For each
-// activated FUB it compares the values it reads across its boundary
-// (a cross predecessor's forward value, a cross successor's backward
-// value) between the prior solve and the edited design's fixpoint. A
-// neighbour none of whose boundary values moved by more than Epsilon
-// was walked for nothing.
+// TestActivatedFubsBoundaryMovement: on one add-flop edit (graphtest
+// Small(3) at four FUBs, EditAddFlop seed 5, neutral pAVFs) the flop
+// changes nothing any neighbour reads, so only the dirty F01 moves. The
+// three neighbours are not recomputed past their boundary and keep their
+// prior AVFs bit for bit, and the result is a cold Solve's.
 func TestActivatedFubsBoundaryMovement(t *testing.T) {
 	cfg := graphtest.Small(3)
 	cfg.Fubs = 4
@@ -360,19 +526,9 @@ func TestActivatedFubsBoundaryMovement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	half := func(a *Analyzer) *Inputs {
-		in := NewInputs()
-		for _, sp := range a.ReadPortTerms() {
-			in.ReadPorts[sp] = 0.5
-		}
-		for _, sp := range a.WritePortTerms() {
-			in.WritePorts[sp] = 0.5
-		}
-		return in
-	}
 	aOld := mustAnalyzer(t, base.Graph, DefaultOptions())
 	aNew := mustAnalyzer(t, g2, DefaultOptions())
-	old, err := aOld.Solve(half(aOld))
+	old, err := aOld.Solve(neutralInputs(aOld))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,90 +536,35 @@ func TestActivatedFubsBoundaryMovement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, st, err := aNew.ResolveIncremental(half(aNew), prior)
+	incr, st, err := aNew.ResolveIncremental(neutralInputs(aNew), prior)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur, err := aNew.Solve(half(aNew))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The set vertex v contributes across a boundary, read the way
-	// fwdUnion and bwdUnion read it, named in its own design's terms.
-	fwdOut := func(r *Result, v graph.VertexID) pavf.Set {
-		if a := r.Analyzer; a.fwdFixed[v] {
-			return a.srcs.Set(a.fwdSrc[v])
-		}
-		return r.Expr(v).Fwd
-	}
-	bwdOut := func(r *Result, v graph.VertexID) pavf.Set {
-		a := r.Analyzer
-		switch {
-		case a.bwdFixed[v]:
-			return a.srcs.Set(a.bwdSrc[v])
-		case r.Expr(v).KnownBwd:
-			return r.Expr(v).Bwd
-		}
-		return pavf.TopSet()
-	}
-	// oldVertex finds v's counterpart in the prior design by name.
-	oldVertex := func(v graph.VertexID) graph.VertexID {
-		vx := &aNew.G.Verts[v]
-		b, _, ok := aOld.G.VertexBase(aNew.G.FubNames[vx.Fub], vx.Node.Name)
-		if !ok {
-			t.Fatalf("%s has no counterpart in the prior design", aNew.G.Name(v))
-		}
-		return b + graph.VertexID(vx.Bit)
-	}
-	// compare reports whether the value read across one boundary moved
-	// by more than Epsilon, and whether its term set changed at all.
-	compare := func(x, y pavf.Set) (value, set bool) {
-		value = math.Abs(x.Eval(cur.Env)-y.Eval(old.Env)) > aNew.Opts.Epsilon
-		set = x.Format(aNew.Universe()) != y.Format(aOld.Universe())
-		return value, set
-	}
-	numFubs := len(aNew.G.FubNames)
-	dirty := make([]bool, numFubs)
-	for f := range dirty {
-		dirty[f] = prior.Fubs[f].Name != aNew.G.FubNames[f] || prior.Fubs[f].Fingerprint != aNew.FubFingerprints()[f]
-	}
-	active := append([]bool(nil), dirty...)
-	valueMoved := make([]bool, numFubs)
-	setMoved := make([]bool, numFubs)
-	for _, e := range aNew.G.CrossEdges {
-		ff, tf := aNew.G.Verts[e.From].Fub, aNew.G.Verts[e.To].Fub
-		if dirty[ff] {
-			active[tf] = true
-		}
-		if dirty[tf] {
-			active[ff] = true
-		}
-		v, s := compare(fwdOut(cur, e.From), fwdOut(old, oldVertex(e.From)))
-		valueMoved[tf], setMoved[tf] = valueMoved[tf] || v, setMoved[tf] || s
-		v, s = compare(bwdOut(cur, e.To), bwdOut(old, oldVertex(e.To)))
-		valueMoved[ff], setMoved[ff] = valueMoved[ff] || v, setMoved[ff] || s
-	}
-	nActive := 0
-	var idle []string
+	var dirty []string
 	for f, name := range aNew.G.FubNames {
-		if !active[f] {
+		if prior.Fubs[f].Fingerprint != aNew.FubFingerprints()[f] {
+			dirty = append(dirty, name)
+		}
+	}
+	if !slices.Equal(dirty, []string{"F01"}) || st.FubsDirty != 1 || st.FubsActive != 1 || st.FubsReused != 3 {
+		t.Fatalf("dirty %v, stats %+v: want F01 alone dirty and alone moved", dirty, st)
+	}
+	cold, err := aNew.Solve(neutralInputs(aNew))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := closedFormDiff(incr, cold); d != "" {
+		t.Fatal(d)
+	}
+	for f, ext := range aNew.exts {
+		if aNew.G.FubNames[f] == "F01" {
 			continue
 		}
-		nActive++
-		t.Logf("FUB %s: dirty=%v, a boundary value moved=%v, a boundary set moved=%v", name, dirty[f], valueMoved[f], setMoved[f])
-		if !dirty[f] && !valueMoved[f] && !setMoved[f] {
-			idle = append(idle, name)
+		for i, want := range prior.Fubs[f].AVF {
+			if got := incr.AVF[ext.start+i]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("FUB %s vertex %d: AVF %v, prior %v", aNew.G.FubNames[f], i, got, want)
+			}
 		}
-	}
-	if nActive != st.FubsActive {
-		t.Fatalf("reconstructed %d active FUBs, ResolveIncremental reports %d", nActive, st.FubsActive)
-	}
-	// The answer on this edit: the flop changes nothing any neighbour
-	// reads, so all three neighbours are walked for nothing. An
-	// activation rule that waits for a moved boundary would walk F01
-	// alone; when one lands, this expectation changes with it.
-	if want := []string{"F00", "F02", "F03"}; !slices.Equal(idle, want) {
-		t.Fatalf("activated FUBs with no moved boundary: %v, want %v", idle, want)
 	}
 }
 
@@ -570,4 +671,61 @@ func TestIntraFubCycleErrorsWhenWalked(t *testing.T) {
 	if _, err := a.SolvePartitioned(randPortInputs(a, 1)); !isCycle(err) {
 		t.Fatalf("cold relaxation: error %v, want an intra-FUB cycle", err)
 	}
+}
+
+// FuzzResolveIncremental drives the differential contract with fuzzed
+// cases: a graphtest design (seed, 2–8 FUBs) solved cold, one edit of
+// any kind with its own seed, and an incremental re-solve from the
+// prior, which must hold a cold Solve's closed forms set for set. The
+// prior comes from SolvePartitioned when the edit seed is odd.
+func FuzzResolveIncremental(f *testing.F) {
+	f.Add(uint64(1), uint8(4), uint8(0), uint64(5))
+	f.Add(uint64(3), uint8(4), uint8(0), uint64(5))
+	f.Add(uint64(28), uint8(8), uint8(3), uint64(28))
+	f.Add(uint64(14), uint8(2), uint8(1), uint64(7))
+	f.Add(uint64(9), uint8(6), uint8(2), uint64(2))
+	f.Add(uint64(2), uint8(3), uint8(4), uint64(11))
+	f.Fuzz(func(t *testing.T, seed uint64, fubs, kind uint8, editSeed uint64) {
+		cfg := graphtest.Small(seed)
+		cfg.Fubs = 2 + int(fubs)%7
+		base, err := graphtest.Generate(cfg)
+		if err != nil {
+			t.Skip(err)
+		}
+		aBase, err := NewAnalyzer(base.Graph, DefaultOptions())
+		if err != nil {
+			t.Skip(err)
+		}
+		solve := aBase.Solve
+		if editSeed%2 == 1 {
+			solve = aBase.SolvePartitioned
+		}
+		res, err := solve(neutralInputs(aBase))
+		if err != nil {
+			t.Fatalf("base solve: %v", err)
+		}
+		prior, err := res.PriorState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, g2, edit, err := base.ApplyEdit(graphtest.EditKind(int(kind)%5), editSeed)
+		if err != nil {
+			t.Skip(err)
+		}
+		aNew, err := NewAnalyzer(g2, DefaultOptions())
+		if err != nil {
+			t.Skip(err)
+		}
+		incr, st, err := aNew.ResolveIncremental(neutralInputs(aNew), prior)
+		if err != nil {
+			t.Fatalf("%s: ResolveIncremental: %v", edit.Desc, err)
+		}
+		cold, err := aNew.Solve(neutralInputs(aNew))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := closedFormDiff(incr, cold); d != "" {
+			t.Fatalf("%s (stats %+v): %s", edit.Desc, st, d)
+		}
+	})
 }

@@ -13,23 +13,23 @@ import (
 
 // iterDeltaBuckets is the fixed layout of the core.iter_delta histogram
 // (the largest per-vertex pAVF change of one relaxation iteration): one
-// bucket per decade from 1e-12, below the default Epsilon of 1e-9, up
-// to 1, the largest change a pAVF in [0, 1] can make.
+// bucket per decade from 1e-12 up to 1, the largest change a pAVF in
+// [0, 1] can make.
 var iterDeltaBuckets = []float64{
 	1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1,
 }
 
 // SolvePartitioned runs the paper's operational tool flow (§5.2): the
 // design is processed one FUB at a time, each iteration performing one
-// down-walk and one up-walk per FUB against the FUBIO boundary values
-// merged at the end of the previous iteration. A pAVF value therefore
-// crosses at most one partition boundary per iteration, and the process
-// repeats until the values reach steady state (the paper found 20
-// iterations sufficient) or Opts.Iterations is exhausted.
+// down-walk and one up-walk per FUB against the FUBIO boundary sets
+// merged at the end of the previous iteration. A set therefore crosses
+// at most one partition boundary per iteration, and the process repeats
+// until no boundary set moves (the paper found 20 iterations sufficient)
+// or Opts.Iterations is exhausted.
 //
-// The converged result equals the monolithic Solve fixpoint; the value of
-// this entry point is operational fidelity (bounded per-FUB memory) plus
-// the per-iteration convergence trace the paper plots.
+// The converged result equals the monolithic Solve fixpoint set for set;
+// the value of this entry point is operational fidelity (bounded per-FUB
+// memory) plus the per-iteration convergence trace the paper plots.
 func (a *Analyzer) SolvePartitioned(in *Inputs) (*Result, error) {
 	reg := a.Opts.Obs
 	sp := reg.StartSpan("solve_partitioned")
@@ -40,15 +40,10 @@ func (a *Analyzer) SolvePartitioned(in *Inputs) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	numFubs := len(a.G.FubNames)
 	sp.SetAttr("vertices", a.G.NumVerts())
-	sp.SetAttr("fubs", numFubs)
-	active := make([]bool, numFubs)
-	for f := range active {
-		active[f] = true
-	}
+	sp.SetAttr("fubs", len(a.G.FubNames))
 	rx := a.newRelaxation(a.srcs.Extend())
-	if err := a.relax(sp, env, rx, active); err != nil {
+	if err := a.relax(sp, env, rx); err != nil {
 		return nil, err
 	}
 	nsp := sp.Child("finish")
@@ -64,19 +59,17 @@ func (a *Analyzer) SolvePartitioned(in *Inputs) (*Result, error) {
 // relaxation is the state of one FUB-partitioned relaxation: the solve's
 // set table t and, per vertex, the FUBIO slots merged at the end of the
 // previous iteration (prev), the slots this iteration's walks produce
-// (cur), and the value the convergence test compares against. A slot of
-// -1 is an unknown side. A caller may seed prev and prevVal with a prior
-// fixpoint before relax runs; unseeded, every boundary starts unknown
-// (⊤) and every value at 1.
+// (cur), and the previous iteration's value, from which the max_delta
+// diagnostic is measured. A slot of -1 is an unknown side; every slot
+// starts unknown (⊤), so a fixed side, which no walk writes, never
+// moves, and every value starts at 1.
 type relaxation struct {
 	t                                *pavf.SetTable
 	fwdPrev, bwdPrev, fwdCur, bwdCur []int32
 	prevVal                          []float64
-	// walked marks FUBs walked at least once; the others keep their seed.
-	walked     []bool
-	iterations int
-	converged  bool
-	trace      [][]float64
+	iterations                       int
+	converged                        bool
+	trace                            [][]float64
 }
 
 func (a *Analyzer) newRelaxation(t *pavf.SetTable) *relaxation {
@@ -88,55 +81,40 @@ func (a *Analyzer) newRelaxation(t *pavf.SetTable) *relaxation {
 		fwdCur:  make([]int32, n),
 		bwdCur:  make([]int32, n),
 		prevVal: make([]float64, n),
-		walked:  make([]bool, len(a.G.FubNames)),
 	}
 	for v := range rx.prevVal {
 		rx.fwdPrev[v], rx.bwdPrev[v] = pavf.UnknownSlot, pavf.UnknownSlot
+		rx.fwdCur[v], rx.bwdCur[v] = pavf.UnknownSlot, pavf.UnknownSlot
 		rx.prevVal[v] = 1
 	}
 	return rx
 }
 
-// relax iterates the relaxation over the FUBs marked in active (§5.2).
-// Each iteration walks every active FUB down and up, Jacobi style —
-// cross-FUB contributions come from the previous iteration's merge —
-// then grows the active set along any FUBIO edge whose walked value
-// moved, and merges the walked FUBs' values as the next iteration's
-// boundary. It stops when no value moved by more than Epsilon and the
-// active set did not grow, or after Opts.Iterations. With every FUB
-// active the frontier never grows, which is the cold relaxation.
+// relax iterates the relaxation over every FUB (§5.2). Each iteration
+// walks every FUB down and up, Jacobi style — cross-FUB contributions
+// come from the previous iteration's merge — then merges the walked
+// slots as the next iteration's boundary. It stops on the set fixpoint,
+// when the merge moved no slot, or after Opts.Iterations. Slots are
+// hash-consed, so an equal slot is an equal set: the stop rule cannot
+// fire while sets still move under values that happen to hold still.
 //
 // Each iteration emits an "iteration" child span of sp carrying the
-// largest per-vertex change (max_delta) and the per-FUB average
-// sequential pAVF (fub_avg_pavf), which is also appended to rx.trace.
-// On return every never-walked FUB's seed is copied into the cur arrays,
-// so they hold the whole design's state.
-func (a *Analyzer) relax(sp *obs.Span, env pavf.Env, rx *relaxation, active []bool) error {
+// largest per-vertex value change (max_delta, a diagnostic) and the
+// per-FUB average sequential pAVF (fub_avg_pavf), which is also
+// appended to rx.trace.
+func (a *Analyzer) relax(sp *obs.Span, env pavf.Env, rx *relaxation) error {
 	reg := a.Opts.Obs
 	exts := a.exts
-	// fubAvg is the running trace row. An entry is refreshed whenever its
-	// FUB is merged, so only FUBs the first iteration leaves unwalked need
-	// their seeded average up front.
-	fubAvg := make([]float64, len(exts))
-	for f := range fubAvg {
-		if !active[f] {
-			fubAvg[f] = a.seqAvg(exts[f], rx.prevVal)
-		}
-	}
 	var ws walkStats
 	for iter := 1; iter <= a.Opts.Iterations; iter++ {
 		rx.iterations = iter
 		isp := sp.Child("iteration")
 		isp.SetAttr("iter", iter)
 		for f := range exts {
-			if !active[f] {
-				continue
-			}
 			fwd, bwd, err := a.schedule(f)
 			if err != nil {
 				return err
 			}
-			rx.walked[f] = true
 			for _, v := range fwd {
 				rx.fwdCur[v] = a.fwdUnion(rx.t, v, int32(f), rx.fwdCur, rx.fwdPrev, &ws)
 			}
@@ -145,44 +123,17 @@ func (a *Analyzer) relax(sp *obs.Span, env pavf.Env, rx *relaxation, active []bo
 				rx.bwdCur[v] = a.bwdUnion(rx.t, v, int32(f), rx.bwdCur, rx.bwdPrev, &ws)
 			}
 		}
-		// Frontier expansion: an inactive FUB holds its seed assuming its
-		// boundary stays at the prior fixpoint. If a walk just moved a
-		// value it consumes (a cross predecessor's forward set, a cross
-		// successor's backward set), that assumption broke — pull it into
-		// the active region. Set identity (an equal slot) is a stricter
-		// test than the Epsilon value delta: any numeric movement implies
-		// set movement.
-		// Only walked FUBs are compared: one this scan has just activated
-		// holds no walk result yet, and reading its unset cur arrays would
-		// count its seed as moved and activate its neighbours in turn.
-		grew := false
-		for _, e := range a.G.CrossEdges {
-			ff, tf := a.G.Verts[e.From].Fub, a.G.Verts[e.To].Fub
-			if rx.walked[ff] && !active[tf] {
-				u := e.From
-				if !a.fwdFixed[u] && rx.fwdCur[u] != rx.fwdPrev[u] {
-					active[tf] = true
-					grew = true
-				}
-			}
-			if rx.walked[tf] && !active[ff] {
-				w := e.To
-				if !a.bwdFixed[w] && rx.bwdCur[w] != rx.bwdPrev[w] {
-					active[ff] = true
-					grew = true
-				}
-			}
-		}
-		// Merge step: publish the walked FUBs' values as the FUBIO tables
-		// for the next iteration and measure the change for convergence.
-		// A FUB the frontier scan just activated keeps its seed until its
-		// first walk.
+		// Merge step: publish the walked slots as the FUBIO tables for
+		// the next iteration, noting whether any moved, and measure the
+		// value change for the trace.
+		moved := false
 		maxDelta := 0.0
+		row := make([]float64, len(exts))
 		for f, ext := range exts {
-			if !rx.walked[f] {
-				continue
-			}
 			for v := ext.start; v < ext.end; v++ {
+				if rx.fwdCur[v] != rx.fwdPrev[v] || rx.bwdCur[v] != rx.bwdPrev[v] {
+					moved = true
+				}
 				rx.fwdPrev[v], rx.bwdPrev[v] = rx.fwdCur[v], rx.bwdCur[v]
 				val := a.vertexValue(rx.t, graph.VertexID(v), rx.fwdCur[v], rx.bwdCur[v], env)
 				if d := math.Abs(val - rx.prevVal[v]); d > maxDelta {
@@ -190,26 +141,17 @@ func (a *Analyzer) relax(sp *obs.Span, env pavf.Env, rx *relaxation, active []bo
 				}
 				rx.prevVal[v] = val
 			}
-			fubAvg[f] = a.seqAvg(ext, rx.prevVal)
+			row[f] = a.seqAvg(ext, rx.prevVal)
 		}
-		row := append([]float64(nil), fubAvg...)
 		rx.trace = append(rx.trace, row)
 		isp.SetAttr("max_delta", maxDelta)
 		isp.SetAttr("fub_avg_pavf", row)
 		isp.End()
 		reg.FixedHistogram("core.iter_delta", iterDeltaBuckets).Observe(maxDelta)
 		reg.Gauge("core.max_delta").Set(maxDelta)
-		if maxDelta <= a.Opts.Epsilon && !grew {
+		if !moved {
 			rx.converged = true
 			break
-		}
-	}
-	for f, ext := range exts {
-		if rx.walked[f] {
-			continue
-		}
-		for v := ext.start; v < ext.end; v++ {
-			rx.fwdCur[v], rx.bwdCur[v] = rx.fwdPrev[v], rx.bwdPrev[v]
 		}
 	}
 	ws.record(reg)
@@ -326,8 +268,8 @@ type fubSchedule struct {
 }
 
 // schedule returns FUB f's walk schedule, building it the first time f
-// is walked. The schedule is shared by every later solve on this
-// analyzer — callers must not mutate the returned slices.
+// is walked. The schedule is shared by every later partitioned solve on
+// this analyzer — callers must not mutate the returned slices.
 func (a *Analyzer) schedule(f int) (fwd, bwd []graph.VertexID, err error) {
 	s := &a.scheds[f]
 	s.once.Do(func() {

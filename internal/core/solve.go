@@ -51,18 +51,17 @@ type Result struct {
 	// Visited marks vertices reached by at least one walk.
 	Visited []bool
 
-	// Iterations is the number of relaxation iterations executed: 1 for
-	// the monolithic solver, 0 for an incremental re-solve whose edit
-	// dirtied no FUB.
+	// Iterations is the number of relaxation iterations SolvePartitioned
+	// executed. Solve reports 1, and ResolveIncremental 1 when the edit
+	// dirtied some FUB and 0 when it dirtied none: each is one pass.
 	Iterations int
-	// Converged reports whether the relaxation met Epsilon, with its
-	// active FUB set no longer growing, before the iteration bound
-	// (always true for monolithic).
+	// Converged reports whether SolvePartitioned reached the set fixpoint
+	// (no boundary slot moved) within Opts.Iterations. Always true for
+	// Solve and ResolveIncremental, whose single pass is exact.
 	Converged bool
-	// Trace records, per relaxation iteration, the average sequential-node
-	// pAVF per FUB — the convergence diagnostic the paper plots (§6.1).
-	// On an incremental re-solve a FUB not yet walked keeps its seeded
-	// average. Nil for the monolithic solver.
+	// Trace records, per SolvePartitioned iteration, the average
+	// sequential-node pAVF per FUB — the convergence diagnostic the paper
+	// plots (§6.1). Nil for Solve and ResolveIncremental.
 	Trace [][]float64
 }
 
@@ -93,38 +92,68 @@ func (a *Analyzer) SolveContext(ctx context.Context, in *Inputs) (*Result, error
 	t := a.srcs.Extend()
 	fwd := make([]int32, n)
 	bwd := make([]int32, n)
-	var ws walkStats
-
-	// Both walks use the relaxation's union step with no prev arrays, so
-	// every neighbour is read from the array being filled.
-	// Forward: topological order guarantees preds are final.
-	fsp := sp.Child("fwd")
-	for _, v := range a.topo {
-		fwd[v] = a.fwdUnion(t, v, -1, fwd, nil, &ws)
-	}
-	fsp.SetAttr("vertices", len(a.topo))
-	fsp.End()
-	// Backward: reverse order over non-bwd-fixed vertices.
-	bsp := sp.Child("bwd")
-	bwdTopo, err := a.G.TopoOrder(func(v graph.VertexID) bool { return a.bwdFixed[v] })
-	if err != nil {
-		bsp.End()
-		return nil, fmt.Errorf("core: backward order: %w", err)
-	}
-	for i := len(bwdTopo) - 1; i >= 0; i-- {
-		v := bwdTopo[i]
-		bwd[v] = a.bwdUnion(t, v, -1, bwd, nil, &ws)
-	}
-	bsp.SetAttr("vertices", len(bwdTopo))
-	bsp.End()
+	a.propagate(sp, t, fwd, bwd, nil, nil, nil)
 	nsp := sp.Child("finish")
 	r := a.finishReuse(in, env, t, fwd, bwd, nil)
 	nsp.End()
 	r.Iterations = 1
 	r.Converged = true
-	ws.record(a.Opts.Obs)
 	a.Opts.Obs.Counter("core.solves").Inc()
 	return r, nil
+}
+
+// propagate is the change-propagation walk Solve and ResolveIncremental
+// share, under "fwd" and "bwd" child spans of sp: the forward walk in
+// topological order, then the backward walk in reverse backward order.
+// fwd and bwd hold each vertex's slot in t and are updated in place.
+// Each marked vertex is recomputed with the union step reading every
+// neighbour from the array being filled; when its slot changes, it marks
+// its successors (its predecessors on the backward walk) and its FUB in
+// moved. An unmarked vertex keeps the slot it entered with. nil marks
+// recompute every vertex, which is Solve's whole-design pass; moved may
+// then be nil too. Because both orders are topological, every neighbour
+// a vertex reads is final when it is recomputed, so one pass reaches the
+// fixpoint.
+func (a *Analyzer) propagate(sp *obs.Span, t *pavf.SetTable, fwd, bwd []int32, fwdMark, bwdMark, moved []bool) {
+	var ws walkStats
+	fsp := sp.Child("fwd")
+	for _, v := range a.topo {
+		if fwdMark != nil && !fwdMark[v] {
+			continue
+		}
+		s := a.fwdUnion(t, v, -1, fwd, nil, &ws)
+		if fwdMark == nil || s == fwd[v] {
+			fwd[v] = s
+			continue
+		}
+		fwd[v] = s
+		moved[a.G.Verts[v].Fub] = true
+		for _, w := range a.G.Succs(v) {
+			fwdMark[w] = true
+		}
+	}
+	fsp.SetAttr("vertices", ws.fwdVerts)
+	fsp.End()
+	bsp := sp.Child("bwd")
+	for i := len(a.bwdTopo) - 1; i >= 0; i-- {
+		v := a.bwdTopo[i]
+		if bwdMark != nil && !bwdMark[v] {
+			continue
+		}
+		s := a.bwdUnion(t, v, -1, bwd, nil, &ws)
+		if bwdMark == nil || s == bwd[v] {
+			bwd[v] = s
+			continue
+		}
+		bwd[v] = s
+		moved[a.G.Verts[v].Fub] = true
+		for _, p := range a.G.Preds(v) {
+			bwdMark[p] = true
+		}
+	}
+	bsp.SetAttr("vertices", ws.bwdVerts)
+	bsp.End()
+	ws.record(a.Opts.Obs)
 }
 
 // finishReuse assembles the result from a solve's walk state: fwd and

@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sort"
+	"strings"
 	"testing"
 
 	"seqavf/internal/artifact"
@@ -81,8 +83,8 @@ func TestEditDesignEndpoint(t *testing.T) {
 
 	// The replacement must agree with a cold solve of the edited netlist.
 	cold := coldSolve(t, edited)
-	if d := core.MaxAbsDiff(after.Result, cold); !(d <= cold.Analyzer.Opts.Epsilon) {
-		t.Fatalf("edited design diverges from cold solve by %v", d)
+	if d := equationDiff(after.Result, cold); d != "" {
+		t.Fatalf("edited design differs from a cold solve: %s", d)
 	}
 
 	// And it still serves sweeps.
@@ -272,6 +274,163 @@ func coldSolve(t *testing.T, nl []byte) *core.Result {
 	return res
 }
 
+// equationDiff compares two results' closed forms equation by equation:
+// vertex v's forward and backward sets, each named by its terms, so the
+// two analyzers' universes need not intern terms in the same order. It
+// returns "" when every equation matches, else the count of differing
+// vertex sides and the first one, rendered both ways.
+func equationDiff(got, want *core.Result) string {
+	if len(got.Fwd) != len(want.Fwd) {
+		return fmt.Sprintf("%d vertices, want %d", len(got.Fwd), len(want.Fwd))
+	}
+	// canon renders each slot of r's set table once, terms sorted by name.
+	canon := func(r *core.Result) []string {
+		u := r.Analyzer.Universe()
+		out := make([]string, r.Sets.Len())
+		for s := range out {
+			ids := r.Sets.SetIDs(int32(s))
+			names := make([]string, len(ids))
+			for i, id := range ids {
+				names[i] = u.Term(id).String()
+			}
+			sort.Strings(names)
+			out[s] = strings.Join(names, " + ")
+		}
+		return out
+	}
+	gc, wc := canon(got), canon(want)
+	side := func(c []string, slot int32) string {
+		if slot < 0 {
+			return "unknown"
+		}
+		return c[slot]
+	}
+	n, first := 0, ""
+	for v := range want.Fwd {
+		for _, d := range []struct {
+			dir    string
+			gs, ws int32
+		}{{"fwd", got.Fwd[v], want.Fwd[v]}, {"bwd", got.Bwd[v], want.Bwd[v]}} {
+			g, w := side(gc, d.gs), side(wc, d.ws)
+			if g == w {
+				continue
+			}
+			if n++; first == "" {
+				first = fmt.Sprintf("%s %s: %s, want %s", want.Analyzer.G.Name(graph.VertexID(v)), d.dir, g, w)
+			}
+		}
+	}
+	if n > 0 {
+		return fmt.Sprintf("%d vertex sides differ, first %s", n, first)
+	}
+	return ""
+}
+
+// TestChainedEditsMatchColdSolve chains 64 one-flop ECO edits over the
+// XeonLike design (seed 2027), the edit benchmark's shape, through
+// EditNetlistContext, and compares every edit's live closed forms with a
+// cold solve of the same netlist bytes, equation by equation. It also
+// bounds the walk: on average an edit recomputes fewer vertex sides
+// (core.fwd_vertices + core.bwd_vertices) than the 13,414 the seeded
+// FUB relaxation walked per edit on this chain.
+func TestChainedEditsMatchColdSolve(t *testing.T) {
+	gen, err := design.Generate(design.DefaultConfig(2027))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.New()
+	s := New(Config{Obs: reg, Sweep: sweep.Options{Workers: 1}})
+	var nl bytes.Buffer
+	if err := netlist.Write(&nl, gen.Design); err != nil {
+		t.Fatal(err)
+	}
+	d, err := s.LoadNetlist("", &nl, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := ecoEdits(t, gen.Design)
+	walked := func() int64 {
+		return reg.Counter("core.fwd_vertices").Load() + reg.Counter("core.bwd_vertices").Load()
+	}
+	const edits = 64
+	var total, moved int64
+	ctx := context.Background()
+	for i := 0; i < edits; i++ {
+		body := edited(i)
+		before := walked()
+		next, inc, err := s.EditNetlistContext(ctx, d, bytes.NewReader(body), core.DefaultOptions())
+		if err != nil {
+			t.Fatalf("edit %d: %v", i, err)
+		}
+		if inc == nil {
+			t.Fatalf("edit %d fell back to a cold solve", i)
+		}
+		total += walked() - before
+		moved += int64(inc.FubsActive)
+		if diff := equationDiff(next.Result, coldSolve(t, body)); diff != "" {
+			t.Fatalf("edit %d (%+v): %s", i, *inc, diff)
+		}
+		d = next
+	}
+	mean := float64(total) / edits
+	t.Logf("%.1f vertex sides recomputed and %.2f FUBs moved per edit", mean, float64(moved)/edits)
+	if mean >= 13414 {
+		t.Fatalf("%.1f vertex sides recomputed per edit, want fewer than 13,414", mean)
+	}
+}
+
+// TestEditedArtifactMatchesColdUpload: an edit persists its result under
+// the edited design's fingerprint, so a later upload of the same bytes
+// through a fresh server on the same store warm-starts from it. After
+// each of four chained edits, what that upload serves must be what a
+// storeless cold upload serves, equation by equation: what a design
+// answers may not depend on how it was reached.
+func TestEditedArtifactMatchesColdUpload(t *testing.T) {
+	gen, err := design.Generate(design.DefaultConfig(2027))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	open := func() *Server {
+		st, err := artifact.Open(dir, artifact.Options{Obs: obs.New()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return New(Config{Obs: obs.New(), Artifacts: st, Sweep: sweep.Options{Workers: 1}})
+	}
+	var nl bytes.Buffer
+	if err := netlist.Write(&nl, gen.Design); err != nil {
+		t.Fatal(err)
+	}
+	s := open()
+	d, err := s.LoadNetlist("", &nl, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := ecoEdits(t, gen.Design)
+	for i := 0; i < 4; i++ {
+		body := edited(i)
+		if d, _, err = s.EditNetlistContext(context.Background(), d, bytes.NewReader(body), core.DefaultOptions()); err != nil {
+			t.Fatalf("edit %d: %v", i, err)
+		}
+		fresh := open()
+		warm, err := fresh.LoadNetlist("", bytes.NewReader(body), core.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := fresh.reg.Counter("artifact.warm_start").Load(); n != 1 {
+			t.Fatalf("upload of edit %d's bytes: artifact.warm_start = %d, want 1", i, n)
+		}
+		cold, err := New(Config{Obs: obs.New(), Sweep: sweep.Options{Workers: 1}}).LoadNetlist("", bytes.NewReader(body), core.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff := equationDiff(warm.Result, cold.Result); diff != "" {
+			t.Fatalf("edit %d: warm upload from the edit's artifact differs from a cold upload: %s", i, diff)
+		}
+	}
+}
+
 // BenchmarkEditNetlist times the ECO edit in process, shaped like
 // seqavfbench's eco_loop: the XeonLike design (seed 2027) behind an
 // artifact store bounded like seqavfd's default, then one-flop edits
@@ -327,6 +486,41 @@ func reportHeap(b *testing.B, live *Server) {
 	runtime.KeepAlive(live)
 }
 
+// ecoEdits returns the one-flop edit generator the edit benchmark and
+// the chained-edit test share: edit i registers a signal of FUB i's
+// module (the first non-debug combinational or sequential node, as the
+// edit tests pick it) behind a fresh flop eco_<i>, and returns d's
+// netlist with that flop alone added. d is restored after each call.
+func ecoEdits(tb testing.TB, d *netlist.Design) func(i int) []byte {
+	tb.Helper()
+	srcs := make([]*netlist.Node, len(d.Fubs))
+	for f, fi := range d.Fubs {
+		for _, n := range d.Modules[fi.Module].Nodes {
+			if (n.Kind == netlist.KindComb || n.Kind == netlist.KindSeq) && n.Class != netlist.ClassDebug {
+				srcs[f] = n
+				break
+			}
+		}
+		if srcs[f] == nil {
+			tb.Fatalf("FUB %s has no signal to register", fi.Name)
+		}
+	}
+	return func(i int) []byte {
+		f := i % len(srcs)
+		mod := d.Modules[d.Fubs[f].Module]
+		mod.Nodes = append(mod.Nodes, &netlist.Node{
+			Name: fmt.Sprintf("eco_%d", i), Kind: netlist.KindSeq, Width: srcs[f].Width, Inputs: []string{srcs[f].Name},
+		})
+		var out bytes.Buffer
+		err := netlist.Write(&out, d)
+		mod.Nodes = mod.Nodes[:len(mod.Nodes)-1]
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return out.Bytes()
+	}
+}
+
 // benchEditNetlist runs the edit benchmark on the design cfg generates.
 func benchEditNetlist(b *testing.B, cfg design.Config) {
 	gen, err := design.Generate(cfg)
@@ -347,33 +541,7 @@ func benchEditNetlist(b *testing.B, cfg design.Config) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// One eligible source signal per FUB, as the edit tests pick it.
-	srcs := make([]*netlist.Node, len(gen.Design.Fubs))
-	for f, fi := range gen.Design.Fubs {
-		for _, n := range gen.Design.Modules[fi.Module].Nodes {
-			if (n.Kind == netlist.KindComb || n.Kind == netlist.KindSeq) && n.Class != netlist.ClassDebug {
-				srcs[f] = n
-				break
-			}
-		}
-		if srcs[f] == nil {
-			b.Fatalf("FUB %s has no signal to register", fi.Name)
-		}
-	}
-	edited := func(i int) []byte {
-		f := i % len(srcs)
-		mod := gen.Design.Modules[gen.Design.Fubs[f].Module]
-		mod.Nodes = append(mod.Nodes, &netlist.Node{
-			Name: fmt.Sprintf("eco_%d", i), Kind: netlist.KindSeq, Width: srcs[f].Width, Inputs: []string{srcs[f].Name},
-		})
-		var out bytes.Buffer
-		err := netlist.Write(&out, gen.Design)
-		mod.Nodes = mod.Nodes[:len(mod.Nodes)-1]
-		if err != nil {
-			b.Fatal(err)
-		}
-		return out.Bytes()
-	}
+	edited := ecoEdits(b, gen.Design)
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
